@@ -20,19 +20,21 @@ it completes at any node" — §5.2):
   alltoall): ``entry(member) -> hub -> exit(member)`` for all members.
 
 Exact reachability is answered with vector clocks computed in one
-topological sweep, so per-pair queries are O(1).
+topological sweep, so per-pair queries are O(1).  Matched events that
+contradict program order (a receive waiting on a send that itself waits
+on the receive) form a cycle and raise :class:`AnalysisError`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
-import networkx as nx
 import numpy as np
 
 from repro.core.records import AccessRecord
-from repro.errors import RaceConditionError
+from repro.errors import AnalysisError, RaceConditionError
 from repro.tracer.events import MPIEvent
 from repro.tracer.trace import Trace
 
@@ -67,18 +69,23 @@ class HappensBefore:
                 self._pos[(ev.eid, _OUT)] = 2 * i + 1
                 self._rank_of[(ev.eid, _IN)] = rank
                 self._rank_of[(ev.eid, _OUT)] = rank
+        #: node -> its predecessors in the partial order
         self.graph = self._build_graph()
         self._clocks = self._compute_vector_clocks()
 
     # -- construction ---------------------------------------------------------
 
-    def _build_graph(self) -> "nx.DiGraph":
-        g = nx.DiGraph()
+    def _build_graph(self) -> dict[tuple, list[tuple]]:
+        preds: dict[tuple, list[tuple]] = {}
+
+        def edge(u: tuple, v: tuple) -> None:
+            preds.setdefault(v, []).append(u)
+
         for evs in self.events_by_rank:
             for i, ev in enumerate(evs):
-                g.add_edge((ev.eid, _IN), (ev.eid, _OUT))
+                edge((ev.eid, _IN), (ev.eid, _OUT))
                 if i > 0:
-                    g.add_edge((evs[i - 1].eid, _OUT), (ev.eid, _IN))
+                    edge((evs[i - 1].eid, _OUT), (ev.eid, _IN))
         by_match: dict[tuple, list[MPIEvent]] = {}
         for evs in self.events_by_rank:
             for ev in evs:
@@ -88,33 +95,46 @@ class HappensBefore:
             if kind in ("send", "recv"):
                 for s in (e for e in match if e.role == "sender"):
                     for r in (e for e in match if e.role == "receiver"):
-                        g.add_edge((s.eid, _IN), (r.eid, _OUT))
+                        edge((s.eid, _IN), (r.eid, _OUT))
             elif kind in _ROOT_TO_ALL:
                 for root in (e for e in match if e.role == "root"):
                     for e in match:
-                        g.add_edge((root.eid, _IN), (e.eid, _OUT))
+                        edge((root.eid, _IN), (e.eid, _OUT))
             elif kind in _ALL_TO_ROOT:
                 for root in (e for e in match if e.role == "root"):
                     for e in match:
-                        g.add_edge((e.eid, _IN), (root.eid, _OUT))
+                        edge((e.eid, _IN), (root.eid, _OUT))
             else:  # fully synchronizing
                 hub = ("hub", key)
                 for e in match:
-                    g.add_edge((e.eid, _IN), hub)
-                    g.add_edge(hub, (e.eid, _OUT))
-        return g
+                    edge((e.eid, _IN), hub)
+                    edge(hub, (e.eid, _OUT))
+        return preds
 
     def _compute_vector_clocks(self) -> dict[tuple, np.ndarray]:
+        try:
+            order = list(TopologicalSorter(self.graph).static_order())
+        except CycleError as exc:
+            raise self._cycle_error(exc.args[1]) from None
         clocks: dict[tuple, np.ndarray] = {}
-        for node in nx.topological_sort(self.graph):
+        for node in order:
             vc = np.zeros(self.nranks, dtype=np.int64)
-            for pred in self.graph.predecessors(node):
+            for pred in self.graph.get(node, ()):
                 np.maximum(vc, clocks[pred], out=vc)
             rank = self._rank_of.get(node)
             if rank is not None:
                 vc[rank] = max(vc[rank], self._pos[node] + 1)
             clocks[node] = vc
         return clocks
+
+    def _cycle_error(self, cycle: list[tuple]) -> AnalysisError:
+        """One-line diagnosis naming an MPI event on ``cycle``."""
+        eid = next(node[0] for node in cycle if node[0] != "hub")
+        ev = next(e for evs in self.events_by_rank for e in evs
+                  if e.eid == eid)
+        return AnalysisError(
+            f"MPI events contradict program order: happens-before "
+            f"cycle through rank {ev.rank} {ev.kind} (eid {ev.eid})")
 
     # -- queries -----------------------------------------------------------------
 

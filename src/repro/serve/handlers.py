@@ -6,6 +6,7 @@ key** the batch CLI uses for the same work (``cell`` produces
 the server is a read-through front end over ``.repro-cache/``: a cell
 computed by ``python -m repro.study all`` is a warm hit for the
 service, and vice versa.  Key derivation goes through
+:func:`repro.study.parallel.variant_cell` and
 :func:`repro.study.cache.cache_key` — the injectivity the cache's
 hypothesis tests pin is exactly the coalescing correctness the server
 relies on (identical keys ⇒ identical payloads).
@@ -32,6 +33,12 @@ from typing import Any, Callable
 from repro.apps.registry import APPLICATIONS, RunVariant
 from repro.serve.protocol import BadRequest
 from repro.study.cache import cache_key
+from repro.study.parallel import (
+    chaos_variant_task,
+    staticcheck_task,
+    study_cell_task,
+    variant_cell,
+)
 
 #: ceiling on ranks per service request — the analyses are O(nranks)
 #: traces; a query service refuses campaign-sized asks outright
@@ -149,10 +156,24 @@ def resolve_one_variant(selector: Any) -> RunVariant:
     return matched[0]
 
 
-def _variant_fields(variant: RunVariant) -> dict:
-    """The (label, options) identity the batch CLI keys cells on."""
-    return {"label": variant.label,
-            "options": dict(sorted(variant.options.items()))}
+def _variant_params(params: dict, allowed: tuple[str, ...], *,
+                    nranks: int = 8) -> tuple[RunVariant, int, int]:
+    """Validate the ``app``/``nranks``/``seed`` every compute endpoint
+    takes, rejecting parameters outside ``allowed`` first."""
+    _check_unknown(params, allowed)
+    variant = resolve_one_variant(params.get("app"))
+    return (variant,
+            _int_param(params, "nranks", nranks, 1, MAX_NRANKS),
+            _int_param(params, "seed", 7, 0, 2**31 - 1))
+
+
+def _prepared(kind: str, worker: Callable[[tuple], dict],
+              variant: RunVariant, nranks: int, seed: int,
+              **extras: Any) -> Prepared:
+    """A per-configuration work item under the batch CLI's cell key."""
+    cell = variant_cell(variant, nranks, seed, **extras)
+    return Prepared(kind=kind, key_fields=cell.key_fields,
+                    worker=worker, task=cell.task)
 
 
 # -- compute endpoints ---------------------------------------------------------
@@ -164,20 +185,12 @@ _CELL_PARAMS = ("app", "nranks", "seed")
 def prepare_cell(params: dict) -> Prepared:
     """Study cell: the per-configuration conflict/semantics summary.
 
-    Keyed identically to ``study all`` cells, so the service and the
-    batch matrix share one content-addressed store.
+    Keyed identically to single-process ``study all`` cells, so the
+    service and the batch matrix share one content-addressed store.
     """
-    from repro.study.parallel import study_cell_task
-
-    _check_unknown(params, _CELL_PARAMS)
-    variant = resolve_one_variant(params.get("app"))
-    nranks = _int_param(params, "nranks", 8, 1, MAX_NRANKS)
-    seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
-    return Prepared(
-        kind="study-cell",
-        key_fields={**_variant_fields(variant),
-                    "nranks": nranks, "seed": seed},
-        worker=study_cell_task, task=(variant, nranks, seed))
+    return _prepared("study-cell", study_cell_task,
+                     *_variant_params(params, _CELL_PARAMS),
+                     partitions=1)
 
 
 _LINT_PARAMS = ("app", "nranks", "seed", "rules")
@@ -203,19 +216,10 @@ def lint_task(task: tuple) -> dict:
 
 
 def prepare_lint(params: dict) -> Prepared:
-    _check_unknown(params, _LINT_PARAMS)
-    variant = resolve_one_variant(params.get("app"))
-    nranks = _int_param(params, "nranks", 8, 1, MAX_NRANKS)
-    seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
+    variant_args = _variant_params(params, _LINT_PARAMS)
     rules = _name_list(params, "rules")
-    if rules is not None:
-        rules = sorted(set(rules))
-    return Prepared(
-        kind="lint-cell",
-        key_fields={**_variant_fields(variant), "nranks": nranks,
-                    "seed": seed, "rules": rules},
-        worker=lint_task, task=(variant, nranks, seed,
-                                tuple(rules) if rules else None))
+    return _prepared("lint-cell", lint_task, *variant_args,
+                     rules=tuple(sorted(set(rules))) if rules else None)
 
 
 _ADVISE_PARAMS = ("app", "nranks", "seed", "semantics")
@@ -254,19 +258,13 @@ def advise_task(task: tuple) -> dict:
 
 
 def prepare_advise(params: dict) -> Prepared:
-    _check_unknown(params, _ADVISE_PARAMS)
-    variant = resolve_one_variant(params.get("app"))
-    nranks = _int_param(params, "nranks", 8, 1, MAX_NRANKS)
-    seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
+    variant_args = _variant_params(params, _ADVISE_PARAMS)
     semantics = params.get("semantics", "session")
     if semantics not in _ADVISE_SEMANTICS:
         raise BadRequest(f"'semantics' must be one of "
                          f"{', '.join(_ADVISE_SEMANTICS)}")
-    return Prepared(
-        kind="advise-cell",
-        key_fields={**_variant_fields(variant), "nranks": nranks,
-                    "seed": seed, "semantics": semantics},
-        worker=advise_task, task=(variant, nranks, seed, semantics))
+    return _prepared("advise-cell", advise_task, *variant_args,
+                     semantics=semantics)
 
 
 _CHAOS_PARAMS = ("app", "nranks", "seed", "plans")
@@ -283,12 +281,9 @@ def prepare_chaos(params: dict) -> Prepared:
         CHAOS_STRIPE_SIZE,
         default_fault_plans,
     )
-    from repro.study.parallel import chaos_variant_task
 
-    _check_unknown(params, _CHAOS_PARAMS)
-    variant = resolve_one_variant(params.get("app"))
-    nranks = _int_param(params, "nranks", 4, 1, MAX_NRANKS)
-    seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
+    variant, nranks, seed = _variant_params(params, _CHAOS_PARAMS,
+                                            nranks=4)
     plans = default_fault_plans(seed)
     wanted = _name_list(params, "plans")
     if wanted is not None:
@@ -296,17 +291,11 @@ def prepare_chaos(params: dict) -> Prepared:
         if unknown:
             raise BadRequest(f"unknown plan(s): {', '.join(unknown)}")
         plans = [p for p in plans if p.name in set(wanted)]
-    plan_names = tuple(p.name for p in plans)
-    sem_names = tuple(s.name.lower() for s in CHAOS_SEMANTICS)
-    return Prepared(
-        kind="chaos-variant",
-        key_fields={**_variant_fields(variant), "nranks": nranks,
-                    "seed": seed, "plans": list(plan_names),
-                    "semantics": list(sem_names),
-                    "stripe": CHAOS_STRIPE_SIZE},
-        worker=chaos_variant_task,
-        task=(variant, nranks, seed, plan_names, sem_names,
-              CHAOS_STRIPE_SIZE))
+    return _prepared(
+        "chaos-variant", chaos_variant_task, variant, nranks, seed,
+        plans=tuple(p.name for p in plans),
+        semantics=tuple(s.name.lower() for s in CHAOS_SEMANTICS),
+        stripe=CHAOS_STRIPE_SIZE)
 
 
 _STATICCHECK_PARAMS = ("app", "nranks", "seed")
@@ -318,17 +307,8 @@ def prepare_staticcheck(params: dict) -> Prepared:
     Keyed identically to ``study staticcheck`` cells, so the service
     and the batch soundness matrix share one content-addressed store.
     """
-    from repro.study.parallel import staticcheck_task
-
-    _check_unknown(params, _STATICCHECK_PARAMS)
-    variant = resolve_one_variant(params.get("app"))
-    nranks = _int_param(params, "nranks", 8, 1, MAX_NRANKS)
-    seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
-    return Prepared(
-        kind="staticcheck-cell",
-        key_fields={**_variant_fields(variant),
-                    "nranks": nranks, "seed": seed},
-        worker=staticcheck_task, task=(variant, nranks, seed))
+    return _prepared("staticcheck-cell", staticcheck_task,
+                     *_variant_params(params, _STATICCHECK_PARAMS))
 
 
 _SLEEP_PARAMS = ("seconds", "token")

@@ -28,7 +28,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.serve import protocol
 from repro.serve.client import DEFAULT_RETRY, ServeClient, ServeConnectionError
@@ -113,13 +113,9 @@ async def _run_client(host: str, port: int, client_id: int,
                       catalog: Sequence[tuple[str, dict]],
                       sequence: list[int], spec: LoadSpec,
                       outcomes: dict[str, int],
-                      latencies: list[float],
-                      client_factory: Callable | None = None) -> None:
-    if client_factory is not None:
-        client = client_factory(client_id)
-    else:
-        client = ServeClient(host=host, port=port, retry=DEFAULT_RETRY,
-                             seed=spec.seed * 1000003 + client_id)
+                      latencies: list[float]) -> None:
+    client = ServeClient(host=host, port=port, retry=DEFAULT_RETRY,
+                         seed=spec.seed * 1000003 + client_id)
     try:
         for index in sequence:
             endpoint, params = catalog[index]
@@ -139,17 +135,9 @@ async def _run_client(host: str, port: int, client_id: int,
 
 
 async def run_load(host: str, port: int, spec: LoadSpec,
-                   catalog: Sequence[tuple[str, dict]] | None = None,
-                   *, client_factory: Callable | None = None) -> dict:
-    """Drive the schedule against a live server; return the report.
-
-    ``client_factory(client_id)`` substitutes a different per-client
-    requester — anything with ``await request(endpoint, params,
-    deadline_s=...)`` and ``await close()`` — which is how the cluster
-    loadtest drives the same seeded schedule through the
-    membership-routed failover client instead of one socket.  With a
-    factory, ``host``/``port`` only label the report.
-    """
+                   catalog: Sequence[tuple[str, dict]] | None = None
+                   ) -> dict:
+    """Drive the schedule against a live server; return the report."""
     spec.validate()
     if catalog is None:
         catalog = default_catalog(nranks=spec.nranks, seed=spec.seed)
@@ -164,17 +152,13 @@ async def run_load(host: str, port: int, spec: LoadSpec,
     t0 = time.perf_counter()
     await asyncio.gather(*(
         _run_client(host, port, client_id, catalog, sequence, spec,
-                    outcomes, latencies,
-                    client_factory=client_factory)
+                    outcomes, latencies)
         for client_id, sequence in enumerate(schedule)))
     wall = time.perf_counter() - t0
 
     server_counters: dict[str, int] = {}
     try:
-        if client_factory is not None:
-            probe = client_factory(spec.clients)
-        else:
-            probe = ServeClient(host=host, port=port, seed=spec.seed)
+        probe = ServeClient(host=host, port=port, seed=spec.seed)
         response = await probe.request("metrics")
         await probe.close()
         if response.get("ok"):
@@ -228,11 +212,10 @@ async def run_load(host: str, port: int, spec: LoadSpec,
 
 
 def run_load_sync(host: str, port: int, spec: LoadSpec,
-                  catalog: Sequence[tuple[str, dict]] | None = None,
-                  *, client_factory: Callable | None = None) -> dict:
+                  catalog: Sequence[tuple[str, dict]] | None = None
+                  ) -> dict:
     """Blocking wrapper (the ``study loadtest`` CLI path)."""
-    return asyncio.run(run_load(host, port, spec, catalog,
-                                client_factory=client_factory))
+    return asyncio.run(run_load(host, port, spec, catalog))
 
 
 def report_text(report: dict) -> str:

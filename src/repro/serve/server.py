@@ -31,11 +31,7 @@ snapshots it live.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.obs import registry as obs
@@ -59,10 +55,7 @@ class ServeConfig:
     #: max requests admitted concurrently (queued + executing);
     #: arrivals beyond this are rejected with ``overloaded``
     queue_limit: int = 16
-    #: analysis worker processes; 0 = compute on an in-process thread
-    #: instead (no forked children — the in-process cluster harness
-    #: needs kill semantics where a dead node's sockets actually
-    #: close, and forked pool children would inherit and hold them)
+    #: analysis worker processes
     workers: int = 2
     #: deadline budget for requests that set none
     default_deadline_s: float = 60.0
@@ -73,9 +66,6 @@ class ServeConfig:
     max_frame: int = protocol.MAX_FRAME
     #: serve debug endpoints (``sleep``); tests and benches only
     debug: bool = False
-    #: cluster identity, when this server is a cluster worker; plain
-    #: single-process serving leaves it unset
-    node_id: str | None = None
 
 
 class AnalysisServer:
@@ -92,7 +82,7 @@ class AnalysisServer:
             else obs.MetricsRegistry()
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._in_flight = 0
         self._draining = False
         self._idle = asyncio.Event()
@@ -101,9 +91,6 @@ class AnalysisServer:
         self._computing: dict[str, asyncio.Future] = {}
         #: live connection-handler tasks, cancelled at shutdown
         self._connections: set[asyncio.Task] = set()
-        #: live connection writers, so abort() can RST them like a
-        #: kernel tearing down a killed process's sockets
-        self._writers: set[asyncio.StreamWriter] = set()
         reg = self.registry
         self._c_connections = reg.counter("server.connections")
         self._c_requests = reg.counter("server.requests")
@@ -124,12 +111,7 @@ class AnalysisServer:
         """Bind, spin up the pool, and begin accepting connections."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        if self.config.workers >= 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers)
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-inline")
+        self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port)
         sock = self._server.sockets[0]
@@ -167,42 +149,6 @@ class AnalysisServer:
             self._pool = None
         self._server = None
 
-    async def abort(self) -> None:
-        """Die abruptly: no drain, no goodbyes — the in-process stand-in
-        for SIGKILL that the chaos suite and failover bench use.
-
-        Admitted requests are abandoned mid-flight and connections are
-        torn down immediately; peers observe exactly what a killed
-        node's peers observe (reset/EOF), which is the failure the
-        cluster's replication must absorb."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        # RST every live connection *first* — when a process is
-        # SIGKILLed the kernel closes its sockets at once, and peers
-        # must observe the same here or they would block forever on
-        # replies that will never come
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        for fut in list(self._computing.values()):
-            fut.cancel()
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections,
-                                 return_exceptions=True)
-        if self._server is not None:
-            try:
-                await self._server.wait_closed()
-            except (RuntimeError, OSError):
-                pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self._server = None
-
     # -- connection handling -----------------------------------------------
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
@@ -211,7 +157,6 @@ class AnalysisServer:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
-        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -251,7 +196,6 @@ class AnalysisServer:
         finally:
             if task is not None:
                 self._connections.discard(task)
-            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -337,28 +281,13 @@ class AnalysisServer:
 
     def _inline(self, name: str) -> dict:
         if name == "healthz":
-            # three-valued health: 'ok', 'degraded' (admission is
-            # saturated — the next compute request gets 'overloaded'),
-            # or 'draining'.  Failover-aware clients route away from
-            # anything that is not 'ok' instead of discovering the
-            # rejection the hard way.
-            if self._draining:
-                status = "draining"
-            elif self._in_flight >= self.config.queue_limit:
-                status = "degraded"
-            else:
-                status = "ok"
-            doc = {"status": status,
-                   "degraded": status != "ok",
-                   "in_flight": self._in_flight,
-                   "queue_limit": self.config.queue_limit,
-                   "workers": self.config.workers,
-                   "endpoints": endpoint_catalog(
-                       debug=self.config.debug),
-                   "protocol": protocol.PROTOCOL_VERSION}
-            if self.config.node_id is not None:
-                doc["node"] = self.config.node_id
-            return doc
+            return {"status": "draining" if self._draining else "ok",
+                    "in_flight": self._in_flight,
+                    "queue_limit": self.config.queue_limit,
+                    "workers": self.config.workers,
+                    "endpoints": endpoint_catalog(
+                        debug=self.config.debug),
+                    "protocol": protocol.PROTOCOL_VERSION}
         if name == "fingerprint":
             return {"fingerprint": code_fingerprint(),
                     "cache_enabled": self.cache.enabled,
@@ -437,7 +366,6 @@ class ServerHandle:
     _loop: asyncio.AbstractEventLoop | None = None
     _thread: object = None
     _stop: asyncio.Event | None = None
-    _abort: bool = False
     _start_error: BaseException | None = None
 
     @property
@@ -471,10 +399,7 @@ class ServerHandle:
             # serve_forever(); waiting on the explicit event keeps
             # the loop alive until the drain has fully finished
             await self._stop.wait()
-            if self._abort and hasattr(self.server, "abort"):
-                await self.server.abort()
-            else:
-                await self.server.stop()
+            await self.server.stop()
             forever.cancel()
 
         def run() -> None:
@@ -511,11 +436,6 @@ class ServerHandle:
         loop.call_soon_threadsafe(stop.set)
         self._thread.join(timeout=self.server.config.drain_s + 30)
         self._loop = self._stop = None
-
-    def kill(self) -> None:
-        """SIGKILL stand-in: tear the server down with no drain."""
-        self._abort = True
-        self.stop()
 
     def __enter__(self) -> "ServerHandle":
         return self.start()

@@ -12,6 +12,7 @@ Usage::
     python -m repro.study staticcheck <app|--all> [--jobs N]
     python -m repro.study partition <app|--all> [--partitions N]
                                     [--verify] [--jobs N]
+    python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
     python -m repro.study serve [--port 0] [--queue-limit N]
@@ -20,8 +21,6 @@ Usage::
     python -m repro.study loadtest --port P [--clients N] [--seed S]
     python -m repro.study cache <stats|prune> [--max-age-days D]
                                 [--max-bytes N]
-    python -m repro.study cluster <start|worker|status|loadtest|chaos>
-                                  [options]
 
 The default mode prints Tables 1–5 and Figures 1–3 (text form) and,
 with ``--out``, writes per-run reports and Figure 2 CSV dot clouds.
@@ -35,14 +34,13 @@ fault matrix (:mod:`repro.pfs.chaos`); ``crossvalidate`` checks the
 linter against the replay-based oracle; ``staticcheck`` evaluates the
 symbolic I/O plans (:mod:`repro.staticcheck`) and cross-validates the
 static conflict predictions against the dynamic detector;
-``fingerprint`` prints the
-code fingerprint cache keys embed (CI keys its cache restore on it).
+``partition`` traces with the multi-process engine; ``roundtrip``
+checks the ``.rtrc`` trace format is lossless; ``fingerprint`` prints
+the code fingerprint cache keys embed (CI keys its cache restore on it).
 ``serve`` runs the asyncio analysis service (:mod:`repro.serve`),
 ``request`` issues one query against it, ``loadtest`` drives the
 seeded closed-loop load generator, and ``cache`` inspects and prunes
 the content-addressed result store — see ``docs/serving.md``.
-``cluster`` boots and operates the heartbeat-managed, shard-replicated
-multi-node cluster (:mod:`repro.cluster` — see ``docs/cluster.md``).
 
 Every matrix subcommand accepts ``--metrics FILE``: the run executes
 under a :mod:`repro.obs` registry (bypassing the result cache so the
@@ -64,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.semantics import Semantics
@@ -147,6 +146,30 @@ def _resolve_variants(entries: list[str] | None, all_flag: bool):
     return variants
 
 
+def _add_selection_args(parser: argparse.ArgumentParser, verb: str, *,
+                        app_help: str | None = None) -> None:
+    """The positional ``NAME[/LIB]`` or ``--all`` configuration choice."""
+    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
+                        help=app_help or f"configuration to {verb}; "
+                                         f"omit with --all")
+    parser.add_argument("--all", action="store_true",
+                        help=f"{verb} every registered configuration")
+
+
+def _selected_variants(args: argparse.Namespace):
+    return _resolve_variants([args.app] if args.app else None,
+                             all_flag=args.all)
+
+
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--no-cache", action="store_true",
+                        help="ignore and do not update .repro-cache/")
+    parser.add_argument("--cache-dir", type=Path, default=None,
+                        metavar="DIR",
+                        help="result cache root (default "
+                             ".repro-cache/ or $REPRO_CACHE_DIR)")
+
+
 def _add_matrix_args(parser: argparse.ArgumentParser, *,
                      nranks: int = 8) -> None:
     """Flags shared by every matrix-shaped subcommand."""
@@ -155,12 +178,7 @@ def _add_matrix_args(parser: argparse.ArgumentParser, *,
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the matrix "
                              "(default 1 = serial; 0 = one per CPU)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update .repro-cache/")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="result cache root (default "
-                             ".repro-cache/ or $REPRO_CACHE_DIR)")
+    _add_cache_args(parser)
     parser.add_argument("--metrics", type=Path, default=None,
                         metavar="FILE",
                         help="collect simulator metrics and write them "
@@ -169,44 +187,43 @@ def _add_matrix_args(parser: argparse.ArgumentParser, *,
                              "unchanged)")
 
 
-def _matrix_cache(args: argparse.Namespace):
+def _add_output_args(parser: argparse.ArgumentParser) -> None:
+    """How a matrix subcommand reports: ``--format``/``--stats``/``--out``."""
+    parser.add_argument("--format", choices=("text", "json"),
+                        default="text")
+    parser.add_argument("--stats", action="store_true",
+                        help="print per-cell timing/cache provenance "
+                             "to stderr")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the report to this file")
+
+
+@contextmanager
+def _matrix_scope(args: argparse.Namespace):
+    """Result cache and metrics registry for one matrix invocation.
+
+    Yields the cache.  Without ``--metrics`` no registry is active.
+    With it, a tracing registry is active for the body and the cache
+    is disabled — a cached cell never runs the simulator, so the
+    instruments must fire.  The JSON-lines export is written on normal
+    exit (a usage error leaves no partial file); the report on stdout
+    is the same bytes either way.
+    """
     from repro.study.cache import ResultCache
 
-    if getattr(args, "metrics", None) is not None:
-        # a cached cell never runs the simulator, so a metrics run
-        # bypasses the cache entirely — the instruments must fire
-        return ResultCache.disabled()
-    return ResultCache.from_options(cache_dir=args.cache_dir,
-                                    no_cache=args.no_cache)
-
-
-def _metrics_scope(args: argparse.Namespace):
-    """Registry lifetime for one ``--metrics FILE`` invocation.
-
-    Without the flag this is a no-op pass-through.  With it, a tracing
-    registry is active for the body and the JSON-lines export is
-    written on normal exit (a usage error leaves no partial file);
-    the report on stdout is the same bytes either way.
-    """
-    from contextlib import contextmanager
-
+    if args.metrics is None:
+        yield ResultCache.from_options(cache_dir=args.cache_dir,
+                                       no_cache=args.no_cache)
+        return
     from repro.obs import registry as obs
+    from repro.obs.export import to_jsonl
 
-    @contextmanager
-    def scope():
-        if args.metrics is None:
-            yield None
-            return
-        from repro.obs.export import to_jsonl
-
-        with obs.collecting(trace=True) as reg:
-            yield reg
-            args.metrics.parent.mkdir(parents=True, exist_ok=True)
-            args.metrics.write_text(to_jsonl(reg))
-            print(f"[metrics: {len(reg)} instruments -> "
-                  f"{args.metrics}]", file=sys.stderr)
-
-    return scope()
+    with obs.collecting(trace=True) as reg:
+        yield ResultCache.disabled()
+        args.metrics.parent.mkdir(parents=True, exist_ok=True)
+        args.metrics.write_text(to_jsonl(reg))
+        print(f"[metrics: {len(reg)} instruments -> "
+              f"{args.metrics}]", file=sys.stderr)
 
 
 def _matrix_jobs(args: argparse.Namespace) -> int:
@@ -226,17 +243,41 @@ def _check_partitions(partitions: int, nranks: int) -> int:
     return partitions
 
 
-def _print_matrix_stats(run, cache, *, show_cells: bool) -> None:
-    """Cache-hit and timing stats — on stderr, never in the payload.
+def _emit(args: argparse.Namespace, text: str, *, ok: bool = True,
+          run=None, cache=None) -> int:
+    """Print a report, mirror it to ``--out``, and return its exit code.
 
-    Keeping stdout pure is what lets the determinism tests (and CI
-    artifact diffs) demand byte-identical reports regardless of jobs
-    count or cache temperature.
+    A matrix ``run`` also reports cache-hit and timing stats — on
+    stderr, never in the payload.  Keeping stdout pure is what lets the
+    determinism tests (and CI artifact diffs) demand byte-identical
+    reports regardless of jobs count or cache temperature.
     """
-    print(f"[{run.summary()}; cache: {cache.stats.summary()}]",
-          file=sys.stderr)
-    if show_cells:
-        print(run.timing_table(), file=sys.stderr)
+    print(text)
+    if args.out is not None:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(text + "\n")
+    if run is not None:
+        print(f"[{run.summary()}; cache: {cache.stats.summary()}]",
+              file=sys.stderr)
+        if args.stats:
+            print(run.timing_table(), file=sys.stderr)
+    return EXIT_OK if ok else EXIT_FINDINGS
+
+
+def _emit_cells(args: argparse.Namespace, run, cache, ok: bool,
+                text_table, **extra) -> int:
+    """Report a matrix of verdict cells: ``{nranks, seed, cells, ok}``
+    (plus ``extra``) as JSON, or the subcommand's ``text_table``."""
+    import json
+
+    cells = run.payloads
+    if args.format == "json":
+        text = json.dumps({"nranks": args.nranks, "seed": args.seed,
+                           "cells": cells, "ok": ok, **extra},
+                          sort_keys=True, indent=2)
+    else:
+        text = text_table(cells)
+    return _emit(args, text, ok=ok, run=run, cache=cache)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -255,7 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         "request": request_main,
         "loadtest": loadtest_main,
         "cache": cache_main,
-        "cluster": cluster_main,
     }
     try:
         if argv and argv[0] in commands:
@@ -267,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _tables_main(argv: list[str]) -> int:
+    from repro.apps.registry import all_variants
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.study",
         description="Regenerate the paper's tables and figures from "
@@ -295,10 +337,10 @@ def _tables_main(argv: list[str]) -> int:
     print(table5_text())
     print()
 
-    print(f"Running the 25 configurations at {args.nranks} ranks ...",
-          flush=True)
-    jobs = _matrix_jobs(args) if hasattr(args, "jobs") else 1
-    results = run_study(nranks=args.nranks, seed=args.seed, jobs=jobs)
+    print(f"Running the {len(all_variants())} configurations at "
+          f"{args.nranks} ranks ...", flush=True)
+    results = run_study(nranks=args.nranks, seed=args.seed,
+                        jobs=_matrix_jobs(args))
 
     print()
     print(table3_text(results))
@@ -375,7 +417,7 @@ def all_main(argv: list[str] | None = None) -> int:
     fingerprint are unchanged.  Output on stdout is byte-identical for
     every jobs/cache combination; stats go to stderr.
     """
-    from repro.study.runner import matrix_json, study_cells
+    from repro.study.runner import study_cells
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.study all",
@@ -388,28 +430,20 @@ def all_main(argv: list[str] | None = None) -> int:
                              "worker subprocesses (default 1 = the "
                              "single-process engine; byte-identical "
                              "either way)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
     parser.add_argument("--workflows", action="store_true",
                         help="append the canonical producer/consumer "
                              "workflow cell to the matrix")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
+    _add_output_args(parser)
     args = parser.parse_args(argv)
     partitions = _check_partitions(args.partitions, args.nranks)
 
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        jobs = _matrix_jobs(args)
-        run = study_cells(nranks=args.nranks, seed=args.seed, jobs=jobs,
-                          cache=cache, partitions=partitions)
-        cells = list(run.payloads)
+    with _matrix_scope(args) as cache:
+        run = study_cells(nranks=args.nranks, seed=args.seed,
+                          jobs=_matrix_jobs(args), cache=cache,
+                          partitions=partitions)
+        cells = run.payloads
 
         if args.workflows:
-            from repro.study.cache import cache_key
             from repro.study.parallel import (
                 CellSpec,
                 run_matrix,
@@ -426,19 +460,16 @@ def all_main(argv: list[str] | None = None) -> int:
             cells.extend(wf.payloads)
             run.outcomes.extend(wf.outcomes)
 
-        if args.format == "json":
-            text = matrix_json(cells, nranks=args.nranks, seed=args.seed)
-        else:
-            text = _matrix_text(cells)
-        print(text)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
-        _print_matrix_stats(run, cache, show_cells=args.stats)
-        return EXIT_OK
+        return _emit(args, _matrix_report(args, cells), run=run,
+                     cache=cache)
 
 
-def _matrix_text(cells: list[dict]) -> str:
+def _matrix_report(args: argparse.Namespace, cells: list[dict]) -> str:
+    """``study all`` cells as canonical JSON or the text table."""
+    from repro.study.runner import matrix_json
+
+    if args.format == "json":
+        return matrix_json(cells, nranks=args.nranks, seed=args.seed)
     hdr = (f"{'configuration':<26} {'X-Y':<4} {'pattern':<15} "
            f"{'session':>8} {'commit':>7} {'weakest':<9} files")
     lines = [hdr, "-" * len(hdr)]
@@ -478,11 +509,9 @@ def lint_main(argv: list[str] | None = None) -> int:
         prog="python -m repro.study lint",
         description="Statically lint application traces for "
                     "consistency-semantics hazards (no PFS replay).")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="application to lint (e.g. FLASH or "
-                             "LAMMPS/ADIOS); omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="lint every registered configuration")
+    _add_selection_args(parser, "lint",
+                        app_help="application to lint (e.g. FLASH or "
+                                 "LAMMPS/ADIOS); omit with --all")
     parser.add_argument("--nranks", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--format", choices=("text", "json"),
@@ -500,8 +529,7 @@ def lint_main(argv: list[str] | None = None) -> int:
         for rule in all_rules():
             print(f"{rule.id}  {rule.name:26s} {rule.summary}")
         return EXIT_OK
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
+    variants = _selected_variants(args)
     rules = ([r.strip() for r in args.rules.split(",") if r.strip()]
              if args.rules else None)
 
@@ -521,11 +549,7 @@ def lint_main(argv: list[str] | None = None) -> int:
     else:
         text = (render_study_text(reports) if args.all
                 else "\n\n".join(render_text(r) for r in reports))
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    return EXIT_FINDINGS if any(r.errors for r in reports) else EXIT_OK
+    return _emit(args, text, ok=not any(r.errors for r in reports))
 
 
 @_usage_guard
@@ -543,9 +567,9 @@ def chaos_main(argv: list[str] | None = None) -> int:
         default_fault_plans,
     )
     from repro.study.parallel import (
-        CellSpec,
         chaos_variant_task,
         run_matrix,
+        variant_cell,
     )
 
     parser = argparse.ArgumentParser(
@@ -565,13 +589,7 @@ def chaos_main(argv: list[str] | None = None) -> int:
                              "the full matrix; see --list-plans)")
     parser.add_argument("--list-plans", action="store_true",
                         help="print the default fault plans and exit")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
+    _add_output_args(parser)
     args = parser.parse_args(argv)
 
     if args.list_plans:
@@ -593,20 +611,11 @@ def chaos_main(argv: list[str] | None = None) -> int:
 
     plan_names = tuple(p.name for p in plans)
     sem_names = tuple(s.name.lower() for s in CHAOS_SEMANTICS)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
+    with _matrix_scope(args) as cache:
         run = run_matrix(
             "chaos-variant",
-            [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(
-                                      v.options.items())),
-                                  "nranks": args.nranks,
-                                  "seed": args.seed,
-                                  "plans": list(plan_names),
-                                  "semantics": list(sem_names),
-                                  "stripe": CHAOS_STRIPE_SIZE},
-                      task=(v, args.nranks, args.seed, plan_names,
-                            sem_names, CHAOS_STRIPE_SIZE))
+            [variant_cell(v, args.nranks, args.seed, plans=plan_names,
+                          semantics=sem_names, stripe=CHAOS_STRIPE_SIZE)
              for v in variants],
             chaos_variant_task, jobs=_matrix_jobs(args), cache=cache)
 
@@ -618,12 +627,35 @@ def chaos_main(argv: list[str] | None = None) -> int:
 
         text = (report.to_json() if args.format == "json"
                 else report.to_text())
-        print(text)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
-        _print_matrix_stats(run, cache, show_cells=args.stats)
-        return EXIT_OK if report.ok else EXIT_FINDINGS
+        return _emit(args, text, ok=report.ok, run=run, cache=cache)
+
+
+def _verdict_matrix(argv: list[str] | None, command: str,
+                    description: str, kind: str, worker,
+                    text_table) -> int:
+    """One cached verdict cell per selected configuration.
+
+    The shared body of ``crossvalidate`` and ``staticcheck``: exit 0
+    when every cell is ``ok``, 1 otherwise, 2 usage.
+    """
+    from repro.study.parallel import run_matrix, variant_cell
+
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.study {command}", description=description)
+    _add_selection_args(parser, "check")
+    _add_matrix_args(parser)
+    _add_output_args(parser)
+    args = parser.parse_args(argv)
+
+    variants = _selected_variants(args)
+    with _matrix_scope(args) as cache:
+        run = run_matrix(
+            kind, [variant_cell(v, args.nranks, args.seed)
+                   for v in variants],
+            worker, jobs=_matrix_jobs(args), cache=cache)
+        return _emit_cells(args, run, cache,
+                           all(c["ok"] for c in run.payloads),
+                           text_table)
 
 
 @_usage_guard
@@ -634,81 +666,38 @@ def crossvalidate_main(argv: list[str] | None = None) -> int:
     replay pipeline reports (its zero-false-negative contract is
     broken), 2 usage.
     """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study crossvalidate",
-        description="Cross-validate the static linter against the "
-                    "replay-based conflict and durability oracles.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to check; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="check every registered configuration")
-    _add_matrix_args(parser)
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
+    from repro.study.parallel import crossval_task
 
-    from repro.study.parallel import CellSpec, crossval_task, run_matrix
-
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        run = run_matrix(
-            "crossval-cell",
-            [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(
-                                      v.options.items())),
-                                  "nranks": args.nranks,
-                                  "seed": args.seed},
-                      task=(v, args.nranks, args.seed))
-             for v in variants],
-            crossval_task, jobs=_matrix_jobs(args), cache=cache)
-        cells = list(run.payloads)
-        return _render_crossval(args, run, cache, cells)
+    return _verdict_matrix(
+        argv, "crossvalidate",
+        "Cross-validate the static linter against the replay-based "
+        "conflict and durability oracles.",
+        "crossval-cell", crossval_task, _crossval_text)
 
 
-def _render_crossval(args, run, cache, cells: list[dict]) -> int:
-    import json
-
-    if args.format == "json":
-        text = json.dumps(
-            {"nranks": args.nranks, "seed": args.seed, "cells": cells,
-             "ok": all(c["ok"] for c in cells)},
-            sort_keys=True, indent=2)
-    else:
-        lines = [f"{'configuration':<26} {'pairs':>6} {'missed':>7} "
-                 f"{'extras':>7}  status"]
-        lines.append("-" * len(lines[0]))
-        for cell in cells:
-            pairs = (cell["hazards"]["checked_pairs"]
-                     + cell["durability"]["checked_pairs"])
-            missed = (len(cell["hazards"]["false_negatives"])
-                      + len(cell["durability"]["false_negatives"]))
-            extras = (len(cell["hazards"]["extras"])
-                      + len(cell["durability"]["extras"]))
-            status = "ok" if cell["ok"] else "FALSE NEGATIVES"
-            lines.append(f"{cell['label']:<26} {pairs:>6} {missed:>7} "
-                         f"{extras:>7}  {status}")
-        bad = [c for c in cells if not c["ok"]]
-        lines.append("")
-        lines.append(f"{len(cells)} configurations, "
-                     f"{len(bad)} with false negatives")
-        for cell in bad:
-            for msg in (cell["hazards"]["false_negatives"]
-                        + cell["durability"]["false_negatives"]):
-                lines.append(f"  {msg}")
-        text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    _print_matrix_stats(run, cache, show_cells=args.stats)
-    return EXIT_OK if all(c["ok"] for c in cells) else EXIT_FINDINGS
+def _crossval_text(cells: list[dict]) -> str:
+    lines = [f"{'configuration':<26} {'pairs':>6} {'missed':>7} "
+             f"{'extras':>7}  status"]
+    lines.append("-" * len(lines[0]))
+    for cell in cells:
+        pairs = (cell["hazards"]["checked_pairs"]
+                 + cell["durability"]["checked_pairs"])
+        missed = (len(cell["hazards"]["false_negatives"])
+                  + len(cell["durability"]["false_negatives"]))
+        extras = (len(cell["hazards"]["extras"])
+                  + len(cell["durability"]["extras"]))
+        status = "ok" if cell["ok"] else "FALSE NEGATIVES"
+        lines.append(f"{cell['label']:<26} {pairs:>6} {missed:>7} "
+                     f"{extras:>7}  {status}")
+    bad = [c for c in cells if not c["ok"]]
+    lines.append("")
+    lines.append(f"{len(cells)} configurations, "
+                 f"{len(bad)} with false negatives")
+    for cell in bad:
+        for msg in (cell["hazards"]["false_negatives"]
+                    + cell["durability"]["false_negatives"]):
+            lines.append(f"  {msg}")
+    return "\n".join(lines)
 
 
 @_usage_guard
@@ -721,83 +710,35 @@ def staticcheck_main(argv: list[str] | None = None) -> int:
     codes: 0 every cell sound (no dynamic conflict missed), 1 at least
     one missed conflict, 2 usage.
     """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study staticcheck",
-        description="Predict per-semantics conflicts from symbolic "
-                    "I/O plans and cross-validate the predictions "
-                    "against the dynamic detector.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to check; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="check every registered configuration")
-    _add_matrix_args(parser)
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
+    from repro.study.parallel import staticcheck_task
 
-    from repro.study.parallel import (
-        CellSpec,
-        run_matrix,
-        staticcheck_task,
-    )
-
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        run = run_matrix(
-            "staticcheck-cell",
-            [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(
-                                      v.options.items())),
-                                  "nranks": args.nranks,
-                                  "seed": args.seed},
-                      task=(v, args.nranks, args.seed))
-             for v in variants],
-            staticcheck_task, jobs=_matrix_jobs(args), cache=cache)
-        cells = list(run.payloads)
-        return _render_staticcheck(args, run, cache, cells)
+    return _verdict_matrix(
+        argv, "staticcheck",
+        "Predict per-semantics conflicts from symbolic I/O plans and "
+        "cross-validate the predictions against the dynamic detector.",
+        "staticcheck-cell", staticcheck_task, _staticcheck_text)
 
 
-def _render_staticcheck(args, run, cache, cells: list[dict]) -> int:
-    import json
-
-    if args.format == "json":
-        text = json.dumps(
-            {"nranks": args.nranks, "seed": args.seed, "cells": cells,
-             "ok": all(c["ok"] for c in cells)},
-            sort_keys=True, indent=2)
-    else:
-        lines = [f"{'configuration':<26} {'plan':<6} {'groups':>6} "
-                 f"{'pairs':>6} {'precision':>9}  status"]
-        lines.append("-" * len(lines[0]))
-        for cell in cells:
-            plan_kind = "exact" if cell["exact"] else "coarse"
-            status = "sound" if cell["sound"] else "MISSED CONFLICTS"
-            lines.append(
-                f"{cell['label']:<26} {plan_kind:<6} "
-                f"{cell['groups']:>6} {cell['pairs_checked']:>6} "
-                f"{cell['precision']:>9.4f}  {status}")
-        bad = [c for c in cells if not c["sound"]]
-        lines.append("")
-        lines.append(f"{len(cells)} configurations, "
-                     f"{len(bad)} with missed dynamic conflicts")
-        for cell in bad:
-            for name, sem in sorted(cell["semantics"].items()):
-                for msg in sem["missed"]:
-                    lines.append(f"  {cell['label']} [{name}] {msg}")
-        text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    _print_matrix_stats(run, cache, show_cells=args.stats)
-    return EXIT_OK if all(c["ok"] for c in cells) else EXIT_FINDINGS
+def _staticcheck_text(cells: list[dict]) -> str:
+    lines = [f"{'configuration':<26} {'plan':<6} {'groups':>6} "
+             f"{'pairs':>6} {'precision':>9}  status"]
+    lines.append("-" * len(lines[0]))
+    for cell in cells:
+        plan_kind = "exact" if cell["exact"] else "coarse"
+        status = "sound" if cell["sound"] else "MISSED CONFLICTS"
+        lines.append(
+            f"{cell['label']:<26} {plan_kind:<6} "
+            f"{cell['groups']:>6} {cell['pairs_checked']:>6} "
+            f"{cell['precision']:>9.4f}  {status}")
+    bad = [c for c in cells if not c["sound"]]
+    lines.append("")
+    lines.append(f"{len(cells)} configurations, "
+                 f"{len(bad)} with missed dynamic conflicts")
+    for cell in bad:
+        for name, sem in sorted(cell["semantics"].items()):
+            for msg in sem["missed"]:
+                lines.append(f"  {cell['label']} [{name}] {msg}")
+    return "\n".join(lines)
 
 
 @_usage_guard
@@ -813,11 +754,11 @@ def partition_main(argv: list[str] | None = None) -> int:
     byte divergence, 2 usage.
     """
     from repro.study.parallel import (
-        CellSpec,
         partition_verify_task,
         run_matrix,
+        variant_cell,
     )
-    from repro.study.runner import matrix_json, study_cells
+    from repro.study.runner import study_cells
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.study partition",
@@ -825,89 +766,51 @@ def partition_main(argv: list[str] | None = None) -> int:
                     "multi-process simulation engine; optionally "
                     "verify byte-identity against the single-process "
                     "engine.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to run; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="run every registered configuration")
+    _add_selection_args(parser, "run")
     _add_matrix_args(parser)
     parser.add_argument("--partitions", type=int, default=2, metavar="N",
                         help="worker subprocesses per run (default 2)")
     parser.add_argument("--verify", action="store_true",
                         help="also trace single-process and require "
                              "byte-identical canonical .rtrc output")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
+    _add_output_args(parser)
     args = parser.parse_args(argv)
     partitions = _check_partitions(args.partitions, args.nranks)
 
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
+    variants = _selected_variants(args)
+    with _matrix_scope(args) as cache:
         jobs = _matrix_jobs(args)
-        if args.verify:
-            run = run_matrix(
-                "partition-verify",
-                [CellSpec(key_fields={"label": v.label,
-                                      "options": dict(sorted(
-                                          v.options.items())),
-                                      "nranks": args.nranks,
-                                      "seed": args.seed,
-                                      "partitions": partitions},
-                          task=(v, args.nranks, args.seed, partitions))
-                 for v in variants],
-                partition_verify_task, jobs=jobs, cache=cache)
-            return _render_partition_verify(args, run, cache,
-                                            list(run.payloads))
-        run = study_cells(nranks=args.nranks, seed=args.seed,
-                          variants=variants, jobs=jobs, cache=cache,
+        if not args.verify:
+            run = study_cells(nranks=args.nranks, seed=args.seed,
+                              variants=variants, jobs=jobs, cache=cache,
+                              partitions=partitions)
+            return _emit(args, _matrix_report(args, run.payloads),
+                         run=run, cache=cache)
+        run = run_matrix(
+            "partition-verify",
+            [variant_cell(v, args.nranks, args.seed,
                           partitions=partitions)
-        cells = list(run.payloads)
-        if args.format == "json":
-            text = matrix_json(cells, nranks=args.nranks, seed=args.seed)
-        else:
-            text = _matrix_text(cells)
-        print(text)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
-        _print_matrix_stats(run, cache, show_cells=args.stats)
-        return EXIT_OK
+             for v in variants],
+            partition_verify_task, jobs=jobs, cache=cache)
+        return _emit_cells(args, run, cache,
+                           all(c["identical"] for c in run.payloads),
+                           _partition_verify_text,
+                           partitions=args.partitions)
 
 
-def _render_partition_verify(args, run, cache, cells: list[dict]) -> int:
-    import json
-
-    ok = all(c["identical"] for c in cells)
-    if args.format == "json":
-        text = json.dumps({"nranks": args.nranks, "seed": args.seed,
-                           "partitions": args.partitions,
-                           "cells": cells, "ok": ok},
-                          sort_keys=True, indent=2)
-    else:
-        hdr = (f"{'configuration':<26} {'parts':>5} {'rtrc bytes':>10}  "
-               f"status")
-        lines = [hdr, "-" * len(hdr)]
-        for cell in cells:
-            status = "identical" if cell["identical"] else "DIVERGED"
-            lines.append(f"{cell['label']:<26} {cell['partitions']:>5} "
-                         f"{cell['rtrc_bytes']:>10}  {status}")
-        bad = sum(1 for c in cells if not c["identical"])
-        lines.append("")
-        lines.append(f"{len(cells)} configuration(s), {bad} diverged "
-                     f"between single-process and partitioned runs")
-        text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    _print_matrix_stats(run, cache, show_cells=args.stats)
-    return EXIT_OK if ok else EXIT_FINDINGS
+def _partition_verify_text(cells: list[dict]) -> str:
+    hdr = (f"{'configuration':<26} {'parts':>5} {'rtrc bytes':>10}  "
+           f"status")
+    lines = [hdr, "-" * len(hdr)]
+    for cell in cells:
+        status = "identical" if cell["identical"] else "DIVERGED"
+        lines.append(f"{cell['label']:<26} {cell['partitions']:>5} "
+                     f"{cell['rtrc_bytes']:>10}  {status}")
+    bad = sum(1 for c in cells if not c["identical"])
+    lines.append("")
+    lines.append(f"{len(cells)} configuration(s), {bad} diverged "
+                 f"between single-process and partitioned runs")
+    return "\n".join(lines)
 
 
 @_usage_guard
@@ -955,12 +858,11 @@ def metrics_main(argv: list[str] | None = None) -> int:
 
     if args.collect:
         from repro.study.cache import ResultCache
-        from repro.study.parallel import resolve_jobs
         from repro.study.runner import study_cells
 
-        jobs = resolve_jobs(None) if args.jobs == 0 else max(1, args.jobs)
         with obs.collecting(trace=True) as reg:
-            study_cells(nranks=args.nranks, seed=args.seed, jobs=jobs,
+            study_cells(nranks=args.nranks, seed=args.seed,
+                        jobs=_matrix_jobs(args),
                         cache=ResultCache.disabled())
     else:
         try:
@@ -976,11 +878,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
 
     text = to_jsonl(reg) if args.format == "json" \
         else render_dashboard(reg)
-    print(text, end="" if text.endswith("\n") else "\n")
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text if text.endswith("\n") else text + "\n")
-    return EXIT_OK
+    return _emit(args, text.removesuffix("\n"))
 
 
 @_usage_guard
@@ -1038,10 +936,7 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
         description="Assert the binary .rtrc trace format is lossless: "
                     "study reports and conflict counts must be "
                     "byte-identical across a save/load round trip.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to check; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="check every registered configuration")
+    _add_selection_args(parser, "check")
     parser.add_argument("--nranks", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--keep-dir", type=Path, default=None,
@@ -1058,8 +953,7 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
             raise _UsageError("--check cannot be combined with a "
                               "configuration selection")
         return _roundtrip_check(args.check)
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
+    variants = _selected_variants(args)
 
     failures = 0
     with tempfile.TemporaryDirectory(prefix="rtrc-") as tmp:
@@ -1163,12 +1057,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                         metavar="S",
                         help="shutdown grace for in-flight requests "
                              "(default 10)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update .repro-cache/")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="result cache root (default "
-                             ".repro-cache/ or $REPRO_CACHE_DIR)")
+    _add_cache_args(parser)
     parser.add_argument("--debug", action="store_true",
                         help="also serve debug endpoints (sleep)")
     parser.add_argument("--ready-file", type=Path, default=None,
@@ -1305,11 +1194,7 @@ def request_main(argv: list[str] | None = None) -> int:
     except ServeConnectionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FINDINGS
-    text = json.dumps(response, indent=2, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
+    _emit(args, json.dumps(response, indent=2, sort_keys=True))
     code = response_error_code(response)
     if code is None:
         return EXIT_OK
@@ -1378,19 +1263,6 @@ def loadtest_main(argv: list[str] | None = None) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(as_json + "\n")
     return EXIT_OK if report["ok"] else EXIT_FINDINGS
-
-
-@_usage_guard
-def cluster_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study cluster`` — the analysis cluster.
-
-    ``start``/``worker``/``status``/``loadtest``/``chaos`` under the
-    uniform 0/1/2 exit contract; see :mod:`repro.cluster.cli` and
-    ``docs/cluster.md``.
-    """
-    from repro.cluster.cli import cluster_main as cluster_impl
-
-    return cluster_impl(argv)
 
 
 @_usage_guard

@@ -36,10 +36,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.obs import registry as obs
 from repro.study.cache import ResultCache, cache_key
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.apps.registry import RunVariant
 
 #: payload-producing worker: picklable task in, JSON document out
 CellWorker = Callable[[tuple], dict]
@@ -64,6 +67,23 @@ class CellSpec:
 
     key_fields: dict[str, Any]
     task: tuple
+
+
+def variant_cell(variant: RunVariant, nranks: int, seed: int,
+                 **extras: Any) -> CellSpec:
+    """The one key format for a per-configuration cell.
+
+    Keys on the variant's ``label`` and sorted ``options``, ``nranks``,
+    ``seed`` and the cell kind's ``extras``; the worker task is
+    ``(variant, nranks, seed, *extras.values())``.  The batch matrix
+    subcommands and the serve endpoints all build their cells here, so
+    the same work always lands on the same cache entry.
+    """
+    return CellSpec(
+        key_fields={"label": variant.label,
+                    "options": dict(sorted(variant.options.items())),
+                    "nranks": nranks, "seed": seed, **extras},
+        task=(variant, nranks, seed, *extras.values()))
 
 
 @dataclass
@@ -223,7 +243,7 @@ def run_matrix(kind: str, cells: Sequence[CellSpec], worker: CellWorker,
 
 
 def study_cell_task(task: tuple) -> dict:
-    """(variant, nranks, seed[, partitions]) -> study-cell summary.
+    """(variant, nranks, seed, partitions) -> study-cell summary.
 
     With ``partitions > 1`` the trace comes from the partitioned
     multi-process engine; the summary is the same bytes either way
@@ -236,8 +256,7 @@ def study_cell_task(task: tuple) -> dict:
     """
     from repro.study.runner import cell_summary
 
-    variant, nranks, seed, *rest = task
-    partitions = int(rest[0]) if rest else 1
+    variant, nranks, seed, partitions = task
     trace = None
     if partitions > 1:
         from repro.partition.runner import run_partitioned
@@ -361,5 +380,6 @@ __all__ = [
     "staticcheck_task",
     "study_cell_task",
     "trace_task",
+    "variant_cell",
     "workflow_task",
 ]

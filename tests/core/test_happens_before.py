@@ -2,7 +2,7 @@
 
 from repro.core.happens_before import HappensBefore, validate_race_freedom
 from repro.core.records import AccessRecord
-from repro.errors import RaceConditionError
+from repro.errors import AnalysisError, RaceConditionError
 from repro.tracer.recorder import Recorder
 from repro.tracer.trace import Trace
 
@@ -180,6 +180,26 @@ class TestDegenerateCommunication:
             trace, [(access(0, 0.5), access(1, 2.0))])
         assert report.checked_pairs == 1
         assert not report.race_free
+
+    def test_cyclic_exchange_is_a_one_line_analysis_error(self):
+        # each rank receives before it sends what the other is waiting
+        # for: the matches contradict program order, so the partial
+        # order has a cycle and there is nothing to validate against
+        b = EventBuilder(nranks=2)
+        b.recv(0, 1, 1.0, key_extra=1).send(0, 1, 2.0, key_extra=2)
+        b.recv(1, 0, 1.0, key_extra=2).send(1, 0, 2.0, key_extra=1)
+        trace = b.trace()
+        with pytest.raises(AnalysisError) as excinfo:
+            HappensBefore(trace)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "cycle" in message
+        ev = next(e for e in trace.mpi_events
+                  if f"rank {e.rank} {e.kind} (eid {e.eid})" in message)
+        assert ev.kind in ("send", "recv")
+        with pytest.raises(AnalysisError):
+            validate_race_freedom(trace, [(access(0, 0.5),
+                                           access(1, 3.0))])
 
 
 class TestAccessOrdering:

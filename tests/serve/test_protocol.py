@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.serve import protocol
 from repro.serve.handlers import prepare_cell, request_key
-from repro.study.cache import cache_key
 
 
 def roundtrip(doc: dict) -> dict:
@@ -188,16 +187,29 @@ class TestResponses:
 class TestRequestKeys:
     """Service keys are exactly the batch CLI's cache keys."""
 
-    def test_cell_key_matches_study_cache(self):
+    def test_cell_request_hits_study_all_cache(self, tmp_path):
+        # `study all` fills the store; a served `cell` request for the
+        # same configuration must be answered from it, not recomputed
+        from repro.serve.client import request_sync
         from repro.serve.handlers import resolve_one_variant
+        from repro.serve.server import ServeConfig, start_background
+        from repro.study.cache import ResultCache
+        from repro.study.runner import study_cells
 
-        variant = resolve_one_variant("QMCPACK/HDF5")
-        prepared = prepare_cell(
-            {"app": "QMCPACK/HDF5", "nranks": 4, "seed": 11})
-        assert prepared.key == cache_key(
-            "study-cell", label=variant.label,
-            options=dict(sorted(variant.options.items())),
-            nranks=4, seed=11)
+        cache = ResultCache(root=tmp_path / "cache")
+        batch = study_cells(nranks=2, seed=7, cache=cache,
+                            variants=[resolve_one_variant("QMCPACK/HDF5")])
+        handle = start_background(ServeConfig(workers=1, drain_s=2.0),
+                                  cache=cache)
+        try:
+            doc = request_sync(handle.host, handle.port, "cell",
+                               {"app": "QMCPACK/HDF5", "nranks": 2,
+                                "seed": 7}, deadline_s=120)
+        finally:
+            handle.stop()
+        assert doc["ok"] is True, doc
+        assert doc["cached"] is True
+        assert doc["result"] == batch.payloads[0]
 
     def test_request_key_rejects_like_the_server(self):
         with pytest.raises(protocol.BadRequest):

@@ -279,77 +279,6 @@ class TestBackpressure:
             handle.stop()
 
 
-class TestDegradedHealth:
-    def test_saturated_server_reports_degraded_not_dead(self):
-        # healthz must stay informative between binary ok and refusal:
-        # a full admission queue is 'degraded' — routable, but a
-        # failover-aware client should prefer elsewhere
-        handle = start_background(
-            ServeConfig(workers=1, queue_limit=1, drain_s=5.0,
-                        debug=True),
-            cache=ResultCache.disabled())
-        try:
-            async def go():
-                hog = ServeClient(host=handle.host, port=handle.port,
-                                  seed=1)
-                try:
-                    filler = asyncio.ensure_future(hog.request(
-                        "sleep", {"seconds": 3, "token": "hog"},
-                        deadline_s=30))
-                    health = None
-                    for _ in range(200):
-                        health = await exchange_once(
-                            handle.host, handle.port, "healthz", {})
-                        if health["result"]["in_flight"] >= 1:
-                            break
-                        await asyncio.sleep(0.02)
-                    filler.cancel()
-                    return health
-                finally:
-                    await hog.close()
-
-            health = asyncio.run(go())
-            assert health["ok"] is True  # still answered inline
-            assert health["result"]["status"] == "degraded"
-            assert health["result"]["degraded"] is True
-        finally:
-            handle.stop()
-
-    def test_idle_server_is_ok_and_not_degraded(self, served):
-        result = ask(served, "healthz")["result"]
-        assert result["status"] == "ok"
-        assert result["degraded"] is False
-
-    def test_degraded_healthz_is_a_failover_signal(self):
-        from repro.serve.client import is_failover_response
-
-        def healthz(status):
-            return {"ok": True, "id": 1,
-                    "result": {"status": status, "queue_limit": 4,
-                               "in_flight": 4}}
-
-        assert is_failover_response(healthz("degraded")) is True
-        assert is_failover_response(healthz("draining")) is True
-        assert is_failover_response(healthz("ok")) is False
-
-    def test_failover_classifier_scope(self):
-        # errors: only overloaded/deadline mean "ask another node"
-        from repro.serve.client import is_failover_response
-
-        def err(code):
-            return protocol.error_response(1, code, "boom")
-
-        assert is_failover_response(err(protocol.ERR_OVERLOADED))
-        assert is_failover_response(err(protocol.ERR_DEADLINE))
-        assert not is_failover_response(err(protocol.ERR_BAD_REQUEST))
-        assert not is_failover_response(err(protocol.ERR_INTERNAL))
-        # an arbitrary payload carrying 'status' is NOT a health
-        # verdict: only healthz-shaped results are interpreted
-        payload = {"ok": True, "id": 1,
-                   "result": {"status": "failed", "detail": "app"}}
-        assert not is_failover_response(payload)
-
-
 class TestCacheReadThrough:
     def test_batch_entries_serve_warm(self, tmp_path):
         # a payload written under the batch CLI's key is a warm hit

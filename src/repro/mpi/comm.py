@@ -104,77 +104,78 @@ class _CollectiveSlot:
         self.exit_true = 0.0
         self.results: dict[int, Any] = {}
 
+    def finish(self, size: int) -> None:
+        """Compute every rank's result once all ``size`` ranks arrived."""
+        kind, payloads = self.kind, self.payloads
+        if kind == "barrier":
+            self.results = {r: None for r in range(size)}
+        elif kind == "bcast":
+            value = payloads[self.root]
+            self.results = {r: copy.deepcopy(value) for r in range(size)}
+        elif kind == "scatter":
+            chunks = payloads[self.root]
+            if chunks is None or len(chunks) != size:
+                raise MPIError(
+                    f"scatter root must supply a list of {size} items")
+            self.results = {r: chunks[r] for r in range(size)}
+        elif kind == "gather":
+            gathered = [payloads[r] for r in range(size)]
+            self.results = {r: (gathered if r == self.root else None)
+                            for r in range(size)}
+        elif kind == "allgather":
+            gathered = [payloads[r] for r in range(size)]
+            self.results = {r: list(gathered) for r in range(size)}
+        elif kind == "reduce":
+            value = ReduceOp(self.op).apply(
+                [payloads[r] for r in range(size)])
+            self.results = {r: (value if r == self.root else None)
+                            for r in range(size)}
+        elif kind == "allreduce":
+            value = ReduceOp(self.op).apply(
+                [payloads[r] for r in range(size)])
+            self.results = {r: copy.deepcopy(value) for r in range(size)}
+        elif kind == "alltoall":
+            self.results = {
+                r: [payloads[s][r] for s in range(size)]
+                for r in range(size)}
+        else:  # pragma: no cover - new kinds must be added here
+            raise MPIError(f"unknown collective kind {kind!r}")
+
 
 def collective_depth(size: int) -> int:
     """Tree depth charged per collective (``ceil(log2 p)``, at least 1)."""
     return max(1, math.ceil(math.log2(max(2, size))))
 
 
-def finish_collective(slot: _CollectiveSlot, size: int) -> None:
-    """Compute every rank's result for a fully-arrived collective.
+def _mailbox_key(src: int, dest: int, tag: Any) -> tuple:
+    """Engine wait key of a specific-source receive."""
+    return ("p2p", src, dest, tag)
 
-    Module-level (not a closure over a Communicator) so the partition
-    coordinator can run the exact same computation from shipped slot
-    state and produce bit-identical results.
-    """
-    kind = slot.kind
-    if kind == "barrier":
-        slot.results = {r: None for r in range(size)}
-    elif kind == "bcast":
-        value = slot.payloads[slot.root]
-        slot.results = {r: copy.deepcopy(value) for r in range(size)}
-    elif kind == "scatter":
-        chunks = slot.payloads[slot.root]
-        if chunks is None or len(chunks) != size:
-            raise MPIError(
-                f"scatter root must supply a list of {size} items")
-        slot.results = {r: chunks[r] for r in range(size)}
-    elif kind == "gather":
-        gathered = [slot.payloads[r] for r in range(size)]
-        slot.results = {r: (gathered if r == slot.root else None)
-                        for r in range(size)}
-    elif kind == "allgather":
-        gathered = [slot.payloads[r] for r in range(size)]
-        slot.results = {r: list(gathered) for r in range(size)}
-    elif kind == "reduce":
-        value = ReduceOp(slot.op).apply(
-            [slot.payloads[r] for r in range(size)])
-        slot.results = {r: (value if r == slot.root else None)
-                        for r in range(size)}
-    elif kind == "allreduce":
-        value = ReduceOp(slot.op).apply(
-            [slot.payloads[r] for r in range(size)])
-        slot.results = {r: copy.deepcopy(value) for r in range(size)}
-    elif kind == "alltoall":
-        slot.results = {
-            r: [slot.payloads[s][r] for s in range(size)]
-            for r in range(size)}
-    else:  # pragma: no cover - new kinds must be added here
-        raise MPIError(f"unknown collective kind {kind!r}")
+
+def _collective_key(index: int) -> tuple:
+    """Engine wait key of the members of collective ``index``."""
+    return ("coll", index)
 
 
 class MPIWorld:
     """Shared mailbox + collective-matching state for one run.
 
-    ``blocked_in`` tracks *why* each rank is blocked inside the MPI layer
-    (``("recv", src, tag)``, ``("anyrecv", tag)`` or ``("coll", index)``);
-    the deterministic ANY_SOURCE matching rule below reads it, and the
-    partition worker ships it to the coordinator at epoch boundaries.
+    Posting a message and completing a collective notify the engine
+    under the wait key the receiver or the members parked on, so only
+    they are re-checked.  ``blocked_in`` tracks *why* each rank is
+    blocked inside the MPI layer (``("recv", src, tag)``,
+    ``("anyrecv", tag)`` or ``("coll", index)``); the deterministic
+    ANY_SOURCE matching rule below reads it.
     """
 
     def __init__(self, engine: SimEngine, recorder: Recorder | None = None):
         self.engine = engine
         self.recorder = recorder
-        self.nranks = engine.world_size
+        self.nranks = engine.nranks
         self._mailboxes: dict[tuple[int, int, int], deque[_Message]] = {}
         self._p2p_seq: dict[tuple[int, int, int], int] = {}
         self._slots: dict[int, _CollectiveSlot] = {}
-        self._coll_done = 0  # lowest slot index not yet garbage-collected
         self.blocked_in: dict[int, tuple] = {}
-
-    @property
-    def world_size(self) -> int:
-        return self.nranks
 
     def mailbox(self, src: int, dest: int, tag: int) -> deque[_Message]:
         return self._mailboxes.setdefault((src, dest, tag), deque())
@@ -185,8 +186,9 @@ class MPIWorld:
         return ("p2p", src, dest, tag, seq)
 
     def post_send(self, src: int, dest: int, tag: int, msg: _Message) -> None:
-        """Deliver a just-sent message (hook: partitions route remotely)."""
+        """Queue a just-sent message and wake a receiver parked on it."""
         self.mailbox(src, dest, tag).append(msg)
+        self.engine.notify(_mailbox_key(src, dest, tag))
 
     def slot(self, index: int, kind: str, root: int | None,
              op: str | None = None) -> _CollectiveSlot:
@@ -201,19 +203,14 @@ class MPIWorld:
                     f"but others entered {s.kind}(root={s.root})")
         return s
 
-    def collective_arrived(self, index: int, slot: _CollectiveSlot,
-                           rank: int) -> None:
-        """Called after ``rank`` stamps its arrival (hook for partitions)."""
-        if len(slot.arrivals) == self.world_size:
-            self.complete_collective(slot)
-
-    def complete_collective(self, slot: _CollectiveSlot) -> None:
+    def complete_collective(self, index: int, slot: _CollectiveSlot) -> None:
+        """Finish a fully-arrived collective and wake its members."""
         cfg = self.engine.config
         slot.exit_true = (max(slot.arrivals.values())
-                          + cfg.barrier_cost * collective_depth(
-                              self.world_size))
-        finish_collective(slot, self.world_size)
+                          + cfg.barrier_cost * collective_depth(self.nranks))
+        slot.finish(self.nranks)
         slot.complete = True
+        self.engine.notify(_collective_key(index))
 
     def release_slot(self, index: int, rank: int) -> None:
         s = self._slots.get(index)
@@ -229,7 +226,7 @@ class MPIWorld:
             tuple[float, int]]:
         """Pending ``(send completion time, src)`` heads for an ANY recv."""
         out = []
-        for s in range(self.world_size):
+        for s in range(self.nranks):
             if s == dest:
                 continue
             box = self._mailboxes.get((s, dest, tag))
@@ -243,7 +240,7 @@ class MPIWorld:
         True only when a candidate exists and no rank can still post a
         send that would complete before the best candidate — which makes
         the chosen match a function of program behaviour alone, not of
-        scheduling or of how ranks are partitioned across processes.
+        scheduling.
         """
         cands = self.anysource_candidates(dest, tag)
         if not cands:
@@ -267,7 +264,7 @@ class MPIWorld:
         """
         from repro.sim.engine import RANK_DONE, RANK_BLOCKED
 
-        for q in range(self.world_size):
+        for q in range(self.nranks):
             if q == dest:
                 continue
             status, t = self.engine.rank_status(q)
@@ -481,8 +478,9 @@ class Communicator:
         once no rank can still post an earlier-completing send (see
         :meth:`MPIWorld.anysource_ready`), then takes the candidate with
         the smallest ``(completion time, src)``.  The chosen sender is
-        therefore identical however the ranks are scheduled or
-        partitioned across worker processes.
+        therefore identical however the ranks are scheduled.  The wait
+        has no engine key: it reads every rank's state, so it is
+        re-checked at every dispatch.
         """
         world = self.world
         if source == ANY_SOURCE:
@@ -504,7 +502,8 @@ class Communicator:
             try:
                 world.engine.wait_until(
                     self.rank, lambda: bool(box),
-                    f"recv(source={source}, tag={tag})")
+                    f"recv(source={source}, tag={tag})",
+                    key=_mailbox_key(source, self.rank, tag))
             finally:
                 world.blocked_in.pop(self.rank, None)
             msg = box.popleft()
@@ -553,14 +552,16 @@ class Communicator:
         slot = self.world.slot(index, kind, root, op_name)
         slot.arrivals[self.rank] = self.ctx.clock.true_time
         slot.payloads[self.rank] = copy.deepcopy(payload)
-        self.world.collective_arrived(index, slot, self.rank)
-        if not slot.complete:
+        if len(slot.arrivals) == self.size:
+            self.world.complete_collective(index, slot)
+        else:
             self.world.blocked_in[self.rank] = ("coll", index)
             try:
                 self.world.engine.wait_until(
                     self.rank, lambda: slot.complete,
                     f"{kind}#{index} "
-                    f"({len(slot.arrivals)}/{self.size} arrived)")
+                    f"({len(slot.arrivals)}/{self.size} arrived)",
+                    key=_collective_key(index))
             finally:
                 self.world.blocked_in.pop(self.rank, None)
         self.ctx.clock.sync_to(slot.exit_true)

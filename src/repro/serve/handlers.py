@@ -185,12 +185,11 @@ _CELL_PARAMS = ("app", "nranks", "seed")
 def prepare_cell(params: dict) -> Prepared:
     """Study cell: the per-configuration conflict/semantics summary.
 
-    Keyed identically to single-process ``study all`` cells, so the
-    service and the batch matrix share one content-addressed store.
+    Keyed identically to ``study all`` cells, so the service and the
+    batch matrix share one content-addressed store.
     """
     return _prepared("study-cell", study_cell_task,
-                     *_variant_params(params, _CELL_PARAMS),
-                     partitions=1)
+                     *_variant_params(params, _CELL_PARAMS))
 
 
 _LINT_PARAMS = ("app", "nranks", "seed", "rules")

@@ -7,11 +7,26 @@ rank with the smallest ``(true virtual time, rank)`` key.  Together with
 seeded RNGs this makes entire application runs — including every trace
 timestamp — bit-reproducible, regardless of OS scheduling.
 
-Blocking is predicate-based: a rank blocks with a callable that the engine
-re-evaluates whenever any other rank reaches a checkpoint.  MPI receive
-("a matching send was posted") and barrier ("generation advanced") are both
-one-line predicates on shared state guarded by the engine's big lock (only
-one rank runs at a time, so plain Python data structures are safe).
+Runnable ranks wait in a *ready heap* keyed on ``(true_time, rank)``.  A
+rank's key cannot change while it sits there (only the running rank moves
+its own clock), so a switch costs O(log N).
+
+Blocking is predicate-based, and the predicate may read any shared state
+(only one rank runs at a time, so plain Python data structures are safe).
+A wait on state that one writer owns carries a *wait key*: the rank parks
+on that key's queue, the writer calls :meth:`SimEngine.notify` after
+changing the state, and the parked predicates are re-checked at the next
+dispatch.  The MPI layer keys a receive by its mailbox ``("p2p", src, dst,
+tag)`` and a collective by ``("coll", index)``.  A wait without a key is
+*polled*: its predicate is re-checked at every dispatch.  Two waits stay
+polled because no single writer owns what they read — an ``ANY_SOURCE``
+receive, whose matching rule scans every rank (O(N) per check), and the
+Ckpt-IO WAL drain, whose queue fills from :meth:`SimEngine.schedule`
+callbacks.  So a switch costs O(log N) plus one check per polled waiter.
+
+A run deadlocks when no rank is runnable, no scheduled callback is
+pending, and some rank is still blocked; every rank is then woken and
+:class:`~repro.errors.DeadlockError` names each blocked rank's reason.
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ import heapq
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import registry as obs
@@ -48,14 +63,6 @@ class SimConfig:
     < 20 us on Quartz).  The cost fields are the virtual-time charges that
     the POSIX/MPI layers apply per operation; absolute values are
     arbitrary, only their ratios shape the traces.
-
-    ``rank_base``/``world_size`` let one engine host a *contiguous block*
-    of a larger rank set: the engine runs ``nranks`` ranks whose global
-    ids are ``rank_base .. rank_base + nranks - 1`` out of ``world_size``
-    total.  Skews are always drawn for the full world and sliced, so a
-    partitioned run sees the same per-rank skews as a single-process one.
-    ``thread_cap`` bounds how many rank threads one process may spawn;
-    above it the engine refuses with a pointer at ``study partition``.
     """
 
     nranks: int = 8
@@ -68,40 +75,22 @@ class SimConfig:
     net_latency: float = 2e-6
     net_byte_cost: float = 1e-9
     barrier_cost: float = 5e-6
-    # partitioned-run support
-    rank_base: int = 0
-    world_size: int | None = None
-    thread_cap: int = 512
 
     def __post_init__(self) -> None:
         if self.nranks < 1:
             raise SimulationError(f"nranks must be >= 1, got {self.nranks}")
-        if self.rank_base < 0:
-            raise SimulationError(
-                f"rank_base must be >= 0, got {self.rank_base}")
-        if self.world_size is not None:
-            if self.rank_base + self.nranks > self.world_size:
-                raise SimulationError(
-                    f"rank block [{self.rank_base}, "
-                    f"{self.rank_base + self.nranks}) exceeds world_size "
-                    f"{self.world_size}")
-        elif self.rank_base != 0:
-            raise SimulationError("rank_base requires an explicit world_size")
-
-    @property
-    def world(self) -> int:
-        """Total ranks across all partitions (== nranks when unsplit)."""
-        return self.nranks if self.world_size is None else self.world_size
 
 
 class _RankState:
-    __slots__ = ("clock", "status", "reason", "predicate", "event", "thread")
+    __slots__ = ("clock", "status", "reason", "predicate", "key", "event",
+                 "thread")
 
     def __init__(self, clock: RankClock):
         self.clock = clock
         self.status = _READY
         self.reason = ""
         self.predicate: Callable[[], bool] | None = None
+        self.key: Hashable | None = None
         self.event = threading.Event()
         self.thread: threading.Thread | None = None
 
@@ -134,22 +123,21 @@ class SimEngine:
     """Owns the rank threads, their clocks, and the scheduling discipline."""
 
     def __init__(self, config: SimConfig):
-        if config.nranks > config.thread_cap:
-            raise SimulationError(
-                f"nranks={config.nranks} exceeds the single-process thread "
-                f"cap of {config.thread_cap} OS threads; split the run "
-                f"across worker processes with `repro.study partition "
-                f"--partitions N` (or raise SimConfig.thread_cap if you "
-                f"really want one process)")
         self.config = config
-        base = config.rank_base
         skews = self._draw_skews(config)
-        self._ranks = [_RankState(RankClock(base + r, skews[r]))
+        self._ranks = [_RankState(RankClock(r, skews[r]))
                        for r in range(config.nranks)]
-        self._current: int | None = None
         self._failure: BaseException | None = None
         self._main_event = threading.Event()
         self._started = False
+        #: runnable ranks as ``(true_time, rank)``
+        self._ready: list[tuple[float, int]] = []
+        #: keyed waits: wait key -> ranks parked on it
+        self._parked: dict[Hashable, list[_RankState]] = {}
+        #: keyed waits notified since the last dispatch
+        self._notified: list[_RankState] = []
+        #: waits without a key, re-checked at every dispatch
+        self._polled: list[_RankState] = []
         #: virtual-time callbacks, fired by the dispatcher in (t, FIFO)
         #: order before any rank whose clock has passed them runs
         self._scheduled: list[
@@ -168,17 +156,12 @@ class SimEngine:
 
     @staticmethod
     def _draw_skews(config: SimConfig) -> list[float]:
-        """Per-rank skews for this engine's rank block.
-
-        Always drawn for the full world from the same seeded stream so
-        every partition of the same world sees identical skews.
-        """
+        """Per-rank skews, drawn from one seeded stream."""
         if config.clock_skew_us <= 0:
             return [0.0] * config.nranks
         rng = make_rng(config.seed, 0xC10C)
         bound = config.clock_skew_us * 1e-6
-        skews = rng.uniform(-bound, bound, size=config.world).tolist()
-        return skews[config.rank_base:config.rank_base + config.nranks]
+        return rng.uniform(-bound, bound, size=config.nranks).tolist()
 
     # -- public API ------------------------------------------------------------
 
@@ -186,40 +169,13 @@ class SimEngine:
     def nranks(self) -> int:
         return self.config.nranks
 
-    @property
-    def rank_base(self) -> int:
-        return self.config.rank_base
-
-    @property
-    def world_size(self) -> int:
-        return self.config.world
-
-    @property
-    def local_ranks(self) -> range:
-        """Global ids of the ranks hosted by this engine."""
-        return range(self.config.rank_base,
-                     self.config.rank_base + self.config.nranks)
-
-    def _state(self, rank: int) -> _RankState:
-        """Rank state by *global* rank id (engine hosts a contiguous block)."""
-        return self._ranks[rank - self.config.rank_base]
-
     def clock(self, rank: int) -> RankClock:
-        return self._state(rank).clock
+        return self._ranks[rank].clock
 
     def rank_status(self, rank: int) -> tuple[str, float]:
-        """(status, true_time) of a hosted rank, for matching/safety rules."""
-        state = self._state(rank)
+        """(status, true_time) of a rank, for matching/safety rules."""
+        state = self._ranks[rank]
         return state.status, state.clock.true_time
-
-    def rank_reason(self, rank: int) -> str:
-        """Human-readable blocking reason (empty when not blocked)."""
-        return self._state(rank).reason
-
-    @property
-    def current_rank(self) -> int | None:
-        """Global id of the most recently dispatched rank."""
-        return self._current
 
     def run(self, program: Callable[[RankContext], Any],
             services_factory: Callable[[RankContext], dict[str, Any]] | None = None,
@@ -234,38 +190,51 @@ class SimEngine:
             raise SimulationError("a SimEngine can only run once")
         self._started = True
 
-        base = self.config.rank_base
         results: list[Any] = [None] * self.nranks
         contexts = [
-            RankContext(rank=base + r, nranks=self.world_size, engine=self,
-                        clock=self._ranks[r].clock,
-                        rng=make_rng(self.config.seed, base + r))
-            for r in range(self.nranks)
+            RankContext(rank=r, nranks=self.nranks, engine=self,
+                        clock=state.clock,
+                        rng=make_rng(self.config.seed, r))
+            for r, state in enumerate(self._ranks)
         ]
         if services_factory is not None:
             for ctx in contexts:
                 ctx.services.update(services_factory(ctx))
 
-        def runner(local: int) -> None:
-            state = self._ranks[local]
+        def runner(rank: int) -> None:
+            state = self._ranks[rank]
             state.event.wait()  # wait to be scheduled the first time
             if self._failure is not None:
-                self._finish_rank(base + local)
+                self._finish_rank(rank)
                 return
             try:
-                results[local] = program(contexts[local])
+                results[rank] = program(contexts[rank])
             except BaseException as exc:  # propagate to the driving thread
                 if self._failure is None:
                     self._failure = exc
             finally:
-                self._finish_rank(base + local)
+                self._finish_rank(rank)
 
-        for r, state in enumerate(self._ranks):
-            state.thread = threading.Thread(
-                target=runner, args=(r,), name=f"simrank-{base + r}",
-                daemon=True)
-            state.thread.start()
+        started = 0
+        try:
+            for r, state in enumerate(self._ranks):
+                state.thread = threading.Thread(
+                    target=runner, args=(r,), name=f"simrank-{r}",
+                    daemon=True)
+                state.thread.start()
+                started += 1
+        except RuntimeError as exc:
+            self._failure = SimulationError(
+                f"nranks={self.nranks}: only {started} rank threads "
+                f"could be started ({exc})")
+            self._wake_everyone()
+            for state in self._ranks[:started]:
+                assert state.thread is not None
+                state.thread.join()
+            raise self._failure from exc
 
+        for state in self._ranks:
+            self._make_ready(state)
         self._dispatch_next()
         self._main_event.wait()
         for state in self._ranks:
@@ -279,28 +248,31 @@ class SimEngine:
 
     def checkpoint(self, rank: int) -> None:
         """Offer the scheduler a chance to switch to an earlier-time rank."""
-        state = self._state(rank)
-        state.status = _READY
+        state = self._ranks[rank]
         state.event.clear()
         self._obs_checkpoints.inc()
+        self._make_ready(state)
         self._dispatch_next()
         state.event.wait()
         self._raise_if_failed()
 
     def wait_until(self, rank: int, predicate: Callable[[], bool],
-                   reason: str) -> None:
+                   reason: str, key: Hashable | None = None) -> None:
         """Block this rank until ``predicate()`` is true.
 
         The predicate is evaluated under the engine's one-runner-at-a-time
         discipline, so it may read any shared state without extra locking.
+        With a ``key`` it is re-checked only after :meth:`notify` of that
+        key; without one it is re-checked at every dispatch.
         """
-        state = self._state(rank)
+        state = self._ranks[rank]
         while not predicate():
             state.status = _BLOCKED
             state.reason = reason
             state.predicate = predicate
             state.event.clear()
             self._obs_blocks.inc()
+            self._park(state, key)
             self._dispatch_next()
             state.event.wait()
             self._raise_if_failed()
@@ -308,9 +280,19 @@ class SimEngine:
         state.reason = ""
         state.status = _RUNNING
 
+    def notify(self, key: Hashable) -> None:
+        """Re-check, at the next dispatch, the ranks waiting on ``key``.
+
+        Called by whoever changed the state those waits read (a message
+        posted to a mailbox, a collective completed).
+        """
+        parked = self._parked.pop(key, None)
+        if parked is not None:
+            self._notified.extend(parked)
+
     def advance(self, rank: int, dt: float) -> float:
         """Charge ``dt`` seconds of virtual time to ``rank``."""
-        return self._state(rank).clock.advance(dt)
+        return self._ranks[rank].clock.advance(dt)
 
     def schedule(self, t: float, callback: Callable[[float], None]) -> None:
         """Run ``callback(t)`` once virtual time reaches ``t``.
@@ -328,8 +310,32 @@ class SimEngine:
 
     # -- internals -----------------------------------------------------------------
 
+    def _make_ready(self, state: _RankState) -> None:
+        state.status = _READY
+        heapq.heappush(self._ready,
+                       (state.clock.true_time, state.clock.rank))
+
+    def _park(self, state: _RankState, key: Hashable | None) -> None:
+        state.key = key
+        if key is None:
+            self._polled.append(state)
+        else:
+            self._parked.setdefault(key, []).append(state)
+
+    def _wake_satisfied(self) -> None:
+        """Move notified and polled waits whose predicate holds to ready."""
+        if not (self._notified or self._polled):
+            return
+        waiting = self._notified + self._polled
+        self._notified, self._polled = [], []
+        for state in waiting:
+            if state.predicate():
+                self._make_ready(state)
+            else:
+                self._park(state, state.key)
+
     def _finish_rank(self, rank: int) -> None:
-        self._state(rank).status = _DONE
+        self._ranks[rank].status = _DONE
         self._dispatch_next()
 
     def _raise_if_failed(self) -> None:
@@ -342,26 +348,19 @@ class SimEngine:
         if self._failure is not None:
             self._wake_everyone()
             return
+        ready = self._ready
         while True:
-            # Unblock any rank whose wait predicate has become true.
-            for state in self._ranks:
-                if state.status == _BLOCKED and state.predicate is not None:
-                    try:
-                        ready = state.predicate()
-                    except BaseException as exc:
-                        self._failure = exc
-                        self._wake_everyone()
-                        return
-                    if ready:
-                        state.status = _READY
-            candidates = [(s.clock.true_time, s.clock.rank)
-                          for s in self._ranks if s.status == _READY]
+            try:
+                self._wake_satisfied()
+            except BaseException as exc:
+                self._failure = exc
+                self._wake_everyone()
+                return
             # Fire scheduled virtual-time callbacks that come before the
             # next runnable rank (or any time no rank is runnable — a
             # callback may be exactly what unblocks one).
             if self._scheduled and (
-                    not candidates
-                    or self._scheduled[0][0] <= min(candidates)[0]):
+                    not ready or self._scheduled[0][0] <= ready[0][0]):
                 t, _, callback = heapq.heappop(self._scheduled)
                 self._obs_fired.inc()
                 try:
@@ -372,14 +371,17 @@ class SimEngine:
                     return
                 continue  # state may have changed; re-evaluate
             break
-        if candidates:
-            t, nxt = min(candidates)
+        if ready:
+            t, nxt = heapq.heappop(ready)
             self._obs_vtime.set_max(t)
-            self._current = nxt
-            state = self._state(nxt)
+            state = self._ranks[nxt]
             state.status = _RUNNING
             state.event.set()
             return
+        self._finish_or_deadlock()
+
+    def _finish_or_deadlock(self) -> None:
+        """Nothing is runnable or scheduled: the run is over either way."""
         blocked = {s.clock.rank: s.reason
                    for s in self._ranks if s.status == _BLOCKED}
         if blocked:

@@ -10,8 +10,6 @@ Usage::
     python -m repro.study chaos [--app NAME[/LIB]]... [--all] [--jobs N]
     python -m repro.study crossvalidate <app|--all> [--jobs N]
     python -m repro.study staticcheck <app|--all> [--jobs N]
-    python -m repro.study partition <app|--all> [--partitions N]
-                                    [--verify] [--jobs N]
     python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
@@ -34,9 +32,9 @@ fault matrix (:mod:`repro.pfs.chaos`); ``crossvalidate`` checks the
 linter against the replay-based oracle; ``staticcheck`` evaluates the
 symbolic I/O plans (:mod:`repro.staticcheck`) and cross-validates the
 static conflict predictions against the dynamic detector;
-``partition`` traces with the multi-process engine; ``roundtrip``
-checks the ``.rtrc`` trace format is lossless; ``fingerprint`` prints
-the code fingerprint cache keys embed (CI keys its cache restore on it).
+``roundtrip`` checks the ``.rtrc`` trace format is lossless;
+``fingerprint`` prints the code fingerprint cache keys embed (CI keys
+its cache restore on it).
 ``serve`` runs the asyncio analysis service (:mod:`repro.serve`),
 ``request`` issues one query against it, ``loadtest`` drives the
 seeded closed-loop load generator, and ``cache`` inspects and prunes
@@ -232,17 +230,6 @@ def _matrix_jobs(args: argparse.Namespace) -> int:
     return resolve_jobs(None) if args.jobs == 0 else max(1, args.jobs)
 
 
-def _check_partitions(partitions: int, nranks: int) -> int:
-    """Validate a ``--partitions`` value under the usage contract."""
-    if partitions < 1:
-        raise _UsageError(f"--partitions must be >= 1, got {partitions}")
-    if partitions > nranks:
-        raise _UsageError(
-            f"cannot split {nranks} rank(s) into {partitions} "
-            f"partitions (at least one would be empty)")
-    return partitions
-
-
 def _emit(args: argparse.Namespace, text: str, *, ok: bool = True,
           run=None, cache=None) -> int:
     """Print a report, mirror it to ``--out``, and return its exit code.
@@ -288,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         "chaos": chaos_main,
         "crossvalidate": crossvalidate_main,
         "staticcheck": staticcheck_main,
-        "partition": partition_main,
         "fingerprint": fingerprint_main,
         "roundtrip": roundtrip_main,
         "metrics": metrics_main,
@@ -424,23 +410,15 @@ def all_main(argv: list[str] | None = None) -> int:
         description="Evaluate every registered configuration into "
                     "summary cells (parallel + cached).")
     _add_matrix_args(parser)
-    parser.add_argument("--partitions", type=int, default=1, metavar="N",
-                        help="trace each cell with the partitioned "
-                             "multi-process engine split across N "
-                             "worker subprocesses (default 1 = the "
-                             "single-process engine; byte-identical "
-                             "either way)")
     parser.add_argument("--workflows", action="store_true",
                         help="append the canonical producer/consumer "
                              "workflow cell to the matrix")
     _add_output_args(parser)
     args = parser.parse_args(argv)
-    partitions = _check_partitions(args.partitions, args.nranks)
 
     with _matrix_scope(args) as cache:
         run = study_cells(nranks=args.nranks, seed=args.seed,
-                          jobs=_matrix_jobs(args), cache=cache,
-                          partitions=partitions)
+                          jobs=_matrix_jobs(args), cache=cache)
         cells = run.payloads
 
         if args.workflows:
@@ -738,78 +716,6 @@ def _staticcheck_text(cells: list[dict]) -> str:
         for name, sem in sorted(cell["semantics"].items()):
             for msg in sem["missed"]:
                 lines.append(f"  {cell['label']} [{name}] {msg}")
-    return "\n".join(lines)
-
-
-@_usage_guard
-def partition_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study partition`` — the multi-process engine.
-
-    Traces configurations with the rank set split across ``--partitions``
-    worker subprocesses (:mod:`repro.partition`) and summarizes the
-    cells exactly like ``study all``.  With ``--verify`` each
-    configuration is additionally traced single-process and the two
-    canonical ``.rtrc`` serializations are compared byte for byte.
-    Exit codes: 0 done (``--verify``: all identical), 1 at least one
-    byte divergence, 2 usage.
-    """
-    from repro.study.parallel import (
-        partition_verify_task,
-        run_matrix,
-        variant_cell,
-    )
-    from repro.study.runner import study_cells
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study partition",
-        description="Trace configurations with the partitioned "
-                    "multi-process simulation engine; optionally "
-                    "verify byte-identity against the single-process "
-                    "engine.")
-    _add_selection_args(parser, "run")
-    _add_matrix_args(parser)
-    parser.add_argument("--partitions", type=int, default=2, metavar="N",
-                        help="worker subprocesses per run (default 2)")
-    parser.add_argument("--verify", action="store_true",
-                        help="also trace single-process and require "
-                             "byte-identical canonical .rtrc output")
-    _add_output_args(parser)
-    args = parser.parse_args(argv)
-    partitions = _check_partitions(args.partitions, args.nranks)
-
-    variants = _selected_variants(args)
-    with _matrix_scope(args) as cache:
-        jobs = _matrix_jobs(args)
-        if not args.verify:
-            run = study_cells(nranks=args.nranks, seed=args.seed,
-                              variants=variants, jobs=jobs, cache=cache,
-                              partitions=partitions)
-            return _emit(args, _matrix_report(args, run.payloads),
-                         run=run, cache=cache)
-        run = run_matrix(
-            "partition-verify",
-            [variant_cell(v, args.nranks, args.seed,
-                          partitions=partitions)
-             for v in variants],
-            partition_verify_task, jobs=jobs, cache=cache)
-        return _emit_cells(args, run, cache,
-                           all(c["identical"] for c in run.payloads),
-                           _partition_verify_text,
-                           partitions=args.partitions)
-
-
-def _partition_verify_text(cells: list[dict]) -> str:
-    hdr = (f"{'configuration':<26} {'parts':>5} {'rtrc bytes':>10}  "
-           f"status")
-    lines = [hdr, "-" * len(hdr)]
-    for cell in cells:
-        status = "identical" if cell["identical"] else "DIVERGED"
-        lines.append(f"{cell['label']:<26} {cell['partitions']:>5} "
-                     f"{cell['rtrc_bytes']:>10}  {status}")
-    bad = sum(1 for c in cells if not c["identical"])
-    lines.append("")
-    lines.append(f"{len(cells)} configuration(s), {bad} diverged "
-                 f"between single-process and partitioned runs")
     return "\n".join(lines)
 
 

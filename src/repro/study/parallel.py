@@ -243,11 +243,7 @@ def run_matrix(kind: str, cells: Sequence[CellSpec], worker: CellWorker,
 
 
 def study_cell_task(task: tuple) -> dict:
-    """(variant, nranks, seed, partitions) -> study-cell summary.
-
-    With ``partitions > 1`` the trace comes from the partitioned
-    multi-process engine; the summary is the same bytes either way
-    because the merged trace is byte-identical to a serial run.
+    """(variant, nranks, seed) -> study-cell summary.
 
     With metrics enabled the already-generated trace is additionally
     replayed through the PFS timing model so ``study all --metrics``
@@ -256,18 +252,11 @@ def study_cell_task(task: tuple) -> dict:
     """
     from repro.study.runner import cell_summary
 
-    variant, nranks, seed, partitions = task
-    trace = None
-    if partitions > 1:
-        from repro.partition.runner import run_partitioned
-
-        trace = run_partitioned(variant, nranks=nranks, seed=seed,
-                                partitions=partitions)
+    variant, nranks, seed = task
     if not obs.enabled():
-        return cell_summary(variant, trace, nranks=nranks, seed=seed)
+        return cell_summary(variant, None, nranks=nranks, seed=seed)
     reg = obs.current()
-    if trace is None:
-        trace = variant.run(nranks=nranks, seed=seed)
+    trace = variant.run(nranks=nranks, seed=seed)
     payload = cell_summary(variant, trace, nranks=nranks, seed=seed)
     from repro.pfs.config import PFSConfig
     from repro.pfs.replay import replay_trace
@@ -321,43 +310,6 @@ def staticcheck_task(task: tuple) -> dict:
     return staticcheck_variant(variant, nranks=nranks, seed=seed)
 
 
-def partition_verify_task(task: tuple) -> dict:
-    """(variant, nranks, seed, partitions) -> byte-identity verdict.
-
-    Traces the configuration twice — single-process and partitioned —
-    serializes both to the canonical columnar ``.rtrc`` form, and
-    compares the bytes.  This is the contract ``study partition
-    --verify`` and the CI smoke job enforce: partitioning is an
-    execution strategy, never an observable one.
-    """
-    import hashlib
-    import tempfile
-    from pathlib import Path
-
-    from repro.partition.runner import run_partitioned
-    from repro.tracer.columnar import ColumnarTrace
-
-    variant, nranks, seed, partitions = task
-
-    def rtrc(trace, path: Path) -> bytes:
-        ColumnarTrace.from_trace(trace).save(path)
-        return path.read_bytes()
-
-    with tempfile.TemporaryDirectory(prefix="repro-pverify-") as tmp:
-        root = Path(tmp)
-        serial = rtrc(variant.run(nranks=nranks, seed=seed),
-                      root / "serial.rtrc")
-        part = rtrc(run_partitioned(variant, nranks=nranks, seed=seed,
-                                    partitions=partitions),
-                    root / "partitioned.rtrc")
-    return {"label": variant.label,
-            "nranks": nranks,
-            "partitions": partitions,
-            "identical": serial == part,
-            "rtrc_bytes": len(serial),
-            "rtrc_sha256": hashlib.sha256(serial).hexdigest()}
-
-
 def workflow_task(task: tuple) -> dict:
     """(producer ranks, reader ranks, seed) -> workflow summary cell."""
     from repro.study.workflows import canonical_workflow, workflow_summary
@@ -374,7 +326,6 @@ __all__ = [
     "MatrixRun",
     "chaos_variant_task",
     "crossval_task",
-    "partition_verify_task",
     "resolve_jobs",
     "run_matrix",
     "staticcheck_task",

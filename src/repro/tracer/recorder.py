@@ -98,9 +98,7 @@ class Recorder:
         # Renumber ids to the sorted position.  Ingestion order within one
         # rank is preserved (ties sort by the provisional id), so this is a
         # pure relabeling — and it makes ids a function of the trace
-        # *content* rather than of global interleaving, which is what lets
-        # partitioned per-worker shards merge byte-identically to a
-        # single-process run (see repro.partition.merge).
+        # *content* rather than of global interleaving.
         for i, r in enumerate(records):
             r.rid = i
         for i, e in enumerate(events):

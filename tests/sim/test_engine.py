@@ -1,5 +1,8 @@
 """Tests for the deterministic cooperative engine and virtual clocks."""
 
+import itertools
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -198,3 +201,106 @@ class TestSimEngine:
         c = SimEngine(SimConfig(nranks=3, seed=12)).run(program)
         assert a == b
         assert a != c
+
+
+class TestKeyedWaits:
+    def test_keyed_wait_rechecked_only_after_notify(self):
+        engine = SimEngine(SimConfig(nranks=2))
+        box: list[int] = []
+        checks = [0]
+
+        def has_mail():
+            checks[0] += 1
+            return bool(box)
+
+        def program(ctx):
+            if ctx.rank == 0:
+                for _ in range(5):  # switches that must not poll rank 1
+                    ctx.engine.advance(0, 1e-6)
+                    ctx.engine.checkpoint(0)
+                box.append(1)
+                ctx.engine.notify("box")
+                ctx.engine.checkpoint(0)
+            else:
+                ctx.engine.wait_until(1, has_mail, "mail", key="box")
+                return box[0]
+
+        assert engine.run(program) == [None, 1]
+        # failed check, re-check after notify, passing check on resume
+        assert checks[0] == 3
+
+    def test_notify_of_unsatisfied_wait_parks_it_again(self):
+        engine = SimEngine(SimConfig(nranks=2))
+        box: list[int] = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                ctx.engine.notify("box")  # spurious: nothing changed
+                ctx.engine.checkpoint(0)
+                box.append(1)
+                ctx.engine.notify("box")
+                ctx.engine.checkpoint(0)
+            else:
+                ctx.engine.wait_until(1, lambda: bool(box), "mail",
+                                      key="box")
+                return box[0]
+
+        assert engine.run(program) == [None, 1]
+
+    def test_keyed_wait_is_not_polled(self):
+        """A writer that forgets to notify leaves the waiter parked."""
+        engine = SimEngine(SimConfig(nranks=2))
+        box: list[int] = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                ctx.engine.advance(0, 1e-6)
+                ctx.engine.checkpoint(0)  # rank 1 runs and parks
+                box.append(1)
+            else:
+                ctx.engine.wait_until(1, lambda: bool(box), "mail",
+                                      key="box")
+
+        with pytest.raises(DeadlockError) as exc:
+            engine.run(program)
+        assert exc.value.states == {1: "mail"}
+
+    def test_polled_wait_rechecked_at_every_dispatch(self):
+        engine = SimEngine(SimConfig(nranks=2))
+        box: list[int] = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                ctx.engine.checkpoint(0)
+                box.append(1)  # no notify: the poll must see it
+                ctx.engine.checkpoint(0)
+            else:
+                ctx.engine.wait_until(1, lambda: bool(box), "polled")
+                return box[0]
+
+        assert engine.run(program) == [None, 1]
+
+
+class TestThreadExhaustion:
+    def test_failed_thread_start_is_a_one_line_error(self, monkeypatch):
+        real_start = threading.Thread.start
+        calls = itertools.count(1)
+
+        def start(thread):
+            if next(calls) == 5:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        engine = SimEngine(SimConfig(nranks=16))
+        with pytest.raises(SimulationError) as exc:
+            engine.run(lambda ctx: None)
+        monkeypatch.undo()
+        message = str(exc.value)
+        assert "\n" not in message
+        assert "nranks=16" in message
+        assert "only 4 rank threads" in message
+        for thread in threading.enumerate():
+            if thread.name.startswith("simrank-"):
+                thread.join(timeout=10)
+                assert not thread.is_alive(), thread.name

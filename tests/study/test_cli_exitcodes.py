@@ -70,6 +70,16 @@ class TestUsageExits:
         assert cli_main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["partition", "FLASH"],
+        ["all", "--partitions", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_no_partitioned_engine(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_metrics_file_and_collect_conflict(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text("")

@@ -124,7 +124,7 @@ class TestStudyDeterminism:
         from repro.study.runner import cell_summary
 
         variant = SUBSET[0]
-        assert study_cell_task((variant, NRANKS, SEED, 1)) == \
+        assert study_cell_task((variant, NRANKS, SEED)) == \
             cell_summary(variant, nranks=NRANKS, seed=SEED)
 
 

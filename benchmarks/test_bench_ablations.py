@@ -9,9 +9,11 @@ from the paper's shape — evidence the mechanism is load-bearing:
 4. timestamp alignment matters once skew approaches operation gaps.
 """
 
+import numpy as np
+
 import repro
 from benchmarks.conftest import save_artifact
-from repro.core.patterns import AccessPattern, classify_file
+from repro.core.patterns import AccessPattern, classify_files, data_mask
 from repro.core.semantics import Semantics
 
 
@@ -21,11 +23,11 @@ def test_bench_ablation_metadata_filter(benchmark, study8, artifacts):
     run = study8.find("FLASH-HDF5 fbs")
     path = next(p for p in run.report.tables
                 if "/flash/ckpt/" in p)
-    records = run.report.tables[path].records
+    table = run.report.tables[path]
 
     def classify_both():
-        with_filter = classify_file(records)
-        without = classify_file(records, prefiltered=True)
+        with_filter = classify_files([table], [data_mask(table)])
+        without = classify_files([table], [np.ones(len(table), bool)])
         return with_filter, without
 
     with_filter, without = benchmark(classify_both)

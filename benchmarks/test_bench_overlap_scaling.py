@@ -8,8 +8,9 @@ workloads at several sizes and against the O(n^2) oracle at one size.
 import numpy as np
 import pytest
 
-from repro.core.overlaps import find_overlaps, find_overlaps_bruteforce
+from repro.core.overlaps import find_overlaps
 from repro.core.records import AccessRecord, AccessTable
+from tests.core.reference import find_overlaps_bruteforce
 
 
 def synthetic_table(n: int, overlap_fraction: float = 0.02,

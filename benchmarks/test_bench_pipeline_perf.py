@@ -7,7 +7,11 @@ end-to-end analyze() call on the densest application trace.
 
 import pytest
 
-from repro.core.conflicts import detect_conflicts
+from repro.core.conflicts import (
+    VisibilityIndex,
+    count_conflicts,
+    detect_conflicts,
+)
 from repro.core.offsets import reconstruct_offsets
 from repro.core.records import group_by_path
 from repro.core.report import analyze
@@ -28,7 +32,8 @@ def test_bench_conflict_detection_session(benchmark, flash_trace):
     tables = group_by_path(reconstruct_offsets(flash_trace.records))
 
     def run():
-        return detect_conflicts(flash_trace, tables, Semantics.SESSION)
+        return detect_conflicts(VisibilityIndex(flash_trace), tables,
+                                Semantics.SESSION)
 
     cs = benchmark(run)
     assert cs.flags["WAW-D"]
@@ -56,27 +61,16 @@ def test_bench_tracing_overhead(benchmark):
     assert len(trace.records) > 100
 
 
-def test_bench_conflict_engine_python_oracle(benchmark, flash_trace):
-    """The per-pair binary-search oracle, for comparison with the
-    vectorized default measured above."""
-    tables = group_by_path(reconstruct_offsets(flash_trace.records))
-
-    def run():
-        return detect_conflicts(flash_trace, tables, Semantics.SESSION,
-                                engine="python")
-
-    cs = benchmark(run)
-    assert cs.flags["WAW-D"]
-
-
 def test_bench_conflict_counting_fast_path(benchmark, flash_trace):
     """Count-only analysis (pure numpy, no pair objects) — the path to
     use on very large traces."""
-    from repro.core.conflicts import count_conflicts
-
     tables = group_by_path(reconstruct_offsets(flash_trace.records))
-    counts = benchmark(count_conflicts, flash_trace, tables,
-                       Semantics.SESSION)
+
+    def run():
+        return count_conflicts(VisibilityIndex(flash_trace), tables,
+                               Semantics.SESSION)
+
+    counts = benchmark(run)
     assert counts["WAW-D"] > 0
 
 

@@ -20,11 +20,7 @@ Pipeline (one call: :func:`repro.core.report.analyze`):
 
 from repro.core.records import AccessRecord, AccessTable
 from repro.core.offsets import reconstruct_offsets
-from repro.core.overlaps import (
-    find_overlaps,
-    find_overlaps_bruteforce,
-    overlap_rank_matrix,
-)
+from repro.core.overlaps import find_overlaps, overlap_rank_matrix
 from repro.core.conflicts import (
     Conflict,
     ConflictKind,
@@ -67,7 +63,7 @@ from repro.core.report import RunReport, analyze
 
 __all__ = [
     "AccessRecord", "AccessTable", "reconstruct_offsets",
-    "find_overlaps", "find_overlaps_bruteforce", "overlap_rank_matrix",
+    "find_overlaps", "overlap_rank_matrix",
     "Conflict", "ConflictKind", "ConflictScope", "ConflictSet",
     "detect_conflicts", "count_conflicts",
     "Semantics", "FileSystemInfo", "PFS_REGISTRY",

@@ -32,7 +32,6 @@ pair, and object clearing implies session clearing), which is why
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,111 +121,67 @@ class ConflictSet:
             c for c in self.conflicts if c.scope == ConflictScope.DIFFERENT])
 
 
-class VisibilityIndex:
-    """Per (rank, path) sorted timelines of opens, closes, and commits.
+#: the event families of the §5.2 visibility conditions; close is a
+#: commit too, so closes appear in both the close and commit families
+_FAMILIES = (("open", OPEN_OPS), ("close", CLOSE_OPS),
+             ("commit", COMMIT_OPS))
+_NO_TIMES = np.empty(0, dtype=np.float64)
 
-    Conditions 3 and 4 of §5.2 become binary searches against these
-    timelines (the paper suggests exactly this implementation).  The
-    timelines are also exposed as numpy arrays so the pair filter can
-    evaluate whole batches of candidate pairs at once.
+
+class VisibilityIndex:
+    """Sorted POSIX open, close and commit times per (family, rank, path).
+
+    Conditions 3 and 4 of §5.2 become ``searchsorted`` calls against
+    these timelines (the paper suggests binary search), evaluated over
+    whole batches of candidate pairs at once.  One index serves every
+    semantics model of a run.
     """
 
     def __init__(self, trace: Trace):
-        self._opens: dict[tuple[int, str], list[float]] = {}
-        self._closes: dict[tuple[int, str], list[float]] = {}
-        self._commits: dict[tuple[int, str], list[float]] = {}
+        times: dict[tuple[str, int, str], list[float]] = {}
         for rec in trace.records:  # lint: allow-per-op-loop (object path)
             if rec.layer != Layer.POSIX or rec.path is None:
                 continue
-            key = (rec.rank, rec.path)
-            if rec.func in OPEN_OPS:
-                self._opens.setdefault(key, []).append(rec.tstart)
-            if rec.func in CLOSE_OPS:
-                self._closes.setdefault(key, []).append(rec.tstart)
-            if rec.func in COMMIT_OPS:  # closes included: close is a commit
-                self._commits.setdefault(key, []).append(rec.tstart)
-        for table in (self._opens, self._closes, self._commits):
-            for times in table.values():
-                times.sort()
-        self._array_cache: dict[tuple[str, int, str], np.ndarray] = {}
+            for family, ops in _FAMILIES:
+                if rec.func in ops:
+                    times.setdefault((family, rec.rank, rec.path),
+                                     []).append(rec.tstart)
+        self._times = {key: np.sort(np.asarray(ts, dtype=np.float64))
+                       for key, ts in times.items()}
 
     @classmethod
     def from_columnar(cls, ct) -> "VisibilityIndex":
-        """Build the timelines from a columnar trace, no record objects.
+        """The same timelines from a columnar trace, no record objects.
 
-        Each of the three event families is one mask + lexsort + group
-        split over the POSIX rows; the resulting per-(rank, path) lists
-        are identical to what ``__init__`` builds from the objects.
+        Per family: one mask, one lexsort and one group split.
         """
         vis = cls.__new__(cls)
-        vis._opens = {}
-        vis._closes = {}
-        vis._commits = {}
-        vis._array_cache = {}
+        vis._times = {}
         c = ct.columns
         base = ct.posix_mask() & (c["path_id"] >= 0)
-        fid = c["func_id"]
-        for table, ops in ((vis._opens, OPEN_OPS),
-                           (vis._closes, CLOSE_OPS),
-                           (vis._commits, COMMIT_OPS)):
-            rows = np.flatnonzero(base & ct.func_lookup(ops)[fid])
-            if rows.size == 0:
+        for family, ops in _FAMILIES:
+            rows = np.flatnonzero(base & ct.func_lookup(ops)[c["func_id"]])
+            if not rows.size:
                 continue
-            order = np.lexsort((rows, c["path_id"][rows],
-                                c["rank"][rows]))
-            rank = c["rank"][rows][order].tolist()
-            pid = c["path_id"][rows][order].tolist()
-            times = c["tstart"][rows][order].tolist()
-            bounds = np.flatnonzero(
-                np.r_[True, np.diff(c["rank"][rows][order]) != 0]
-                | np.r_[True, np.diff(c["path_id"][rows][order]) != 0]
-            ).tolist() + [len(rank)]
-            for gi in range(len(bounds) - 1):
-                s, e = bounds[gi], bounds[gi + 1]
-                group = times[s:e]
-                group.sort()  # trace order is time order: no-op, parity
-                table[(rank[s], ct.paths[pid[s]])] = group
+            rank = c["rank"][rows]
+            pid = c["path_id"][rows]
+            t = c["tstart"][rows]
+            order = np.lexsort((t, pid, rank))
+            rank, pid, t = rank[order], pid[order], t[order]
+            starts = np.flatnonzero(np.r_[True, (rank[1:] != rank[:-1])
+                                          | (pid[1:] != pid[:-1])])
+            stops = np.r_[starts[1:], t.size]
+            for s, e in zip(starts.tolist(), stops.tolist()):
+                vis._times[(family, int(rank[s]), ct.paths[pid[s]])] = \
+                    np.ascontiguousarray(t[s:e])
         return vis
 
-    def times_array(self, which: str, rank: int, path: str) -> np.ndarray:
-        """Sorted event times as a float64 array (cached)."""
-        key = (which, rank, path)
-        arr = self._array_cache.get(key)
-        if arr is None:
-            table = {"open": self._opens, "close": self._closes,
-                     "commit": self._commits}[which]
-            arr = np.asarray(table.get((rank, path), ()),
-                             dtype=np.float64)
-            self._array_cache[key] = arr
-        return arr
+    def times(self, family: str, rank: int, path: str) -> np.ndarray:
+        """Sorted times of one rank's events of one family on a path.
 
-    def commit_between(self, rank: int, path: str,
-                       t1: float, t2: float) -> bool:
-        """Does ``rank`` commit ``path`` strictly inside ``(t1, t2)``?"""
-        times = self._commits.get((rank, path), ())
-        i = bisect_right(times, t1)
-        return i < len(times) and times[i] < t2
-
-    def first_close_after(self, rank: int, path: str, t: float) -> float:
-        times = self._closes.get((rank, path), ())
-        i = bisect_right(times, t)
-        return times[i] if i < len(times) else float("inf")
-
-    def open_between(self, rank: int, path: str,
-                     t_lo: float, t_hi: float) -> bool:
-        """Does ``rank`` open ``path`` strictly inside ``(t_lo, t_hi)``?"""
-        times = self._opens.get((rank, path), ())
-        i = bisect_right(times, t_lo)
-        return i < len(times) and times[i] < t_hi
-
-    def session_pair_between(self, writer: int, reader: int, path: str,
-                             t1: float, t2: float) -> bool:
-        """Condition 4: close by writer at tc, open by reader at to with
-        ``t1 < tc < to < t2``."""
-        tc = self.first_close_after(writer, path, t1)
-        if tc >= t2:
-            return False
-        return self.open_between(reader, path, tc, t2)
+        ``family`` is ``"open"``, ``"close"`` or ``"commit"``.
+        """
+        return self._times.get((family, rank, path), _NO_TIMES)
 
 
 def _object_sessions(table: AccessTable, vis: VisibilityIndex):
@@ -252,12 +207,12 @@ def _object_sessions(table: AccessTable, vis: VisibilityIndex):
     close_t = np.full(n, np.inf)
     for r in np.unique(rank):
         sel = rank == r
-        opens = vis.times_array("open", int(r), table.path)
+        opens = vis.times("open", int(r), table.path)
         if opens.size:
             oi = np.searchsorted(opens, t[sel], side="right") - 1
             open_t[sel] = np.where(oi >= 0, opens[np.maximum(oi, 0)],
                                    -np.inf)
-        closes = vis.times_array("close", int(r), table.path)
+        closes = vis.times("close", int(r), table.path)
         if closes.size:
             ci = np.searchsorted(closes, t[sel], side="right")
             close_t[sel] = np.where(
@@ -325,21 +280,6 @@ def _object_conflict_pairs(table: AccessTable, vis: VisibilityIndex):
     return first_row[o], second_row[o], waw[o], same[o]
 
 
-def _is_actual_conflict(semantics: Semantics, vis: VisibilityIndex,
-                        path: str, first: AccessRecord,
-                        second: AccessRecord) -> bool:
-    if semantics is Semantics.STRONG:
-        return False
-    if semantics is Semantics.EVENTUAL:
-        return True
-    if semantics is Semantics.COMMIT:
-        return not vis.commit_between(first.rank, path,
-                                      first.tstart, second.tstart)
-    # session
-    return not vis.session_pair_between(first.rank, second.rank, path,
-                                        first.tstart, second.tstart)
-
-
 def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
                           vis: VisibilityIndex,
                           semantics: Semantics) -> np.ndarray:
@@ -364,7 +304,7 @@ def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
     if semantics is Semantics.COMMIT:
         for writer in np.unique(r1):
             sel = r1 == writer
-            commits = vis.times_array("commit", int(writer), table.path)
+            commits = vis.times("commit", int(writer), table.path)
             if commits.size == 0:
                 continue  # no commits: all selected pairs conflict
             idx = np.searchsorted(commits, t1[sel], side="right")
@@ -377,7 +317,7 @@ def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
     tc = np.full(n, np.inf)
     for writer in np.unique(r1):
         sel = r1 == writer
-        closes = vis.times_array("close", int(writer), table.path)
+        closes = vis.times("close", int(writer), table.path)
         if closes.size == 0:
             continue
         idx = np.searchsorted(closes, t1[sel], side="right")
@@ -389,7 +329,7 @@ def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
         sel = (r2 == reader) & np.isfinite(tc) & (tc < t2)
         if not np.any(sel):
             continue
-        opens = vis.times_array("open", int(reader), table.path)
+        opens = vis.times("open", int(reader), table.path)
         if opens.size == 0:
             continue
         idx = np.searchsorted(opens, tc[sel], side="right")
@@ -401,113 +341,46 @@ def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
     return conflict
 
 
-def detect_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
-                              semantics: Semantics,
-                              max_conflicts: int | None = None,
-                              engine: str = "vectorized",
-                              ) -> list[Conflict]:
-    """Classify every overlapping pair of one file's accesses.
+def classify_conflicts(table: AccessTable, vis: VisibilityIndex,
+                       semantics: Semantics):
+    """Every actual conflict of one file under ``semantics``, as arrays.
 
-    ``engine="vectorized"`` (default) evaluates the visibility
-    conditions in numpy batches; ``engine="python"`` keeps the per-pair
-    binary-search form — retained as the test oracle.  Under ``OBJECT``
-    semantics pairing is whole-object (session granularity) and both
-    engines share the one implementation.
+    Returns ``(first_row, second_row, waw, same)``: row indices into
+    ``table`` of the earlier access (always a write) and the later one,
+    and the WAW-vs-RAW kind and same-process scope masks, ordered by
+    the two accesses' start times.  Under ``OBJECT`` semantics pairing
+    is whole-object (session granularity) and the rows are exemplars.
     """
     if semantics is Semantics.OBJECT:
-        fr, sr, waw, same = _object_conflict_pairs(table, vis)
-        out = []
-        for k in range(len(fr)):
-            out.append(Conflict(
-                path=table.path,
-                kind=ConflictKind.WAW if waw[k] else ConflictKind.RAW,
-                scope=(ConflictScope.SAME if same[k]
-                       else ConflictScope.DIFFERENT),
-                first=table.records[int(fr[k])],
-                second=table.records[int(sr[k])]))
-            if max_conflicts is not None and len(out) >= max_conflicts:
-                break
-        return out
+        return _object_conflict_pairs(table, vis)
     pairs = find_overlaps(table)
-    out: list[Conflict] = []
-    if not len(pairs):
-        return out
     # order each pair by entry timestamp (t1 < t2)
     t = table.tstart
     swap = t[pairs[:, 0]] > t[pairs[:, 1]]
     pairs[swap] = pairs[swap][:, ::-1]
     # only pairs whose first op is a write can conflict
     pairs = pairs[table.is_write[pairs[:, 0]]]
-    if not len(pairs):
-        return out
+    pairs = pairs[_actual_conflict_mask(table, pairs, vis, semantics)]
     # deterministic report order: by first access time, then second
-    order = np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]]))
-    pairs = pairs[order]
-    if engine == "vectorized":
-        mask = _actual_conflict_mask(table, pairs, vis, semantics)
-        pairs = pairs[mask]
-    for i, j in pairs:
-        first = table.records[int(i)]
-        second = table.records[int(j)]
-        if engine != "vectorized" and not _is_actual_conflict(
-                semantics, vis, table.path, first, second):
-            continue
-        kind = ConflictKind.WAW if second.is_write else ConflictKind.RAW
-        scope = (ConflictScope.SAME if first.rank == second.rank
-                 else ConflictScope.DIFFERENT)
-        out.append(Conflict(path=table.path, kind=kind, scope=scope,
-                            first=first, second=second))
-        if max_conflicts is not None and len(out) >= max_conflicts:
-            break
-    return out
+    pairs = pairs[np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]]))]
+    first, second = pairs[:, 0], pairs[:, 1]
+    return (first, second, table.is_write[second],
+            table.rank[first] == table.rank[second])
 
 
-def count_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
-                             semantics: Semantics) -> dict[str, int]:
-    """Count conflicts by class without materializing pair objects.
-
-    Pure-numpy fast path for large traces: returns
-    ``{"WAW-S": n, "WAW-D": n, "RAW-S": n, "RAW-D": n}``.
-    """
-    out = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
-    if semantics is Semantics.OBJECT:
-        _, _, waw, same = _object_conflict_pairs(table, vis)
-        out["WAW-S"] = int(np.sum(waw & same))
-        out["WAW-D"] = int(np.sum(waw & ~same))
-        out["RAW-S"] = int(np.sum(~waw & same))
-        out["RAW-D"] = int(np.sum(~waw & ~same))
-        return out
-    pairs = find_overlaps(table)
-    if not len(pairs):
-        return out
-    t = table.tstart
-    swap = t[pairs[:, 0]] > t[pairs[:, 1]]
-    pairs[swap] = pairs[swap][:, ::-1]
-    pairs = pairs[table.is_write[pairs[:, 0]]]
-    if not len(pairs):
-        return out
-    mask = _actual_conflict_mask(table, pairs, vis, semantics)
-    pairs = pairs[mask]
-    if not len(pairs):
-        return out
-    waw = table.is_write[pairs[:, 1]]
-    same = table.rank[pairs[:, 0]] == table.rank[pairs[:, 1]]
-    out["WAW-S"] = int(np.sum(waw & same))
-    out["WAW-D"] = int(np.sum(waw & ~same))
-    out["RAW-S"] = int(np.sum(~waw & same))
-    out["RAW-D"] = int(np.sum(~waw & ~same))
-    return out
-
-
-def count_conflicts(trace: Trace, tables: dict[str, AccessTable],
+def count_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
                     semantics: Semantics) -> dict[str, int]:
-    """Whole-trace conflict counts by class (numpy fast path)."""
-    vis = VisibilityIndex(trace)
+    """Whole-trace conflict counts by class, without pair objects.
+
+    Returns ``{"WAW-S": n, "WAW-D": n, "RAW-S": n, "RAW-D": n}``.
+    """
     total = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
     for path in sorted(tables):
-        for key, n in count_conflicts_in_table(
-                tables[path], vis, semantics).items():
-            total[key] += n
+        _, _, waw, same = classify_conflicts(tables[path], vis, semantics)
+        total["WAW-S"] += int(np.sum(waw & same))
+        total["WAW-D"] += int(np.sum(waw & ~same))
+        total["RAW-S"] += int(np.sum(~waw & same))
+        total["RAW-D"] += int(np.sum(~waw & ~same))
     return total
 
 
@@ -516,33 +389,42 @@ def count_conflicts_columnar(ct, semantics: Semantics,
                              ) -> dict[str, int]:
     """Whole-trace conflict counts from a columnar trace.
 
-    The fully array-native pipeline: columnar offset reconstruction,
-    columnar visibility timelines, then the numpy pair classifiers —
-    no per-op objects anywhere.  ``tables`` lets callers reuse an
-    already-reconstructed table set.
+    Columnar offset reconstruction and visibility timelines feed
+    :func:`count_conflicts`, with no per-op objects anywhere.
+    ``tables`` lets callers reuse an already-reconstructed table set.
     """
     from repro.core.offsets import reconstruct_tables_columnar
 
     if tables is None:
         tables = reconstruct_tables_columnar(ct)
-    vis = VisibilityIndex.from_columnar(ct)
-    total = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
-    for path in sorted(tables):
-        for key, n in count_conflicts_in_table(
-                tables[path], vis, semantics).items():
-            total[key] += n
-    return total
+    return count_conflicts(VisibilityIndex.from_columnar(ct), tables,
+                           semantics)
 
 
-def detect_conflicts(trace: Trace, tables: dict[str, AccessTable],
+def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
                      semantics: Semantics,
                      max_conflicts_per_file: int | None = None,
-                     engine: str = "vectorized") -> ConflictSet:
-    """Run conflict detection over every file of a trace."""
-    vis = VisibilityIndex(trace)
+                     ) -> ConflictSet:
+    """Run conflict detection over every file of a trace.
+
+    Keeps at most ``max_conflicts_per_file`` conflicts per file, the
+    earliest first.
+    """
     cs = ConflictSet(semantics)
+    keep = slice(max_conflicts_per_file)
     for path in sorted(tables):
-        cs.conflicts.extend(detect_conflicts_in_table(
-            tables[path], vis, semantics,
-            max_conflicts=max_conflicts_per_file, engine=engine))
+        table = tables[path]
+        first, second, waw, same = (
+            a[keep] for a in classify_conflicts(table, vis, semantics))
+        if not len(first):
+            continue
+        records = table.records
+        cs.conflicts.extend(
+            Conflict(path=path,
+                     kind=ConflictKind.WAW if w else ConflictKind.RAW,
+                     scope=(ConflictScope.SAME if s
+                            else ConflictScope.DIFFERENT),
+                     first=records[i], second=records[j])
+            for i, j, w, s in zip(first.tolist(), second.tolist(),
+                                  waw.tolist(), same.tolist()))
     return cs

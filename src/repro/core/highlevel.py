@@ -25,12 +25,10 @@ import posixpath
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.core.patterns import (
-    AccessPattern,
-    classify_file,
-    filter_metadata_by_file,
-)
-from repro.core.records import AccessRecord
+import numpy as np
+
+from repro.core.patterns import AccessPattern, classify_files, data_mask
+from repro.core.records import AccessTable
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,6 @@ class SharingPattern:
         return f"{_cardinality(len(ranks), nranks)}-" \
                f"{_cardinality(self.files_per_phase, nranks)}"
 
-    @property
-    def io_ranks(self) -> frozenset[int]:
-        return self.writer_ranks | self.reader_ranks
-
 
 def _cardinality(count: int, nranks: int) -> str:
     if count >= nranks:
@@ -65,49 +59,37 @@ def _cardinality(count: int, nranks: int) -> str:
     return "M"
 
 
-def classify_sharing(records: list[AccessRecord],
+def classify_sharing(tables: dict[str, AccessTable],
                      nranks: int) -> list[SharingPattern]:
-    """Group data accesses by directory and characterize each group.
+    """Group the per-file tables by directory and characterize each group.
 
     Groups are returned most-bytes-written first, so index 0 is the run's
     *primary* output pattern (the Table 3 row entry).
     """
-    by_group: dict[str, list[AccessRecord]] = defaultdict(list)
-    for r in records:
-        by_group[posixpath.dirname(r.path)].append(r)
+    by_group: dict[str, list[AccessTable]] = defaultdict(list)
+    for path, table in tables.items():
+        if len(table):
+            by_group[posixpath.dirname(path)].append(table)
     out: list[SharingPattern] = []
-    for group, recs in sorted(by_group.items()):
-        data_recs = filter_metadata_by_file(recs)
-        paths = {r.path for r in recs}
-        writers = frozenset(r.rank for r in data_recs if r.is_write)
-        readers = frozenset(r.rank for r in data_recs if not r.is_write)
-        written = sum(r.nbytes for r in recs if r.is_write)
-        read = sum(r.nbytes for r in recs if not r.is_write)
-        pattern = classify_file(data_recs, writes_only=bool(writers),
-                                prefiltered=True)
+    for group, members in sorted(by_group.items()):
+        masks = [data_mask(t) for t in members]
+        writers = frozenset(np.concatenate(
+            [t.rank[m & t.is_write] for t, m in zip(members, masks)]
+        ).tolist())
+        readers = frozenset(np.concatenate(
+            [t.rank[m & ~t.is_write] for t, m in zip(members, masks)]
+        ).tolist())
+        # Y: a series of files that all share one data-rank set
+        # (checkpoint generations) is one file per phase
+        rank_sets = {frozenset(t.rank[m].tolist())
+                     for t, m in zip(members, masks)}
         out.append(SharingPattern(
-            group=group, nfiles=len(paths),
-            files_per_phase=_files_per_phase(data_recs, paths),
+            group=group, nfiles=len(members),
+            files_per_phase=1 if len(rank_sets) == 1 else len(members),
             writer_ranks=writers, reader_ranks=readers,
-            bytes_written=written, bytes_read=read, pattern=pattern))
+            bytes_written=sum(t.bytes_written for t in members),
+            bytes_read=sum(t.bytes_read for t in members),
+            pattern=classify_files(members, masks,
+                                   writes_only=bool(writers))))
     out.sort(key=lambda g: (g.bytes_written, g.bytes_read), reverse=True)
     return out
-
-
-def _files_per_phase(data_recs: list[AccessRecord],
-                     paths: set[str]) -> int:
-    """Y: count one file per phase for same-writer-set file series."""
-    sets: dict[str, frozenset[int]] = defaultdict(frozenset)
-    for r in data_recs:
-        sets[r.path] = sets[r.path] | {r.rank}
-    distinct = set(sets.values())
-    if len(distinct) == 1 and len(sets) >= 1:
-        return 1  # a series of same-pattern files (e.g. checkpoints)
-    return len(paths)
-
-
-def primary_pattern(records: list[AccessRecord],
-                    nranks: int) -> SharingPattern | None:
-    """The dominant (most bytes written) output group, or None."""
-    groups = classify_sharing(records, nranks)
-    return groups[0] if groups else None

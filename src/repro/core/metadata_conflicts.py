@@ -115,10 +115,6 @@ def is_creating_open(rec: TraceRecord) -> bool:
     return bool(flags & F.O_CREAT) and not existed
 
 
-#: backward-compatible alias (pre-lint name)
-_is_creating_open = is_creating_open
-
-
 def detect_metadata_conflicts(trace: Trace, *,
                               max_conflicts: int | None = None,
                               ) -> MetadataConflictSet:
@@ -151,7 +147,7 @@ def detect_metadata_conflicts(trace: Trace, *,
         if rec.func in _CONSUMER_FUNCS:
             consume(path, rec)
         elif rec.func in OPEN_OPS:
-            if _is_creating_open(rec):
+            if is_creating_open(rec):
                 consume(parent, rec)   # creating a file uses the dir
             else:
                 consume(path, rec)     # opening uses the file entry
@@ -159,7 +155,7 @@ def detect_metadata_conflicts(trace: Trace, *,
             consume(path, rec)
 
         # production
-        if _is_creating_open(rec):
+        if is_creating_open(rec):
             producers[path] = (rec, MetadataConflictKind.FILE_CREATE_USE)
         elif rec.func == "mkdir":
             producers[path] = (rec, MetadataConflictKind.DIR_CREATE_USE)

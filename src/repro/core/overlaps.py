@@ -1,4 +1,4 @@
-"""Overlap detection — the paper's Algorithm 1 plus references and extras.
+"""Overlap detection — the paper's Algorithm 1 and the rank-pair table.
 
 Input is an :class:`~repro.core.records.AccessTable` (one file).  The
 sweep sorts extents by start offset; for each record, candidates that can
@@ -6,9 +6,6 @@ still overlap are exactly the following records whose start lies before
 this record's stop — found in one ``searchsorted``, so the cost is
 ``O(n log n + P)`` for ``P`` overlapping pairs (the paper notes the same
 "linear in practice, quadratic worst case" behaviour).
-
-``find_overlaps_bruteforce`` is the :math:`O(n^2)` oracle used by tests
-and by the scaling benchmark.
 """
 
 from __future__ import annotations
@@ -48,25 +45,6 @@ def find_overlaps(table: AccessTable) -> np.ndarray:
     seg_first = np.cumsum(counts) - counts
     b = a + 1 + np.arange(total) - np.repeat(seg_first, counts)
     return np.stack([order[a], order[b]], axis=1)
-
-
-def find_overlaps_bruteforce(table: AccessTable) -> np.ndarray:
-    """Reference :math:`O(n^2)` overlap detector (test oracle)."""
-    n = len(table)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (table.offset[i] < table.stop[j]
-                    and table.offset[j] < table.stop[i]):
-                out.append((i, j))
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(out, dtype=np.int64)
-
-
-def canonical_pairs(pairs: np.ndarray) -> set[tuple[int, int]]:
-    """Order-insensitive set form of a pair array, for comparisons."""
-    return {(int(min(a, b)), int(max(a, b))) for a, b in pairs}
 
 
 def overlap_rank_matrix(table: AccessTable, nranks: int) -> np.ndarray:

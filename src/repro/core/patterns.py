@@ -11,8 +11,11 @@ Two granularities:
   sequence is labelled consecutive / strided / strided-cyclic /
   monotonic / random from its gap structure.  Library metadata is
   excluded first, matching the paper's "except for a small amount of
-  extra metadata" caveat: accesses are dropped when they are at least 8×
-  smaller than the sequence's dominant (median) access size.
+  extra metadata" caveat: a file's accesses are dropped when they are
+  at least 8× smaller than its largest access (:func:`data_mask`).
+
+Both read the per-file :class:`~repro.core.records.AccessTable`
+columns, whose rows are already in ``(tstart, rid)`` order.
 
 Gap rules (gap = next start − previous end, zero-length gaps are the
 consecutive case):
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.records import AccessRecord
+from repro.core.records import AccessTable
 
 
 class AccessPattern(str, enum.Enum):
@@ -73,11 +76,7 @@ class TransitionMix:
                              self.random + other.random)
 
 
-def transition_mix(offsets: np.ndarray, stops: np.ndarray) -> TransitionMix:
-    """Classify each transition of one access sequence (already in order)."""
-    if len(offsets) < 2:
-        return TransitionMix()
-    gaps = offsets[1:] - stops[:-1]
+def _gap_mix(gaps: np.ndarray) -> TransitionMix:
     return TransitionMix(
         consecutive=int(np.sum(gaps == 0)),
         monotonic=int(np.sum(gaps > 0)),
@@ -85,69 +84,49 @@ def transition_mix(offsets: np.ndarray, stops: np.ndarray) -> TransitionMix:
     )
 
 
-def _sequences_by_rank(records: list[AccessRecord]
-                       ) -> dict[tuple[int, str], list[AccessRecord]]:
-    out: dict[tuple[int, str], list[AccessRecord]] = {}
-    for r in sorted(records, key=lambda r: (r.tstart, r.rid)):
-        out.setdefault((r.rank, r.path), []).append(r)
-    return out
+def transition_mix(offsets: np.ndarray, stops: np.ndarray) -> TransitionMix:
+    """Classify each transition of one access sequence (already in order)."""
+    return _gap_mix(offsets[1:] - stops[:-1])
 
 
-def local_pattern_mix(records: list[AccessRecord]) -> TransitionMix:
+def _by_rank(table: AccessTable, rows: np.ndarray) -> np.ndarray:
+    """``rows`` regrouped rank by rank, each rank's rows kept in time
+    order (a stable sort of the table's time-ordered rows)."""
+    return rows[np.argsort(table.rank[rows], kind="stable")]
+
+
+def local_pattern_mix(tables: dict[str, AccessTable]) -> TransitionMix:
     """Figure 1(b): transitions within each (rank, file) sequence."""
     total = TransitionMix()
-    for seq in _sequences_by_rank(records).values():
-        offsets = np.fromiter((r.offset for r in seq), np.int64, len(seq))
-        stops = np.fromiter((r.stop for r in seq), np.int64, len(seq))
-        total = total + transition_mix(offsets, stops)
+    for table in tables.values():
+        rows = _by_rank(table, np.arange(len(table)))
+        rank = table.rank[rows]
+        gaps = table.offset[rows][1:] - table.stop[rows][:-1]
+        total = total + _gap_mix(gaps[rank[1:] == rank[:-1]])
     return total
 
 
-def global_pattern_mix(records: list[AccessRecord]) -> TransitionMix:
+def global_pattern_mix(tables: dict[str, AccessTable]) -> TransitionMix:
     """Figure 1(a): transitions per file with all ranks interleaved."""
-    byfile: dict[str, list[AccessRecord]] = {}
-    for r in sorted(records, key=lambda r: (r.tstart, r.rid)):
-        byfile.setdefault(r.path, []).append(r)
     total = TransitionMix()
-    for seq in byfile.values():
-        offsets = np.fromiter((r.offset for r in seq), np.int64, len(seq))
-        stops = np.fromiter((r.stop for r in seq), np.int64, len(seq))
-        total = total + transition_mix(offsets, stops)
+    for table in tables.values():
+        total = total + transition_mix(table.offset, table.stop)
     return total
 
 
-def drop_library_metadata(records: list[AccessRecord]
-                          ) -> list[AccessRecord]:
-    """Apply the paper's small-metadata exception before classification.
+def data_mask(table: AccessTable) -> np.ndarray:
+    """The paper's small-metadata exception as a row mask over one file.
 
     When a file mixes large data accesses with much smaller
-    library-metadata accesses (headers, TOCs, index entries), drop
-    accesses at least 8x smaller than the largest access.  The threshold
-    anchors on the maximum because metadata operations can outnumber the
-    data operations (e.g. HDF5 header pieces at small rank counts), which
-    would fool a median.
+    library-metadata accesses (headers, TOCs, index entries), accesses
+    at least 8x smaller than the largest one are metadata; a file whose
+    sizes all lie within 8x of each other keeps every access.  The
+    threshold anchors on the maximum because metadata operations can
+    outnumber the data operations (e.g. HDF5 header pieces at small
+    rank counts), which would fool a median.
     """
-    if not records:
-        return records
-    sizes = np.fromiter((r.nbytes for r in records), np.int64, len(records))
-    biggest = int(sizes.max())
-    if biggest < 8 * int(sizes.min()):
-        return records
-    keep = sizes * 8 >= biggest
-    return [r for r, k in zip(records, keep) if k]
-
-
-def filter_metadata_by_file(records: list[AccessRecord]
-                            ) -> list[AccessRecord]:
-    """Per-file metadata exception, applied across all ranks at once."""
-    byfile: dict[str, list[AccessRecord]] = {}
-    for r in records:
-        byfile.setdefault(r.path, []).append(r)
-    out: list[AccessRecord] = []
-    for recs in byfile.values():
-        out.extend(drop_library_metadata(recs))
-    out.sort(key=lambda r: (r.tstart, r.rid))
-    return out
+    sizes = table.stop - table.offset
+    return sizes * 8 >= sizes.max(initial=0)
 
 
 def classify_gap_sequence(offsets: np.ndarray,
@@ -207,35 +186,31 @@ def _is_cyclic(gaps: np.ndarray, values: Counter) -> bool:
     return period <= _MAX_CYCLE_SPACING
 
 
-def classify_rank_file(records: list[AccessRecord], *,
-                       writes_only: bool = True,
-                       filter_metadata: bool = True) -> AccessPattern:
-    """Classify one (rank, file) sequence for the Table 3 taxonomy."""
-    seq = [r for r in records if r.is_write] if writes_only else list(records)
-    if filter_metadata:
-        seq = drop_library_metadata(seq)
-    seq.sort(key=lambda r: (r.tstart, r.rid))
-    offsets = np.fromiter((r.offset for r in seq), np.int64, len(seq))
-    stops = np.fromiter((r.stop for r in seq), np.int64, len(seq))
-    return classify_gap_sequence(offsets, stops)
+def classify_files(tables: list[AccessTable], masks: list[np.ndarray],
+                   *, writes_only: bool = True) -> AccessPattern:
+    """Majority pattern over the (rank, file) sequences of some tables.
 
-
-def classify_file(records: list[AccessRecord], *,
-                  writes_only: bool = True,
-                  prefiltered: bool = False) -> AccessPattern:
-    """Majority (transition-weighted) pattern over a file's writing ranks.
-
-    Pass ``prefiltered=True`` when library metadata was already stripped
-    (e.g. by :func:`filter_metadata_by_file`) to skip the per-sequence
-    filter.
+    Each table contributes the rows its mask selects (writes only when
+    ``writes_only``), split rank by rank.  Votes are weighted by
+    transitions and cast in the order of each sequence's first access,
+    so a tie goes to the pattern that appeared first.
     """
+    seqs = []
+    for table, mask in zip(tables, masks):
+        rows = _by_rank(table, np.flatnonzero(
+            mask & table.is_write if writes_only else mask))
+        if not rows.size:
+            continue
+        rank = table.rank[rows]
+        starts = np.flatnonzero(np.r_[True, rank[1:] != rank[:-1]])
+        for seq in np.split(rows, starts[1:]):
+            first = (float(table.tstart[seq[0]]), int(table.rid[seq[0]]))
+            seqs.append((first, table.offset[seq], table.stop[seq]))
+    seqs.sort(key=lambda seq: seq[0])
     weights: Counter = Counter()
-    for (rank, _), seq in _sequences_by_rank(
-            [r for r in records
-             if (r.is_write or not writes_only)]).items():
-        label = classify_rank_file(seq, writes_only=writes_only,
-                                   filter_metadata=not prefiltered)
-        weights[label] += max(1, len(seq) - 1)
+    for _, offsets, stops in seqs:
+        label = classify_gap_sequence(offsets, stops)
+        weights[label] += max(1, len(offsets) - 1)
     if not weights:
         return AccessPattern.CONSECUTIVE
     return weights.most_common(1)[0][0]

@@ -174,10 +174,6 @@ class AccessTable:
         r = ~self.is_write
         return int(np.sum(self.stop[r] - self.offset[r]))
 
-    def for_rank(self, rank: int) -> list[AccessRecord]:
-        # lint: allow-per-op-loop (object-view convenience accessor)
-        return [r for r in self.records if r.rank == rank]
-
 
 def group_by_path(records: list[AccessRecord]) -> dict[str, AccessTable]:
     """Bucket resolved accesses into one :class:`AccessTable` per file."""

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.advisor import FixSuggestion, suggest_fixes
-from repro.core.conflicts import ConflictSet, detect_conflicts
+from repro.core.conflicts import (
+    ConflictSet,
+    VisibilityIndex,
+    detect_conflicts,
+)
 from repro.core.highlevel import SharingPattern, classify_sharing
 from repro.core.metadata import MetadataUsage, metadata_usage
 from repro.core.metadata_conflicts import (
@@ -56,16 +60,26 @@ class RunReport:
 
     @cached_property
     def tables(self) -> dict[str, AccessTable]:
+        """Per-file access tables, rows in ``(tstart, rid)`` order.
+
+        Every later stage reads these columns.
+        """
         return group_by_path(self.accesses)
+
+    @cached_property
+    def visibility(self) -> VisibilityIndex:
+        """Open/close/commit timelines, shared by every model."""
+        return VisibilityIndex(self.trace)
 
     def conflicts(self, semantics: Semantics,
                   max_per_file: int | None = 10_000) -> ConflictSet:
         cache = self.__dict__.setdefault("_conflict_cache", {})
-        if semantics not in cache:
-            cache[semantics] = detect_conflicts(
-                self.trace, self.tables, semantics,
+        key = (semantics, max_per_file)
+        if key not in cache:
+            cache[key] = detect_conflicts(
+                self.visibility, self.tables, semantics,
                 max_conflicts_per_file=max_per_file)
-        return cache[semantics]
+        return cache[key]
 
     @cached_property
     def conflicts_by_model(self) -> dict[Semantics, ConflictSet]:
@@ -75,15 +89,15 @@ class RunReport:
 
     @cached_property
     def sharing(self) -> list[SharingPattern]:
-        return classify_sharing(self.accesses, self.trace.nranks)
+        return classify_sharing(self.tables, self.trace.nranks)
 
     @cached_property
     def local_mix(self) -> TransitionMix:
-        return local_pattern_mix(self.accesses)
+        return local_pattern_mix(self.tables)
 
     @cached_property
     def global_mix(self) -> TransitionMix:
-        return global_pattern_mix(self.accesses)
+        return global_pattern_mix(self.tables)
 
     @cached_property
     def metadata(self) -> MetadataUsage:
@@ -92,7 +106,7 @@ class RunReport:
     @cached_property
     def profile(self) -> TraceProfile:
         """Darshan-style per-file counters for this run."""
-        return profile_trace(self.trace, self.accesses)
+        return profile_trace(self.trace, self.tables)
 
     @cached_property
     def metadata_conflicts(self) -> MetadataConflictSet:

@@ -1,61 +1,36 @@
 """Shared, lazily-computed analysis artifacts for lint rules.
 
-Every rule pass receives one :class:`LintContext`.  Expensive artifacts
-(offset reconstruction, per-file access tables, the visibility index,
-the happens-before vector clocks, per-semantics conflict sets) are
-computed once on first use and shared by all rules, so a full lint run
-costs roughly one analysis pipeline regardless of how many rules run.
+Every rule pass receives one :class:`LintContext`: a
+:class:`~repro.core.report.RunReport` (offsets, per-file access tables,
+visibility timelines, metadata conflicts, each computed once on first
+use) plus the few artifacts only the rules need.  A full lint run
+therefore costs roughly one analysis pipeline regardless of how many
+rules run.
 
-Conflict sets here are **uncapped** (``max_conflicts_per_file=None``):
-the linter's contract is *zero false negatives* against the Table 4
-replay pipeline, so it must never drop a pair that the capped report
-path might still surface.
+Conflict sets here are **uncapped** (``max_per_file=None``): the
+linter's contract is *zero false negatives* against the Table 4 replay
+pipeline, so it must never drop a pair that the capped report path
+might still surface.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from repro.core.conflicts import (
-    Conflict,
-    ConflictScope,
-    ConflictSet,
-    VisibilityIndex,
-    detect_conflicts,
-)
+from repro.core.conflicts import Conflict, ConflictScope, ConflictSet
 from repro.core.happens_before import HappensBefore
-from repro.core.metadata_conflicts import (
-    MetadataConflictSet,
-    detect_metadata_conflicts,
-)
-from repro.core.offsets import reconstruct_offsets
-from repro.core.records import AccessRecord, AccessTable, group_by_path
+from repro.core.records import AccessRecord
+from repro.core.report import RunReport
 from repro.core.semantics import Semantics
-from repro.tracer.events import Layer, TraceRecord
-from repro.tracer.trace import Trace
+from repro.tracer.events import TraceRecord
 
 
-class LintContext:
-    """One trace plus every shared analysis artifact, computed lazily."""
+class LintContext(RunReport):
+    """A run report plus what the lint rules add.
 
-    def __init__(self, trace: Trace):
-        self.trace = trace
-        self._conflict_cache: dict[Semantics, ConflictSet] = {}
-
-    # -- identity --------------------------------------------------------------
-
-    @property
-    def nranks(self) -> int:
-        return self.trace.nranks
-
-    @property
-    def label(self) -> str:
-        meta = self.trace.meta
-        app = meta.get("application", meta.get("app", "run"))
-        lib = meta.get("io_library")
-        return f"{app}-{lib}" if lib else str(app)
-
-    # -- pipeline artifacts -----------------------------------------------------
+    That is the POSIX record view, the accesses in ``(tstart, rid)``
+    order, the happens-before order and uncapped conflict sets.
+    """
 
     @cached_property
     def posix_records(self) -> list[TraceRecord]:
@@ -64,35 +39,20 @@ class LintContext:
 
     @cached_property
     def accesses(self) -> list[AccessRecord]:
-        """Offset-resolved POSIX data accesses (§5.1), time-sorted."""
-        out = reconstruct_offsets(self.trace.records)
-        out.sort(key=lambda a: (a.tstart, a.rid))
-        return out
+        """Offset-resolved POSIX data accesses (§5.1), time-sorted.
 
-    @cached_property
-    def tables(self) -> dict[str, AccessTable]:
-        return group_by_path(self.accesses)
-
-    @cached_property
-    def visibility(self) -> VisibilityIndex:
-        return VisibilityIndex(self.trace)
+        The order is ``(tstart, rid)``, the order the rules report in.
+        """
+        return sorted(super().accesses, key=lambda a: (a.tstart, a.rid))
 
     @cached_property
     def happens_before(self) -> HappensBefore:
         return HappensBefore(self.trace)
 
-    @cached_property
-    def metadata_conflicts(self) -> MetadataConflictSet:
-        return detect_metadata_conflicts(self.trace)
-
-    def conflicts(self, semantics: Semantics) -> ConflictSet:
-        """Uncapped conflict set under one model (cached per model)."""
-        cs = self._conflict_cache.get(semantics)
-        if cs is None:
-            cs = detect_conflicts(self.trace, self.tables, semantics,
-                                  max_conflicts_per_file=None)
-            self._conflict_cache[semantics] = cs
-        return cs
+    def conflicts(self, semantics: Semantics,
+                  max_per_file: int | None = None) -> ConflictSet:
+        """Conflict set under one model, uncapped unless asked."""
+        return super().conflicts(semantics, max_per_file)
 
     # -- happens-before helpers -------------------------------------------------
 
@@ -110,11 +70,6 @@ class LintContext:
 def conflict_pair_ids(conflict: Conflict) -> tuple[int, int]:
     """The (writer rid, second rid) key used in diagnostics and crossval."""
     return (conflict.first.rid, conflict.second.rid)
-
-
-def group_label(conflict: Conflict) -> str:
-    """The Table 4 cell a conflict belongs to, e.g. ``WAW-D``."""
-    return conflict.label
 
 
 def is_cross_process(conflict: Conflict) -> bool:

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.conflicts import detect_conflicts
-from repro.core.offsets import reconstruct_offsets
-from repro.core.records import group_by_path
+from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.lint.diagnostics import LintReport
 from repro.lint.runner import lint_trace
@@ -83,14 +81,11 @@ def crossvalidate_trace(trace: Trace, report: LintReport | None = None,
     """
     if report is None:
         report = lint_trace(trace, label=label)
-    accesses = reconstruct_offsets(trace.records)
-    tables = group_by_path(accesses)
+    run = analyze(trace)
     result = CrossValidation(label=label or report.label)
     for semantics, rule in sorted(HAZARD_RULE_OF.items(),
                                   key=lambda kv: kv[0].value):
-        oracle = detect_conflicts(
-            trace, tables, semantics,
-            max_conflicts_per_file=max_conflicts_per_file)
+        oracle = run.conflicts(semantics, max_conflicts_per_file)
         flagged = lint_hazard_pairs(report, semantics)
         oracle_pairs = {(c.first.rid, c.second.rid) for c in oracle}
         result.checked_pairs += len(oracle_pairs)

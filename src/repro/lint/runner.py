@@ -32,7 +32,7 @@ def lint_trace(trace: Trace, rules: Sequence[LintRule | str] | None = None,
             resolved.append(rule)
     ctx = LintContext(trace)
     report = LintReport(
-        label=label if label is not None else ctx.label,
+        label=label if label is not None else ctx.name,
         nranks=trace.nranks,
         rules_run=tuple(r.name for r in resolved))
     for rule in resolved:

@@ -831,8 +831,7 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
         count_conflicts,
         count_conflicts_columnar,
     )
-    from repro.core.offsets import reconstruct_offsets
-    from repro.core.records import group_by_path
+    from repro.core.report import analyze
     from repro.core.semantics import Semantics
     from repro.study.runner import cell_summary, matrix_json
     from repro.tracer.columnar import ColumnarTrace, read_rtrc
@@ -878,10 +877,11 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
                 matrix_json([before], nranks=args.nranks, seed=args.seed)
                 == matrix_json([after], nranks=args.nranks,
                                seed=args.seed))
-            tables = group_by_path(reconstruct_offsets(trace.records))
+            report = analyze(trace)
             counts_ok = all(
                 count_conflicts_columnar(loaded, semantics)
-                == count_conflicts(trace, tables, semantics)
+                == count_conflicts(report.visibility, report.tables,
+                                   semantics)
                 for semantics in Semantics)
             ok = report_ok and counts_ok
             failures += not ok
@@ -909,9 +909,7 @@ def _roundtrip_check(files: list[Path]) -> int:
         if not path.is_file():
             raise _UsageError(f"cannot read {path}: no such file")
         try:
-            ct = read_rtrc(path)
-            ct.validate()
-            nrecords = len(ct.to_trace().records)
+            nrecords = len(read_rtrc(path).to_trace().records)
         except AnalysisError as exc:
             failures += 1
             print(f"{path}  FAIL  {exc}")

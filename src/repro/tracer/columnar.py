@@ -222,13 +222,39 @@ class ColumnarTrace:
                            dtype=bool, count=len(self.funcs))
 
     def validate(self) -> None:
-        """Cheap structural checks mirroring :meth:`Trace.validate`."""
+        """Cheap structural checks mirroring :meth:`Trace.validate`.
+
+        Also requires every interned id to lie inside the table it
+        indexes and one MPI match key per event.
+        """
         n = self.nrecords
         for name, _ in RECORD_COLUMNS:
             if self.columns[name].shape[0] != n:
                 raise AnalysisError(
                     f"column {name!r} has {self.columns[name].shape[0]} "
                     f"rows, expected {n}")
+        for name, _ in EVENT_COLUMNS:
+            if self.columns[name].shape[0] != self.nevents:
+                raise AnalysisError(
+                    f"column {name!r} has {self.columns[name].shape[0]} "
+                    f"rows, expected {self.nevents}")
+        if len(self.match_keys) != self.nevents:
+            raise AnalysisError(
+                f"{len(self.match_keys)} MPI match keys for "
+                f"{self.nevents} events")
+        for name, table, lowest in (
+                ("func_id", self.funcs, 0), ("path_id", self.paths, -1),
+                ("layer_id", LAYER_TABLE, 0),
+                ("issuer_id", LAYER_TABLE, 0),
+                ("ev_kind_id", self.kinds, 0),
+                ("ev_role_id", self.roles, 0)):
+            ids = self.columns[name]
+            bad = np.flatnonzero((ids < lowest) | (ids >= len(table)))
+            if bad.size:
+                i = int(bad[0])
+                raise AnalysisError(
+                    f"row {i}: {name} {int(ids[i])} is outside its "
+                    f"{len(table)}-entry table")
         rank = self.columns["rank"]
         if n and (int(rank.min()) < 0 or int(rank.max()) >= self.nranks):
             raise AnalysisError("columnar trace has an out-of-range rank")
@@ -455,8 +481,9 @@ def read_rtrc(path: str | Path, *, mmap: bool = True,
     file is read into one bytes object first.  ``verify`` checks the
     CRC-32 trailer (reads every page; disable for huge read-mostly
     archives you trust).  Any structural problem — bad magic, a future
-    version, truncation, checksum mismatch, or a column block that runs
-    past end-of-file — raises :class:`AnalysisError`.
+    version, truncation, checksum mismatch, a column block that runs
+    past end-of-file, or anything :meth:`ColumnarTrace.validate`
+    rejects — raises :class:`AnalysisError`.
     """
     p = Path(path)
     try:
@@ -530,6 +557,10 @@ def read_rtrc(path: str | Path, *, mmap: bool = True,
         raise _format_error(p, f"malformed header: {exc}") from None
     if ct.nrecords != int(header.get("nrecords", ct.nrecords)):
         raise _format_error(p, "record count disagrees with columns")
+    try:
+        ct.validate()
+    except AnalysisError as exc:
+        raise _format_error(p, str(exc)) from None
     return ct
 
 

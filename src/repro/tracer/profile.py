@@ -18,7 +18,7 @@ from repro.tracer.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (avoids a
     # cycle: repro.core.report imports this module)
-    from repro.core.records import AccessRecord
+    from repro.core.records import AccessTable
 
 #: access-size histogram bucket upper bounds (bytes); last is open-ended
 SIZE_BUCKETS = (100, 1024, 10 * 1024, 100 * 1024, 1024 * 1024,
@@ -128,12 +128,12 @@ class TraceProfile:
 
 
 def profile_trace(trace: Trace,
-                  accesses: "list[AccessRecord] | None" = None
+                  tables: "dict[str, AccessTable] | None" = None
                   ) -> TraceProfile:
     """Build the per-file counter roll-up from a trace.
 
-    Pass the resolved ``accesses`` (from offset reconstruction) to also
-    populate ``max_offset``; counters themselves need only the raw
+    Pass the per-file access ``tables`` (from offset reconstruction) to
+    also populate ``max_offset``; counters themselves need only the raw
     records.
     """
     profile = TraceProfile()
@@ -173,9 +173,8 @@ def profile_trace(trace: Trace,
             fp.metadata_ops += 1
     profile.wallclock = t_hi - t_lo if trace.records else 0.0
 
-    if accesses:
-        for acc in accesses:
-            fp = profile.files.get(acc.path)
-            if fp is not None:
-                fp.max_offset = max(fp.max_offset, acc.stop)
+    for path, table in (tables or {}).items():
+        fp = profile.files.get(path)
+        if fp is not None:
+            fp.max_offset = int(table.stop.max(initial=0))
     return profile

@@ -60,9 +60,6 @@ class Trace:
     def records_for_rank(self, rank: int) -> list[TraceRecord]:
         return self.filter(lambda r: r.rank == rank)
 
-    def records_for_path(self, path: str) -> list[TraceRecord]:
-        return self.filter(lambda r: r.path == path)
-
     @property
     def paths(self) -> list[str]:
         """All file paths touched by POSIX records, in first-touch order."""

@@ -7,17 +7,12 @@ definition is exercised in isolation:
 pair.
 """
 
-from repro.core.conflicts import (
-    ConflictKind,
-    ConflictScope,
-    VisibilityIndex,
-    detect_conflicts,
-)
-from repro.core.records import group_by_path
-from repro.core.offsets import reconstruct_offsets
+from repro.core.conflicts import ConflictKind, ConflictScope, VisibilityIndex
+from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
+from tests.core import reference
 
 
 class TraceBuilder:
@@ -63,9 +58,8 @@ class TraceBuilder:
         return self
 
     def conflicts(self, semantics):
-        trace = self.rec.build_trace()
-        tables = group_by_path(reconstruct_offsets(trace.records))
-        return detect_conflicts(trace, tables, semantics)
+        return analyze(self.rec.build_trace()).conflicts(
+            semantics, max_per_file=None)
 
 
 class TestPotentialConflictShape:
@@ -277,10 +271,8 @@ class TestConflictSet:
         for _ in range(10):
             b.write(0, "/f", 0, 10)
             b.write(1, "/f", 0, 10)
-        trace = b.rec.build_trace()
-        tables = group_by_path(reconstruct_offsets(trace.records))
-        capped = detect_conflicts(trace, tables, Semantics.SESSION,
-                                  max_conflicts_per_file=5)
+        capped = analyze(b.rec.build_trace()).conflicts(
+            Semantics.SESSION, max_per_file=5)
         assert len(capped) == 5
 
 
@@ -293,11 +285,16 @@ class TestVisibilityIndex:
              .close(0, "/f")         # t=4
              .open(1, "/f"))         # t=5
         vis = VisibilityIndex(b.rec.build_trace())
-        assert vis.commit_between(0, "/f", 2.0, 4.0)
-        assert not vis.commit_between(0, "/f", 3.0, 3.5)
-        assert vis.first_close_after(0, "/f", 2.0) == 4.0
-        assert vis.first_close_after(0, "/f", 4.5) == float("inf")
-        assert vis.open_between(1, "/f", 4.0, 6.0)
-        assert not vis.open_between(1, "/f", 5.0, 6.0)  # strict bound
-        assert vis.session_pair_between(0, 1, "/f", 2.0, 6.0)
-        assert not vis.session_pair_between(0, 1, "/f", 2.0, 5.0)
+        assert vis.times("commit", 0, "/f").tolist() == [3.0, 4.0]
+        assert vis.times("close", 1, "/f").size == 0
+        assert reference.commit_between(vis, 0, "/f", 2.0, 4.0)
+        assert not reference.commit_between(vis, 0, "/f", 3.0, 3.5)
+        assert reference.first_close_after(vis, 0, "/f", 2.0) == 4.0
+        assert reference.first_close_after(vis, 0, "/f", 4.5) == \
+            float("inf")
+        assert reference.open_between(vis, 1, "/f", 4.0, 6.0)
+        # strict bound
+        assert not reference.open_between(vis, 1, "/f", 5.0, 6.0)
+        assert reference.session_pair_between(vis, 0, 1, "/f", 2.0, 6.0)
+        assert not reference.session_pair_between(vis, 0, 1, "/f",
+                                                  2.0, 5.0)

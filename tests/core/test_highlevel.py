@@ -1,13 +1,9 @@
 """Tests for X-Y sharing-pattern classification (Table 3 logic)."""
 
-from repro.core.highlevel import (
-    SharingPattern,
-    _cardinality,
-    classify_sharing,
-    primary_pattern,
-)
+from repro.core import highlevel
+from repro.core.highlevel import SharingPattern, _cardinality
 from repro.core.patterns import AccessPattern
-from repro.core.records import AccessRecord
+from repro.core.records import AccessRecord, group_by_path
 
 
 def rec(rid, rank, path, off, n, write=True, t=None):
@@ -15,6 +11,10 @@ def rec(rid, rank, path, off, n, write=True, t=None):
                         stop=off + n, is_write=write,
                         tstart=float(rid if t is None else t),
                         tend=float(rid if t is None else t) + 0.1)
+
+
+def classify_sharing(records, nranks):
+    return highlevel.classify_sharing(group_by_path(records), nranks)
 
 
 class TestCardinality:
@@ -96,11 +96,9 @@ class TestClassifySharing:
                    rec(1, 0, "/big/f", 0, 10_000)]
         groups = classify_sharing(records, 4)
         assert groups[0].group == "/big"
-        assert primary_pattern(records, 4).group == "/big"
 
     def test_empty(self):
         assert classify_sharing([], 4) == []
-        assert primary_pattern([], 4) is None
 
     def test_pattern_carried(self):
         records = [rec(i, 0, "/out/f", i * 10, 10) for i in range(6)]

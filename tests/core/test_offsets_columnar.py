@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import offsets
 from repro.core.conflicts import (
+    VisibilityIndex,
     count_conflicts,
     count_conflicts_columnar,
 )
@@ -63,12 +64,23 @@ class TestSynthParity:
         tables = reconstruct_tables_columnar(synth)
         assert sum(len(t) for t in tables.values()) > 0
 
+    def test_visibility_timelines_match_object_index(self, synth):
+        cols = VisibilityIndex.from_columnar(synth)
+        objs = VisibilityIndex(synth.to_trace())
+        for family in ("open", "close", "commit"):
+            for rank in range(synth.nranks):
+                for path in synth.paths:
+                    assert np.array_equal(
+                        cols.times(family, rank, path),
+                        objs.times(family, rank, path)), \
+                        (family, rank, path)
+
     def test_conflict_counts_match_object_pipeline(self, synth):
         tr = synth.to_trace()
         tables = group_by_path(reconstruct_offsets(tr.records))
         for semantics in Semantics:
             assert count_conflicts_columnar(synth, semantics) == \
-                count_conflicts(tr, tables, semantics)
+                count_conflicts(VisibilityIndex(tr), tables, semantics)
 
 
 def _traced(program, nranks=1):

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.offsets import reconstruct_offsets
-from repro.core.overlaps import (
-    canonical_pairs,
-    find_overlaps,
-    find_overlaps_bruteforce,
-    overlap_rank_matrix,
-)
+from repro.core.overlaps import find_overlaps, overlap_rank_matrix
 from repro.core.records import AccessRecord, AccessTable
 from repro.errors import AnalysisError
 from repro.tracer.events import Layer, TraceRecord
+from tests.core.reference import canonical_pairs, find_overlaps_bruteforce
 
 
 def make_table(extents, path="/f"):

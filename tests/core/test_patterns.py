@@ -5,15 +5,14 @@ import numpy as np
 from repro.core.patterns import (
     AccessPattern,
     TransitionMix,
+    classify_files,
     classify_gap_sequence,
-    classify_rank_file,
-    drop_library_metadata,
-    filter_metadata_by_file,
+    data_mask,
     global_pattern_mix,
     local_pattern_mix,
     transition_mix,
 )
-from repro.core.records import AccessRecord
+from repro.core.records import AccessRecord, AccessTable, group_by_path
 
 
 def seq(extents):
@@ -107,39 +106,46 @@ class TestGapClassification:
             AccessPattern.CONSECUTIVE
 
 
+def kept_sizes(records):
+    table = AccessTable("/f", records)
+    mask = data_mask(table)
+    return (table.stop - table.offset)[mask].tolist()
+
+
+def classify_one_file(records):
+    table = AccessTable("/f", records)
+    return classify_files([table], [data_mask(table)])
+
+
 class TestMetadataFilter:
     def test_drops_small_when_mixed(self):
         records = recs([(0, 64), (4096, 8192), (12288, 8192), (100, 64)])
-        kept = drop_library_metadata(records)
-        assert all(r.nbytes == 8192 for r in kept)
+        assert kept_sizes(records) == [8192, 8192]
 
     def test_keeps_uniform_sizes(self):
         records = recs([(0, 64), (64, 64), (128, 64)])
-        assert drop_library_metadata(records) == records
+        assert kept_sizes(records) == [64, 64, 64]
 
     def test_keeps_moderate_ratio(self):
         records = recs([(0, 1024), (1024, 4096)])  # 4x, below 8x cutoff
-        assert len(drop_library_metadata(records)) == 2
+        assert len(kept_sizes(records)) == 2
 
     def test_empty(self):
-        assert drop_library_metadata([]) == []
+        assert kept_sizes([]) == []
 
     def test_per_file_filtering(self):
         a = recs([(0, 64), (4096, 8192)], path="/a")
         b = recs([(0, 64), (64, 64)], path="/b")
-        kept = filter_metadata_by_file(a + b)
-        by_path = {}
-        for r in kept:
-            by_path.setdefault(r.path, []).append(r)
-        assert len(by_path["/a"]) == 1   # metadata dropped
-        assert len(by_path["/b"]) == 2   # uniform sizes kept
+        tables = group_by_path(a + b)
+        assert data_mask(tables["/a"]).sum() == 1  # metadata dropped
+        assert data_mask(tables["/b"]).sum() == 2  # uniform sizes kept
 
 
 class TestRankFileClassifier:
     def test_writes_only_default(self):
         writes = recs([(i * 10, 10) for i in range(5)])
         reads = recs([(500, 10), (0, 10)], is_write=False)
-        label = classify_rank_file(writes + reads)
+        label = classify_one_file(writes + reads)
         assert label is AccessPattern.CONSECUTIVE
 
     def test_metadata_exception_applied(self):
@@ -147,7 +153,7 @@ class TestRankFileClassifier:
         records = recs(extents)
         # interleave tiny header rewrites that would otherwise look random
         records += recs([(0, 16)] * 3)
-        assert classify_rank_file(records) is AccessPattern.CONSECUTIVE
+        assert classify_one_file(records) is AccessPattern.CONSECUTIVE
 
 
 class TestMixes:
@@ -163,8 +169,8 @@ class TestMixes:
                     stop=step * 10 + 10, is_write=False,
                     tstart=float(rid), tend=float(rid) + 0.1))
                 rid += 1
-        local = local_pattern_mix(records)
-        global_ = global_pattern_mix(records)
+        local = local_pattern_mix(group_by_path(records))
+        global_ = global_pattern_mix(group_by_path(records))
         assert local.random == 0
         assert local.consecutive == 10
         assert global_.random > 0

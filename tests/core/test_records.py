@@ -51,11 +51,6 @@ class TestAccessTable:
         assert t.bytes_written == 10
         assert t.bytes_read == 6
 
-    def test_for_rank(self):
-        t = AccessTable("/f", [rec(0, 0, 0, 4), rec(1, 1, 4, 4),
-                               rec(2, 0, 8, 4)])
-        assert [r.rid for r in t.for_rank(0)] == [0, 2]
-
     def test_len_and_iter(self):
         t = AccessTable("/f", [rec(0, 0, 0, 4)])
         assert len(t) == 1

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.offsets import reconstruct_offsets
-from repro.core.patterns import AccessPattern, classify_rank_file
+from repro.core.patterns import AccessPattern, classify_files, data_mask
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.errors import AnalysisError
@@ -120,8 +119,7 @@ class TestChunkedConsequences:
 
     def test_per_dataset_sequence_not_consecutive(self, harness):
         """Each dataset's own chunks are strided by the interleave."""
-        trace = self.run_chunked_writer(harness)
-        accs = reconstruct_offsets(trace.records)
-        label = classify_rank_file([a for a in accs
-                                    if a.path == "/out/c.h5"])
+        report = analyze(self.run_chunked_writer(harness))
+        table = report.tables["/out/c.h5"]
+        label = classify_files([table], [data_mask(table)])
         assert label is not AccessPattern.CONSECUTIVE

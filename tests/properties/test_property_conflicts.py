@@ -12,9 +12,7 @@ Invariants from the paper's definitions:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conflicts import detect_conflicts
-from repro.core.offsets import reconstruct_offsets
-from repro.core.records import group_by_path
+from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.posix import flags as F
 from repro.tracer.events import Layer
@@ -69,8 +67,7 @@ def build_trace(events):
 
 
 def conflicts_for(trace, semantics):
-    tables = group_by_path(reconstruct_offsets(trace.records))
-    cs = detect_conflicts(trace, tables, semantics)
+    cs = analyze(trace).conflicts(semantics, max_per_file=None)
     return {(c.first.rid, c.second.rid) for c in cs}, cs
 
 

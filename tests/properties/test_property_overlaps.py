@@ -4,12 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.overlaps import (
-    canonical_pairs,
-    find_overlaps,
-    find_overlaps_bruteforce,
-)
+from repro.core.overlaps import find_overlaps
 from repro.core.records import AccessRecord, AccessTable
+from tests.core.reference import canonical_pairs, find_overlaps_bruteforce
 
 extent = st.tuples(
     st.integers(0, 3),        # rank

@@ -149,6 +149,32 @@ class TestRoundtripCheck:
         assert cli_main(["roundtrip", "--check", str(rtrc),
                          "--check", str(bad)]) == EXIT_FINDINGS
 
+    def test_out_of_table_ids_fail_one_line_per_file(self, capsys, rtrc,
+                                                     tmp_path):
+        import dataclasses
+
+        from repro.tracer.columnar import write_rtrc
+        from repro.tracer.synth import synthetic_columnar_trace
+
+        ct = synthetic_columnar_trace(100, seed=7)
+        bad = []
+        for column, value in (("func_id", 999), ("path_id", 77),
+                              ("layer_id", 42)):
+            col = ct.columns[column].copy()
+            col[3] = value
+            path = tmp_path / f"{column}.rtrc"
+            write_rtrc(dataclasses.replace(
+                ct, columns={**ct.columns, column: col}), path)
+            bad.append(path)
+        args = ["roundtrip"]
+        for path in (bad[0], rtrc, *bad[1:]):
+            args += ["--check", str(path)]
+        assert cli_main(args) == EXIT_FINDINGS
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == \
+            ["FAIL", "ok", "FAIL", "FAIL"]
+        assert "func_id 999" in lines[0] and "layer_id 42" in lines[3]
+
     def test_check_with_selection_is_usage_error(self, capsys, rtrc):
         rc = cli_main(["roundtrip", "--all", "--check", str(rtrc)])
         assert rc == EXIT_USAGE

@@ -33,6 +33,20 @@ from repro.tracer.trace import Trace
 _FIXED = struct.Struct("<4sHHQ")
 
 
+def _patch_column(blob, name, row, value):
+    """``blob`` with one column cell rewritten and the CRC recomputed:
+    damage that only the structural validation can catch."""
+    _, _, _, header_len = _FIXED.unpack(blob[:_FIXED.size])
+    header = json.loads(blob[_FIXED.size:_FIXED.size + header_len])
+    entry = next(e for e in header["columns"] if e["name"] == name)
+    dtype = np.dtype(entry["dtype"])
+    at = ((_FIXED.size + header_len + 7) & ~7) + entry["offset"] \
+        + row * dtype.itemsize
+    payload = bytearray(blob[:-4])
+    payload[at:at + dtype.itemsize] = np.array(value, dtype).tobytes()
+    return bytes(payload) + struct.pack("<I", zlib.crc32(payload))
+
+
 def _record(rid, func="pwrite", **kw):
     base = dict(rid=rid, rank=0, layer=Layer.POSIX, issuer=Layer.POSIX,
                 func=func, tstart=float(rid), tend=float(rid) + 0.5)
@@ -111,6 +125,21 @@ class TestColumnarConversion:
         ct.validate()
         ct.columns["rank"] = ct.columns["rank"] + 7
         with pytest.raises(AnalysisError):
+            ct.validate()
+
+    @pytest.mark.parametrize("column", ["func_id", "path_id", "layer_id",
+                                        "issuer_id", "ev_kind_id",
+                                        "ev_role_id"])
+    def test_validate_catches_ids_outside_their_tables(self, column):
+        ct = ColumnarTrace.from_trace(_small_trace())
+        ct.columns[column] = ct.columns[column] + 50
+        with pytest.raises(AnalysisError, match=f"{column} 5"):
+            ct.validate()
+
+    def test_validate_catches_match_key_count(self):
+        ct = ColumnarTrace.from_trace(_small_trace())
+        ct.match_keys.append(("p2p", 0, 1, 0))
+        with pytest.raises(AnalysisError, match="2 MPI match keys"):
             ct.validate()
 
     def test_real_variant_is_lossless(self):
@@ -237,6 +266,10 @@ class TestRtrcContainer:
          "checksum mismatch"),
         (lambda b: b[:_FIXED.size] + b"{oops"
          + b[_FIXED.size + 5:], None),           # header not JSON
+        # CRC-valid, but an id points past its string table
+        (lambda b: _patch_column(b, "func_id", 1, 999), "func_id 999"),
+        (lambda b: _patch_column(b, "path_id", 1, 77), "path_id 77"),
+        (lambda b: _patch_column(b, "layer_id", 1, 42), "layer_id 42"),
     ])
     def test_damaged_files_raise_analysis_error(self, saved, tmp_path,
                                                 mangle, detail):

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.core.offsets import reconstruct_offsets
+from repro.core.records import group_by_path
 from repro.tracer.profile import (
     SIZE_BUCKETS,
     bucket_label,
@@ -29,8 +30,8 @@ class TestProfile:
     @pytest.fixture(scope="class")
     def profiled(self):
         trace = repro.run("NWChem", nranks=4, options={"steps": 20})
-        accesses = reconstruct_offsets(trace.records)
-        return trace, profile_trace(trace, accesses)
+        tables = group_by_path(reconstruct_offsets(trace.records))
+        return trace, profile_trace(trace, tables)
 
     def test_file_counters(self, profiled):
         trace, profile = profiled

@@ -24,12 +24,12 @@ def flash_trace(study8):
 
 
 def test_bench_offset_reconstruction(benchmark, flash_trace):
-    accs = benchmark(reconstruct_offsets, flash_trace.records)
+    accs = benchmark(reconstruct_offsets, flash_trace)
     assert len(accs) > 100
 
 
 def test_bench_conflict_detection_session(benchmark, flash_trace):
-    tables = group_by_path(reconstruct_offsets(flash_trace.records))
+    tables = group_by_path(reconstruct_offsets(flash_trace))
 
     def run():
         return detect_conflicts(VisibilityIndex(flash_trace), tables,
@@ -64,7 +64,7 @@ def test_bench_tracing_overhead(benchmark):
 def test_bench_conflict_counting_fast_path(benchmark, flash_trace):
     """Count-only analysis (pure numpy, no pair objects) — the path to
     use on very large traces."""
-    tables = group_by_path(reconstruct_offsets(flash_trace.records))
+    tables = group_by_path(reconstruct_offsets(flash_trace))
 
     def run():
         return count_conflicts(VisibilityIndex(flash_trace), tables,

@@ -3,12 +3,13 @@
 Builds a seeded synthetic trace of ``REPRO_BENCH_TRACE_OPS`` data ops
 (default 10^6) and times the full conflict-detection pipeline twice:
 
-* **columnar** — ``reconstruct_tables_columnar`` +
-  ``VisibilityIndex.from_columnar`` + the numpy pair classifiers, all
-  over :class:`~repro.tracer.columnar.ColumnarTrace` arrays;
-* **object** — the original per-record path: materialize
-  ``TraceRecord`` objects, replay ``reconstruct_offsets``, group into
-  tables, build the visibility index from the record list.
+* **columnar** — ``reconstruct_tables_columnar`` + ``VisibilityIndex``
+  + the numpy pair classifiers, all over
+  :class:`~repro.tracer.columnar.ColumnarTrace` arrays;
+* **object** — the per-record oracles of ``tests/core/reference.py``
+  over materialized ``TraceRecord`` objects: replay
+  ``reconstruct_offsets``, group into tables, gather the visibility
+  timelines record by record.
 
 Both must produce *identical* conflict counts (the columnar path is an
 optimization, not an approximation), and the columnar/object time ratio
@@ -37,16 +38,12 @@ import pytest
 
 from benchmarks.conftest import save_artifact
 from repro.core import offsets
-from repro.core.conflicts import (
-    VisibilityIndex,
-    count_conflicts,
-    count_conflicts_columnar,
-)
-from repro.core.offsets import reconstruct_offsets
+from repro.core.conflicts import count_conflicts, count_conflicts_columnar
 from repro.core.records import group_by_path
 from repro.core.semantics import Semantics
 from repro.tracer import read_rtrc
 from repro.tracer.synth import synthetic_columnar_trace
+from tests.core.reference import RecordVisibility, reconstruct_offsets
 
 N_OPS = int(os.environ.get("REPRO_BENCH_TRACE_OPS", "1000000"))
 SEED = 42
@@ -70,16 +67,16 @@ def ct():
 def tr(ct):
     # materializing 10^6 TraceRecord objects is the object pipeline's
     # input, not part of either timed region
-    return ct.to_trace()
+    return list(ct.to_trace().records)
 
 
 def _columnar_pipeline(ct):
     return count_conflicts_columnar(ct, SEMANTICS)
 
 
-def _object_pipeline(tr):
-    tables = group_by_path(reconstruct_offsets(tr.records))
-    return count_conflicts(VisibilityIndex(tr), tables, SEMANTICS)
+def _object_pipeline(records):
+    tables = group_by_path(reconstruct_offsets(records))
+    return count_conflicts(RecordVisibility(records), tables, SEMANTICS)
 
 
 def _best_of(fn, rounds):
@@ -111,12 +108,12 @@ def test_bench_rtrc_load(benchmark, tmp_path, ct):
 def test_trace_core_contract(artifacts, tmp_path, ct, tr):
     """Time both pipelines, assert parity + ratio, emit the baseline."""
     # the measured columnar path must be the vectorized one — a silent
-    # fallback to object replay would make the ratio meaningless
+    # fallback to the sequential replay would make the ratio meaningless
     try:
         offsets._reconstruct_vectorized(ct)
     except offsets._ColumnarFallback:
-        pytest.fail("synthetic trace fell back to object replay; the "
-                    "bench would time the object path against itself")
+        pytest.fail("synthetic trace fell back to the sequential "
+                    "replay; the bench would not time the array pass")
 
     col_counts, col_s = _best_of(lambda: _columnar_pipeline(ct),
                                  ROUNDS_COLUMNAR)

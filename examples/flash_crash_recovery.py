@@ -35,7 +35,7 @@ STRIPE = 1 << 16  # stripe small enough that FLASH files span OSTs
 
 def count_ops(trace):
     """Client operations the replay will drive (the at_op time base)."""
-    extent_of = {a.rid: a for a in reconstruct_offsets(trace.records)}
+    extent_of = {a.rid: a for a in reconstruct_offsets(trace)}
     n = 0
     for rec in trace.records:
         if rec.layer != Layer.POSIX or rec.path is None:

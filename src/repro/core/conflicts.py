@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.overlaps import find_overlaps
 from repro.core.records import AccessRecord, AccessTable
 from repro.core.semantics import Semantics
-from repro.tracer.events import CLOSE_OPS, COMMIT_OPS, Layer, OPEN_OPS
+from repro.tracer.events import CLOSE_OPS, COMMIT_OPS, OPEN_OPS
 from repro.tracer.trace import Trace
 
 
@@ -134,29 +134,13 @@ class VisibilityIndex:
     Conditions 3 and 4 of §5.2 become ``searchsorted`` calls against
     these timelines (the paper suggests binary search), evaluated over
     whole batches of candidate pairs at once.  One index serves every
-    semantics model of a run.
+    semantics model of a run.  It reads the trace's columns: per family
+    one mask, one lexsort and one group split.
     """
 
     def __init__(self, trace: Trace):
-        times: dict[tuple[str, int, str], list[float]] = {}
-        for rec in trace.records:  # lint: allow-per-op-loop (object path)
-            if rec.layer != Layer.POSIX or rec.path is None:
-                continue
-            for family, ops in _FAMILIES:
-                if rec.func in ops:
-                    times.setdefault((family, rec.rank, rec.path),
-                                     []).append(rec.tstart)
-        self._times = {key: np.sort(np.asarray(ts, dtype=np.float64))
-                       for key, ts in times.items()}
-
-    @classmethod
-    def from_columnar(cls, ct) -> "VisibilityIndex":
-        """The same timelines from a columnar trace, no record objects.
-
-        Per family: one mask, one lexsort and one group split.
-        """
-        vis = cls.__new__(cls)
-        vis._times = {}
+        ct = trace.columnar
+        self._times: dict[tuple[str, int, str], np.ndarray] = {}
         c = ct.columns
         base = ct.posix_mask() & (c["path_id"] >= 0)
         for family, ops in _FAMILIES:
@@ -172,9 +156,8 @@ class VisibilityIndex:
                                           | (pid[1:] != pid[:-1])])
             stops = np.r_[starts[1:], t.size]
             for s, e in zip(starts.tolist(), stops.tolist()):
-                vis._times[(family, int(rank[s]), ct.paths[pid[s]])] = \
+                self._times[(family, int(rank[s]), ct.paths[pid[s]])] = \
                     np.ascontiguousarray(t[s:e])
-        return vis
 
     def times(self, family: str, rank: int, path: str) -> np.ndarray:
         """Sorted times of one rank's events of one family on a path.
@@ -397,7 +380,7 @@ def count_conflicts_columnar(ct, semantics: Semantics,
 
     if tables is None:
         tables = reconstruct_tables_columnar(ct)
-    return count_conflicts(VisibilityIndex.from_columnar(ct), tables,
+    return count_conflicts(VisibilityIndex(ct.to_trace()), tables,
                            semantics)
 
 
@@ -408,7 +391,8 @@ def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
     """Run conflict detection over every file of a trace.
 
     Keeps at most ``max_conflicts_per_file`` conflicts per file, the
-    earliest first.
+    earliest first.  Only the reported rows become
+    :class:`AccessRecord` objects.
     """
     cs = ConflictSet(semantics)
     keep = slice(max_conflicts_per_file)
@@ -418,13 +402,15 @@ def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
             a[keep] for a in classify_conflicts(table, vis, semantics))
         if not len(first):
             continue
-        records = table.records
+        rows, index = np.unique(np.r_[first, second], return_inverse=True)
+        records = table.records_at(rows)
         cs.conflicts.extend(
             Conflict(path=path,
                      kind=ConflictKind.WAW if w else ConflictKind.RAW,
                      scope=(ConflictScope.SAME if s
                             else ConflictScope.DIFFERENT),
                      first=records[i], second=records[j])
-            for i, j, w, s in zip(first.tolist(), second.tolist(),
+            for i, j, w, s in zip(index[:len(first)].tolist(),
+                                  index[len(first):].tolist(),
                                   waw.tolist(), same.tolist()))
     return cs

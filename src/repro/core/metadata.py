@@ -12,6 +12,8 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.tracer.events import Layer, METADATA_OPS
 from repro.tracer.trace import Trace
 
@@ -59,15 +61,20 @@ class MetadataUsage:
 
 
 def metadata_usage(trace: Trace) -> MetadataUsage:
-    """Collect Figure 3's (operation × issuing layer) usage for one run."""
+    """Collect Figure 3's (operation × issuing layer) usage for one run.
+
+    Only the rows the metadata function mask selects are visited."""
+    ct = trace.columnar
+    c = ct.columns
+    rows = np.flatnonzero(ct.posix_mask()
+                          & ct.func_lookup(METADATA_OPS)[c["func_id"]])
     usage = MetadataUsage()
-    # lint: allow-per-op-loop (metadata ops are sparse; object path)
-    for rec in trace.records:
-        if rec.layer != Layer.POSIX or rec.func not in METADATA_OPS:
-            continue
-        grp = group_of(rec.issuer)
-        usage.ops.setdefault(rec.func, set()).add(grp)
-        usage.counts[(rec.func, grp)] += 1
+    layers = tuple(Layer)
+    for func_id, issuer_id in zip(c["func_id"][rows].tolist(),
+                                  c["issuer_id"][rows].tolist()):
+        func, grp = ct.funcs[func_id], group_of(layers[issuer_id])
+        usage.ops.setdefault(func, set()).add(grp)
+        usage.counts[(func, grp)] += 1
     return usage
 
 

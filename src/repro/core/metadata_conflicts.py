@@ -33,9 +33,13 @@ from __future__ import annotations
 import enum
 import posixpath
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.posix import flags as F
-from repro.tracer.events import Layer, OPEN_OPS, TraceRecord
+from repro.tracer.columnar import I64_NONE
+from repro.tracer.events import OPEN_OPS
 from repro.tracer.trace import Trace
 
 
@@ -50,6 +54,15 @@ class MetadataConflictKind(str, enum.Enum):
         return self.value
 
 
+class NamespaceOp(NamedTuple):
+    """The call on one side of a metadata conflict."""
+
+    rid: int
+    rank: int
+    func: str
+    tstart: float
+
+
 @dataclass(frozen=True)
 class MetadataConflict:
     """A namespace producer/consumer pair that relaxed metadata
@@ -57,8 +70,8 @@ class MetadataConflict:
 
     kind: MetadataConflictKind
     path: str                 # the entity consumed (file or directory)
-    producer: TraceRecord
-    consumer: TraceRecord
+    producer: NamespaceOp
+    consumer: NamespaceOp
 
     @property
     def cross_process(self) -> bool:
@@ -102,69 +115,81 @@ class MetadataConflictSet:
 
 _CONSUMER_FUNCS = frozenset({"stat", "lstat", "access", "opendir",
                              "readdir"})
+#: every function either side of a produce/consume pair can be
+_NAMESPACE_FUNCS = (_CONSUMER_FUNCS | OPEN_OPS
+                    | {"mkdir", "rename", "unlink", "remove"})
 
 
-def is_creating_open(rec: TraceRecord) -> bool:
-    """Does this open record make a new namespace entry visible?"""
-    if rec.func not in OPEN_OPS:
+def is_creating_open(func: str, args: dict) -> bool:
+    """Does calling ``func`` with ``args`` create a namespace entry?"""
+    if func not in OPEN_OPS:
         return False
-    flags = int(rec.args.get("flags", 0))
-    existed = bool(rec.args.get("existed", True))
-    if rec.func in ("creat",):
+    existed = bool(args.get("existed", True))
+    if func == "creat":
         return not existed
-    return bool(flags & F.O_CREAT) and not existed
+    return bool(int(args.get("flags", 0)) & F.O_CREAT) and not existed
 
 
 def detect_metadata_conflicts(trace: Trace, *,
                               max_conflicts: int | None = None,
                               ) -> MetadataConflictSet:
-    """Find namespace produce/consume pairs in timestamp order."""
-    # last producer per entity: path -> (record, kind-on-consume)
-    producers: dict[str, tuple[TraceRecord, MetadataConflictKind]] = {}
+    """Find namespace produce/consume pairs in timestamp order.
+
+    Only the POSIX rows the namespace function mask selects are visited.
+    """
+    ct = trace.columnar
+    c = ct.columns
+    rows = np.flatnonzero(
+        ct.posix_mask() & (c["path_id"] >= 0)
+        & ct.func_lookup(_NAMESPACE_FUNCS)[c["func_id"]])
+    # last producer per entity: path -> (op, kind-on-consume)
+    producers: dict[str, tuple[NamespaceOp, MetadataConflictKind]] = {}
     out = MetadataConflictSet()
 
-    def consume(path: str, rec: TraceRecord) -> None:
+    def consume(path: str, op: NamespaceOp) -> None:
         hit = producers.get(path)
         if hit is None:
             return
         producer, kind = hit
-        if producer.rid == rec.rid:
+        if producer.rid == op.rid:
             return
         out.conflicts.append(MetadataConflict(
-            kind=kind, path=path, producer=producer, consumer=rec))
+            kind=kind, path=path, producer=producer, consumer=op))
 
-    # lint: allow-per-op-loop (metadata ops are sparse; object path)
-    for rec in trace.records:
-        if rec.layer != Layer.POSIX or rec.path is None:
-            continue
+    for row, rid, rank, func_id, path_id, tstart, flags in zip(
+            rows.tolist(), *(c[name][rows].tolist() for name in (
+                "rid", "rank", "func_id", "path_id", "tstart",
+                "flags"))):
         if max_conflicts is not None and len(out) >= max_conflicts:
             break
-        path = rec.path
-        parent = posixpath.dirname(path)
+        func = ct.funcs[func_id]
+        path = ct.paths[path_id]
+        op = NamespaceOp(rid, rank, func, tstart)
+        extra = ct.extras.get(row, {})
+        creating = is_creating_open(func, extra if flags == I64_NONE
+                                    else {**extra, "flags": flags})
 
         # consumption first (an op can both consume its parent dir and
         # produce a new file entry, e.g. a creating open)
-        if rec.func in _CONSUMER_FUNCS:
-            consume(path, rec)
-        elif rec.func in OPEN_OPS:
-            if is_creating_open(rec):
-                consume(parent, rec)   # creating a file uses the dir
-            else:
-                consume(path, rec)     # opening uses the file entry
-        elif rec.func == "unlink" or rec.func == "remove":
-            consume(path, rec)
+        if func in _CONSUMER_FUNCS:
+            consume(path, op)
+        elif func in OPEN_OPS:
+            # creating a file uses the dir; opening uses the file entry
+            consume(posixpath.dirname(path) if creating else path, op)
+        elif func == "unlink" or func == "remove":
+            consume(path, op)
 
         # production
-        if is_creating_open(rec):
-            producers[path] = (rec, MetadataConflictKind.FILE_CREATE_USE)
-        elif rec.func == "mkdir":
-            producers[path] = (rec, MetadataConflictKind.DIR_CREATE_USE)
-        elif rec.func == "rename":
-            dst = rec.args.get("to")
+        if creating:
+            producers[path] = (op, MetadataConflictKind.FILE_CREATE_USE)
+        elif func == "mkdir":
+            producers[path] = (op, MetadataConflictKind.DIR_CREATE_USE)
+        elif func == "rename":
+            dst = extra.get("to")
             if dst:
                 producers[str(dst)] = (
-                    rec, MetadataConflictKind.RENAME_USE)
+                    op, MetadataConflictKind.RENAME_USE)
             producers.pop(path, None)
-        elif rec.func in ("unlink", "remove"):
+        elif func in ("unlink", "remove"):
             producers.pop(path, None)
     return out

@@ -23,176 +23,44 @@ truth; tests compare against it instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import TraceError
 from repro.posix import flags as F
+from repro.tracer.columnar import I64_NONE, LAYER_TABLE, ColumnarTrace
 from repro.tracer.events import (
     CLOSE_OPS,
-    DATA_OPS,
-    Layer,
     OPEN_OPS,
     READ_OPS,
     SEEK_OPS,
     WRITE_OPS,
-    TraceRecord,
 )
-from repro.core.records import AccessRecord, AccessTable, group_by_path
+from repro.tracer.trace import Trace
+from repro.core.records import AccessList, AccessTable
 
 
-@dataclass
-class _OfdState:
-    """Tracked open-file-description state (mirror of the kernel object)."""
+def reconstruct_offsets(trace: Trace, *, strict: bool = True
+                        ) -> AccessList:
+    """Resolve every POSIX data record of ``trace`` to a byte extent.
 
-    path: str
-    offset: int
-    append: bool
-
-
-class _SizeTracker:
-    """Global per-path file-size model, replayed in timestamp order."""
-
-    def __init__(self) -> None:
-        self._sizes: dict[str, int] = {}
-
-    def seed(self, path: str, size: int) -> None:
-        self._sizes.setdefault(path, size)
-
-    def get(self, path: str) -> int:
-        return self._sizes.get(path, 0)
-
-    def set(self, path: str, size: int) -> None:
-        self._sizes[path] = size
-
-    def grow_to(self, path: str, stop: int) -> None:
-        if stop > self._sizes.get(path, 0):
-            self._sizes[path] = stop
-
-
-def reconstruct_offsets(records: list[TraceRecord], *,
-                        strict: bool = True) -> list[AccessRecord]:
-    """Resolve every POSIX data record to an absolute byte extent.
-
-    ``records`` may be a full multi-layer trace; only POSIX-layer records
-    are consumed.  Input must be (and trace containers are) sorted by
-    start time, so the shared size model sees operations in global order.
-
-    With ``strict`` a data record on an untracked descriptor raises
-    :class:`TraceError`; otherwise it is skipped (useful for partial
-    traces).
+    The accesses come back in trace order as an :class:`AccessList`.
+    Only POSIX rows are consumed, in row order, so the shared size model
+    sees operations in global order.  With ``strict`` a data op or seek
+    on an untracked descriptor raises :class:`TraceError`; otherwise it
+    is skipped (useful for partial traces).
     """
-    size = _SizeTracker()
-    # descriptor tables: (rank, fd) -> shared description state
-    ofds: dict[tuple[int, int], _OfdState] = {}
-    out: list[AccessRecord] = []
-
-    for rec in records:
-        if rec.layer != Layer.POSIX:
-            continue
-        func = rec.func
-        if func in OPEN_OPS:
-            _handle_open(rec, ofds, size)
-        elif func in CLOSE_OPS:
-            ofds.pop((rec.rank, rec.fd), None)
-        elif func == "dup":
-            st = ofds.get((rec.rank, rec.fd))
-            if st is not None:
-                ofds[(rec.rank, int(rec.args["newfd"]))] = st
-        elif func in SEEK_OPS:
-            _handle_seek(rec, ofds, size, strict)
-        elif func in ("truncate",):
-            size.set(_require_path(rec), int(rec.args["length"]))
-        elif func == "ftruncate":
-            st = ofds.get((rec.rank, rec.fd))
-            path = st.path if st is not None else rec.path
-            if path is not None:
-                size.set(path, int(rec.args["length"]))
-        elif func in DATA_OPS:
-            acc = _handle_data(rec, ofds, size, strict)
-            if acc is not None:
-                out.append(acc)
-        # all other (metadata) operations do not move offsets
-    return out
+    return _solve(trace.columnar, strict)
 
 
-def _require_path(rec: TraceRecord) -> str:
-    if rec.path is None:
-        raise TraceError(f"record {rec.rid} ({rec.func}) lacks a path")
-    return rec.path
+def reconstruct_tables_columnar(ct: ColumnarTrace, *, strict: bool = True,
+                                ) -> dict[str, AccessTable]:
+    """The per-file access tables of a columnar trace."""
+    return _solve(ct, strict).tables
 
 
-def _handle_open(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
-                 size: _SizeTracker) -> None:
-    path = _require_path(rec)
-    open_flags = int(rec.args.get("flags", 0))
-    if "size_at_open" in rec.args:
-        size.seed(path, int(rec.args["size_at_open"]))
-    if open_flags & F.O_TRUNC and F.writable(open_flags):
-        size.set(path, 0)
-    ofds[(rec.rank, rec.fd)] = _OfdState(
-        path=path, offset=0, append=bool(open_flags & F.O_APPEND))
-
-
-def _handle_seek(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
-                 size: _SizeTracker, strict: bool) -> None:
-    st = ofds.get((rec.rank, rec.fd))
-    if st is None:
-        if strict:
-            raise TraceError(
-                f"seek on untracked fd {rec.fd} (rank {rec.rank})")
-        return
-    offset = int(rec.args["offset"])
-    whence = int(rec.args["whence"])
-    if whence == F.SEEK_SET:
-        st.offset = offset
-    elif whence == F.SEEK_CUR:
-        st.offset += offset
-    elif whence == F.SEEK_END:
-        st.offset = size.get(st.path) + offset
-    else:
-        raise TraceError(f"record {rec.rid}: unknown whence {whence}")
-
-
-def _handle_data(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
-                 size: _SizeTracker, strict: bool) -> AccessRecord | None:
-    count = int(rec.count or 0)
-    is_write = rec.func not in READ_OPS
-    explicit = rec.offset is not None  # pread/pwrite carry their offset
-    if explicit:
-        start = int(rec.offset)
-        path = _require_path(rec)
-    else:
-        st = ofds.get((rec.rank, rec.fd))
-        if st is None:
-            if strict:
-                raise TraceError(
-                    f"data op on untracked fd {rec.fd} (rank {rec.rank})")
-            return None
-        if is_write and st.append:
-            st.offset = size.get(st.path)
-        start = st.offset
-        st.offset = start + count
-        path = st.path
-    stop = start + count
-    if is_write:
-        size.grow_to(path, stop)
-    if count == 0:
-        return None
-    return AccessRecord(
-        rid=rec.rid, rank=rec.rank, path=path, offset=start, stop=stop,
-        is_write=is_write, tstart=rec.tstart, tend=rec.tend,
-        fd=rec.fd if rec.fd is not None else -1, func=rec.func,
-        issuer=rec.issuer.value)
-
-
-# -- columnar reconstruction -----------------------------------------------------
+# -- the solve ---------------------------------------------------------------------
 #
-# The replay above touches every op with Python-object overhead; at 10^6+
-# ops that dominates the whole analysis.  The columnar path below runs
-# the same state machine as array passes over a
-# :class:`~repro.tracer.columnar.ColumnarTrace`:
+# The array pass runs the state machine as whole-column passes:
 #
 # * descriptor streams: rows are grouped per (rank, fd) with a lexsort;
 #   each open starts a new generation, and the current position inside a
@@ -203,87 +71,83 @@ def _handle_data(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
 # * O_APPEND landing offsets come from per-path size streams built the
 #   same way (O_TRUNC opens reset to zero, ``size_at_open`` seeds the
 #   first generation, append writes grow by their count);
-# * trace features whose exact semantics need the sequential replay
-#   (dup aliasing, SEEK_END, truncate interacting with appends, strict
-#   errors on untracked descriptors, non-strict skipping) fall back to
-#   :func:`reconstruct_offsets` on the materialized objects — the two
-#   paths are byte-identical by construction, and parity tests pin it.
+# * dup aliasing, SEEK_END, truncates entangled with appends, untracked
+#   descriptors and non-strict skipping fall back to :func:`_replay`, the
+#   same state machine one row at a time.  A property test pins both to
+#   the record-object oracle in ``tests/core/reference.py``.
 
 _OTHER, _OPEN, _CLOSE, _DUP, _SEEK, _TRUNC, _FTRUNC, _RD, _WR = range(9)
 
-#: promoted ``args`` keys the vectorized pass consumes structurally; a
+#: promoted ``args`` keys the solve consumes, with their columns; a
 #: value for one of these living only in the ``extras`` side table
 #: (escape-encoded bool / sentinel-valued / out-of-range int) reads as
 #: "absent" from the integer column, so the array pass must fall back
-#: to the object replay, which merges ``extras`` into ``args``
-_STRUCTURAL_ARGS = ("flags", "whence", "offset", "length", "newfd",
-                    "size_at_open")
+#: to the replay, which reads the side table too
+_STRUCTURAL_ARGS = {"flags": "flags", "whence": "whence",
+                    "offset": "arg_offset", "length": "length",
+                    "newfd": "newfd", "size_at_open": "size_at_open"}
 
 
 class _ColumnarFallback(Exception):
-    """Internal: this trace needs the sequential object replay."""
+    """Internal: this trace needs the sequential replay."""
+
+
+#: op class of each function family, first match wins
+_CLASSES = ((OPEN_OPS, _OPEN), (CLOSE_OPS, _CLOSE), ({"dup"}, _DUP),
+            (SEEK_OPS, _SEEK), ({"truncate"}, _TRUNC),
+            ({"ftruncate"}, _FTRUNC), (READ_OPS, _RD), (WRITE_OPS, _WR))
 
 
 def _func_class_lut(funcs: list[str]) -> np.ndarray:
     """Map the (tiny) interned function table to op-class codes."""
-    lut = np.zeros(len(funcs), dtype=np.int8)
-    for i, name in enumerate(funcs):
-        if name in OPEN_OPS:
-            lut[i] = _OPEN
-        elif name in CLOSE_OPS:
-            lut[i] = _CLOSE
-        elif name == "dup":
-            lut[i] = _DUP
-        elif name in SEEK_OPS:
-            lut[i] = _SEEK
-        elif name == "truncate":
-            lut[i] = _TRUNC
-        elif name == "ftruncate":
-            lut[i] = _FTRUNC
-        elif name in READ_OPS:
-            lut[i] = _RD
-        elif name in WRITE_OPS:
-            lut[i] = _WR
-    return lut
+    return np.array([next((code for ops, code in _CLASSES if name in ops),
+                          _OTHER) for name in funcs], dtype=np.int8)
 
 
-def reconstruct_tables_columnar(ct, *, strict: bool = True,
-                                ) -> dict[str, AccessTable]:
-    """Columnar offset reconstruction straight to per-file tables.
+def _solve(ct: ColumnarTrace, strict: bool) -> AccessList:
+    """Both passes end here: the resolved rows, in trace order, as
+    access columns."""
+    try:
+        if not strict:
+            raise _ColumnarFallback
+        rows, start, path_id = _reconstruct_vectorized(ct)
+    except _ColumnarFallback:
+        rows, start, path_id = _replay(ct, strict)
+    order = np.argsort(rows, kind="stable")
+    rows, start, path_id = rows[order], start[order], path_id[order]
+    c = ct.columns
+    count = c["count"][rows]
+    fd = c["fd"][rows]
+    func_id = c["func_id"][rows]
+    return AccessList({
+        "rid": c["rid"][rows], "rank": c["rank"][rows],
+        "path_id": path_id, "offset": start,
+        "stop": start + np.where(count == I64_NONE, 0, count),
+        "is_write": _func_class_lut(ct.funcs)[func_id] == _WR,
+        "tstart": c["tstart"][rows], "tend": c["tend"][rows],
+        "fd": np.where(fd == I64_NONE, -1, fd), "func_id": func_id,
+        "issuer_id": c["issuer_id"][rows],
+    }, ct.paths, ct.funcs, LAYER_TABLE)
 
-    Equivalent to ``group_by_path(reconstruct_offsets(records))`` but
-    vectorized over a :class:`~repro.tracer.columnar.ColumnarTrace`,
-    without materializing :class:`TraceRecord`/:class:`AccessRecord`
-    objects.  Falls back to the object replay (including its exact
-    error behaviour) for trace features the array passes do not model.
-    """
-    if strict:
-        try:
-            return _reconstruct_vectorized(ct)
-        except _ColumnarFallback:
-            pass
-    records = reconstruct_offsets(ct.to_trace().records, strict=strict)
-    return group_by_path(records)
 
-
-def _reconstruct_vectorized(ct) -> dict[str, AccessTable]:
-    from repro.tracer.columnar import I64_NONE, LAYER_TABLE
-
+def _reconstruct_vectorized(ct):
+    """The array pass: ``(rows, start, path_id)`` of every resolved
+    access with a non-zero count, or :class:`_ColumnarFallback`."""
     c = ct.columns
     mask = ct.posix_mask()
     npx = int(np.count_nonzero(mask))
     if npx == 0:
-        return {}
+        return (np.empty(0, np.int64),) * 3
     # structurally relevant args escape-encoded into the side table are
     # invisible to the integer columns: sequential replay territory
     # (extras is sparse — a handful of rows at most on real traces)
     for row, extra in ct.extras.items():
         if mask[row] and any(key in extra for key in _STRUCTURAL_ARGS):
             raise _ColumnarFallback
+    idx = np.flatnonzero(mask)
     if npx == mask.size:
         take = lambda name: c[name]  # noqa: E731 — all-POSIX: zero-copy
     else:
-        idx = np.flatnonzero(mask)
         take = lambda name: c[name][idx]  # noqa: E731
     cls_ = _func_class_lut(ct.funcs)[take("func_id")]
     rank = take("rank")
@@ -391,36 +255,12 @@ def _reconstruct_vectorized(ct) -> dict[str, AccessTable]:
     pos_after = base[reset_idx] + cum - cum[reset_idx]
     impl_off = np.where(g_appw, land[so], pos_after - delta)
 
-    # -- assemble the output extents --
+    # -- the resolved extents, as trace rows --
     im = g_impl & (g_cnt > 0)
     ex = explicit & (count_eff > 0)
     rows = np.concatenate([so[im], np.flatnonzero(ex)])
-    out_off = np.concatenate([impl_off[im], offset[ex]])
-    out_path = np.concatenate([stream_path[im], path_id[ex]])
-    out_stop = out_off + count_eff[rows]
-    raw_fd = fd[rows]
-    out_fd = np.where(raw_fd == I64_NONE, -1, raw_fd)
-    out_write = is_write_op[rows]
-    out_rid = take("rid")[rows]
-    out_rank = rank[rows]
-    out_t0 = take("tstart")[rows]
-    out_t1 = take("tend")[rows]
-    out_func = take("func_id")[rows]
-    out_issuer = take("issuer_id")[rows]
-
-    tables: dict[str, AccessTable] = {}
-    pids = sorted(np.unique(out_path).tolist(),
-                  key=lambda p: ct.paths[p])
-    for pid in pids:
-        sel = out_path == pid
-        tables[ct.paths[pid]] = AccessTable.from_columns(
-            ct.paths[pid], rid=out_rid[sel], rank=out_rank[sel],
-            offset=out_off[sel], stop=out_stop[sel],
-            is_write=out_write[sel], tstart=out_t0[sel],
-            tend=out_t1[sel], fd=out_fd[sel], func_id=out_func[sel],
-            issuer_id=out_issuer[sel], funcs=tuple(ct.funcs),
-            issuers=LAYER_TABLE)
-    return tables
+    return (idx[rows], np.concatenate([impl_off[im], offset[ex]]),
+            np.concatenate([stream_path[im], path_id[ex]]))
 
 
 def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,
@@ -474,3 +314,98 @@ def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,
     size_after = base[reset_idx] + cum - cum[reset_idx]
     w = ~z_open
     land[rows[w]] = size_after[w] - z_cnt[w]
+
+
+def _replay(ct: ColumnarTrace, strict: bool):
+    """The sequential pass: the §5.1 state machine one POSIX row at a
+    time over column lists.  Each open starts a description ``[path_id,
+    offset, append]`` keyed by ``(rank, fd)``, which ``dup`` aliases."""
+    c = ct.columns
+    lut = _func_class_lut(ct.funcs)
+    rows = np.flatnonzero(ct.posix_mask() & (lut[c["func_id"]] != _OTHER))
+    kinds = lut[c["func_id"][rows]].tolist()
+    rid, rank, func_id, offset, count = (c[name][rows].tolist() for name in
+                                         ("rid", "rank", "func_id",
+                                          "offset", "count"))
+    fd, path, *args = ([None if v == none else v for v in
+                        c[name][rows].tolist()]
+                       for name, none in (("fd", I64_NONE), ("path_id", -1),
+                                          *((column, I64_NONE) for column
+                                            in _STRUCTURAL_ARGS.values())))
+    for row, extra in ct.extras.items():
+        k = int(np.searchsorted(rows, row))
+        if k < rows.size and rows[k] == row:
+            for key, values in zip(_STRUCTURAL_ARGS, args):
+                values[k] = extra.get(key, values[k])
+    flags, whence, seek_to, length, newfd, size_at_open = args
+
+    def need(values: list, k: int, what: str):
+        if values[k] is None:
+            raise TraceError(f"record {rid[k]} ({ct.funcs[func_id[k]]}) "
+                             f"lacks {what}")
+        return values[k]
+
+    ofds: dict[tuple, list] = {}
+    sizes: dict[int, int] = {}
+    out: list[tuple[int, int, int]] = []
+    for k, kind in enumerate(kinds):
+        key = (rank[k], fd[k])
+        if kind == _OPEN:
+            p = need(path, k, "a path")
+            open_flags = int(flags[k] or 0)
+            if size_at_open[k] is not None:
+                sizes.setdefault(p, int(size_at_open[k]))
+            if open_flags & F.O_TRUNC and F.writable(open_flags):
+                sizes[p] = 0
+            ofds[key] = [p, 0, bool(open_flags & F.O_APPEND)]
+        elif kind == _CLOSE:
+            ofds.pop(key, None)
+        elif kind == _DUP:
+            if key in ofds:
+                ofds[(rank[k], int(need(newfd, k, "its newfd")))] = ofds[key]
+        elif kind == _SEEK:
+            st = ofds.get(key)
+            if st is None:
+                if strict:
+                    raise TraceError(
+                        f"seek on untracked fd {fd[k]} (rank {rank[k]})")
+                continue
+            to = int(need(seek_to, k, "its offset"))
+            how = int(need(whence, k, "its whence"))
+            base = {F.SEEK_SET: 0, F.SEEK_CUR: st[1],
+                    F.SEEK_END: sizes.get(st[0], 0)}
+            if how not in base:
+                raise TraceError(f"record {rid[k]}: unknown whence {how}")
+            st[1] = base[how] + to
+        elif kind == _TRUNC:
+            sizes[need(path, k, "a path")] = int(need(length, k,
+                                                      "its length"))
+        elif kind == _FTRUNC:
+            st = ofds.get(key)
+            p = st[0] if st is not None else path[k]
+            if p is not None:
+                sizes[p] = int(need(length, k, "its length"))
+        else:  # a read or a write
+            n = 0 if count[k] == I64_NONE else count[k]
+            writes = kind == _WR
+            if offset[k] != I64_NONE:  # pread/pwrite carry their offset
+                start = offset[k]
+                p = need(path, k, "a path")
+            else:
+                st = ofds.get(key)
+                if st is None:
+                    if strict:
+                        raise TraceError(f"data op on untracked fd "
+                                         f"{fd[k]} (rank {rank[k]})")
+                    continue
+                if writes and st[2]:
+                    st[1] = sizes.get(st[0], 0)
+                start = st[1]
+                st[1] = start + n
+                p = st[0]
+            if writes and start + n > sizes.get(p, 0):
+                sizes[p] = start + n
+            if n:
+                out.append((int(rows[k]), start, p))
+    out = np.array(out, dtype=np.int64).reshape(-1, 3)
+    return out[:, 0], out[:, 1], out[:, 2]

@@ -1,19 +1,24 @@
 """Resolved byte-level access records, columnar for vectorized analysis.
 
-After offset reconstruction every POSIX data operation becomes an
-:class:`AccessRecord` — the paper's tuple ``(t, r, os, oe, type)`` plus
-the fields the conflict conditions need (path, fd, record id).  The
-:class:`AccessTable` stores them as numpy arrays per file so the overlap
-sweep and the conflict predicates run on contiguous data.
+After offset reconstruction every POSIX data operation is a resolved
+access — the paper's tuple ``(t, r, os, oe, type)`` plus the fields the
+conflict conditions need (path, fd, record id).  An
+:class:`AccessList` holds a trace's accesses as numpy columns and an
+:class:`AccessTable` one file's, so the overlap sweep and the conflict
+predicates run on contiguous data; :class:`AccessRecord` objects are
+built only for the rows a caller asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.tracer.columnar import RowView, interned
 
 
 @dataclass(frozen=True)
@@ -45,116 +50,110 @@ class AccessRecord:
         return self.stop - 1
 
 
-class AccessTable:
-    """Columnar store of the accesses to one file, sorted by start time.
+#: the columns of every access list and table
+ACCESS_COLUMNS = ("rid", "rank", "offset", "stop", "is_write", "tstart",
+                  "tend", "fd", "func_id", "issuer_id", "path_id")
+#: the dtypes of the columns an :class:`AccessRecord` field fills
+_FIELD_DTYPES = {"rid": np.int64, "rank": np.int64, "offset": np.int64,
+                 "stop": np.int64, "is_write": np.bool_,
+                 "tstart": np.float64, "tend": np.float64, "fd": np.int64}
 
-    Built either from a list of :class:`AccessRecord` objects (the
-    original object path) or directly from parallel arrays via
-    :meth:`from_columns` — the columnar reconstruction never
-    materializes per-op record objects up front.  Either way the numpy
-    columns are identical; ``records`` is a property that materializes
-    the object list lazily on first touch (the count path never pays
-    for it).
+
+class AccessList(RowView):
+    """Resolved accesses as parallel columns, in trace order.
+
+    The offset solve returns one.  Items are :class:`AccessRecord`
+    objects built on demand and :attr:`tables` splits the rows by file.
+    The :data:`ACCESS_COLUMNS` are attributes; ``path_id``, ``func_id``
+    and ``issuer_id`` index ``paths``, ``funcs`` and ``issuers``.
     """
 
-    __slots__ = ("path", "_records", "_lazy", "rid", "rank", "offset",
-                 "stop", "is_write", "tstart", "tend")
+    def __init__(self, columns: dict[str, np.ndarray], paths, funcs,
+                 issuers):
+        for name in ACCESS_COLUMNS:
+            setattr(self, name, columns[name])
+        self.paths, self.funcs, self.issuers = paths, funcs, issuers
+        super().__init__(len(self.rid), self.records_at)
 
-    def __init__(self, path: str, records: list[AccessRecord]):
+    def columns(self, rows=slice(None)) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name)[rows] for name in ACCESS_COLUMNS}
+
+    def records_at(self, rows) -> list[AccessRecord]:
+        """The :class:`AccessRecord` objects of ``rows`` only.
+
+        ``rows`` is a slice or an index array."""
+        paths, funcs, issuers = self.paths, self.funcs, self.issuers
+        return [AccessRecord(rid=rid, rank=rank, path=paths[p],
+                             offset=off, stop=stop, is_write=w,
+                             tstart=t0, tend=t1, fd=fd, func=funcs[f],
+                             issuer=issuers[i])
+                for rid, rank, off, stop, w, t0, t1, fd, f, i, p in zip(
+                    *(c.tolist() for c in self.columns(rows).values()))]
+
+    @cached_property
+    def tables(self) -> dict[str, AccessTable]:
+        """One table per file, keyed and ordered by path."""
+        order = np.argsort(self.path_id, kind="stable")
+        ids, starts = np.unique(self.path_id[order], return_index=True)
+        spans = sorted(zip(ids.tolist(), starts.tolist(),
+                           np.r_[starts[1:], order.size].tolist()),
+                       key=lambda span: self.paths[span[0]])
+        return {self.paths[i]: AccessTable.from_columns(
+                    self.paths[i], self.columns(order[lo:hi]), self.funcs,
+                    self.issuers)
+                for i, lo, hi in spans}
+
+
+class AccessTable(AccessList):
+    """The accesses to one file, sorted by ``(tstart, rid)``.
+
+    Built from :class:`AccessRecord` objects or, with
+    :meth:`from_columns`, from arrays."""
+
+    def __init__(self, path: str, records: Iterable[AccessRecord]):
+        records = list(records)
         for r in records:
             if r.path != path:
                 raise AnalysisError(
                     f"record {r.rid} path {r.path!r} != table path {path!r}")
-            if r.stop <= r.offset:
-                raise AnalysisError(
-                    f"record {r.rid} has empty extent [{r.offset},{r.stop})")
-        self.path = path
-        self._records = sorted(records, key=lambda r: (r.tstart, r.rid))
-        self._lazy = None
-        n = len(self._records)
-        self.rid = np.fromiter((r.rid for r in self._records), np.int64, n)
-        self.rank = np.fromiter((r.rank for r in self._records), np.int64, n)
-        self.offset = np.fromiter((r.offset for r in self._records),
-                                  np.int64, n)
-        self.stop = np.fromiter((r.stop for r in self._records),
-                                np.int64, n)
-        self.is_write = np.fromiter((r.is_write for r in self._records),
-                                    np.bool_, n)
-        self.tstart = np.fromiter((r.tstart for r in self._records),
-                                  np.float64, n)
-        self.tend = np.fromiter((r.tend for r in self._records),
-                                np.float64, n)
+        columns = {name: np.array([getattr(r, name) for r in records],
+                                  dtype=dtype)
+                   for name, dtype in _FIELD_DTYPES.items()}
+        funcs, columns["func_id"] = interned([r.func for r in records])
+        issuers, columns["issuer_id"] = interned([r.issuer
+                                                  for r in records])
+        self._sort_into(path, columns, funcs, issuers)
 
     @classmethod
-    def from_columns(cls, path: str, *, rid: np.ndarray, rank: np.ndarray,
-                     offset: np.ndarray, stop: np.ndarray,
-                     is_write: np.ndarray, tstart: np.ndarray,
-                     tend: np.ndarray, fd: np.ndarray | None = None,
-                     func_id: np.ndarray | None = None,
-                     issuer_id: np.ndarray | None = None,
-                     funcs: tuple[str, ...] = (),
-                     issuers: tuple[str, ...] = ()) -> "AccessTable":
-        """Build a table from parallel arrays, no per-op objects.
+    def from_columns(cls, path: str, columns: dict[str, np.ndarray],
+                     funcs, issuers) -> "AccessTable":
+        """A table from :data:`ACCESS_COLUMNS` arrays, no per-op objects.
 
-        Rows are re-sorted by ``(tstart, rid)`` exactly like the object
-        constructor.  ``fd``/``func_id``/``issuer_id`` (with their string
-        tables) feed the lazy ``records`` materialization; when omitted,
-        materialized records carry the dataclass defaults.
-        """
-        bad = np.flatnonzero(stop <= offset)
+        ``path_id`` is ignored; rows re-sort like the object
+        constructor's."""
+        table = cls.__new__(cls)
+        table._sort_into(path, columns, funcs, issuers)
+        return table
+
+    def _sort_into(self, path: str, columns: dict[str, np.ndarray],
+                   funcs, issuers) -> None:
+        bad = np.flatnonzero(columns["stop"] <= columns["offset"])
         if bad.size:
             i = int(bad[0])
             raise AnalysisError(
-                f"record {int(rid[i])} has empty extent "
-                f"[{int(offset[i])},{int(stop[i])})")
-        order = np.lexsort((rid, tstart))
-        t = cls.__new__(cls)
-        t.path = path
-        t._records = None
-        t.rid = np.ascontiguousarray(rid[order], dtype=np.int64)
-        t.rank = np.ascontiguousarray(rank[order], dtype=np.int64)
-        t.offset = np.ascontiguousarray(offset[order], dtype=np.int64)
-        t.stop = np.ascontiguousarray(stop[order], dtype=np.int64)
-        t.is_write = np.ascontiguousarray(is_write[order], dtype=np.bool_)
-        t.tstart = np.ascontiguousarray(tstart[order], dtype=np.float64)
-        t.tend = np.ascontiguousarray(tend[order], dtype=np.float64)
-        t._lazy = (
-            None if fd is None else np.asarray(fd[order], dtype=np.int64),
-            None if func_id is None else np.asarray(func_id[order]),
-            None if issuer_id is None else np.asarray(issuer_id[order]),
-            tuple(funcs), tuple(issuers))
-        return t
+                f"record {int(columns['rid'][i])} has empty extent "
+                f"[{int(columns['offset'][i])},{int(columns['stop'][i])})")
+        columns["path_id"] = np.zeros(len(columns["rid"]), dtype=np.int64)
+        order = np.lexsort((columns["rid"], columns["tstart"]))
+        super().__init__({name: np.ascontiguousarray(columns[name][order])
+                          for name in ACCESS_COLUMNS},
+                         [path], list(funcs), list(issuers))
+        self.path = path
 
-    @property
+    @cached_property
     def records(self) -> list[AccessRecord]:
-        """The sorted :class:`AccessRecord` list (materialized lazily)."""
-        if self._records is None:
-            self._records = self._materialize()
-        return self._records
-
-    def _materialize(self) -> list[AccessRecord]:
-        n = len(self.rid)
-        fd, func_id, issuer_id, funcs, issuers = self._lazy
-        fds = [-1] * n if fd is None else fd.tolist()
-        func_names = ([""] * n if func_id is None
-                      else [funcs[i] for i in func_id.tolist()])
-        issuer_names = (["app"] * n if issuer_id is None
-                        else [issuers[i] for i in issuer_id.tolist()])
-        path = self.path
-        rows = zip(self.rid.tolist(), self.rank.tolist(),
-                   self.offset.tolist(), self.stop.tolist(),
-                   self.is_write.tolist(), self.tstart.tolist(),
-                   self.tend.tolist(), fds, func_names, issuer_names)
-        return [AccessRecord(rid=rid, rank=rank, path=path, offset=off,
-                             stop=stop, is_write=w, tstart=t0, tend=t1,
-                             fd=d, func=fn, issuer=iss)
-                for rid, rank, off, stop, w, t0, t1, d, fn, iss in rows]
-
-    def __len__(self) -> int:
-        return len(self.rid)
-
-    def __iter__(self):
-        return iter(self.records)
+        """Every row's :class:`AccessRecord` (built once, on first use)."""
+        return self.records_at(slice(None))
 
     @property
     def writer_ranks(self) -> set[int]:
@@ -175,8 +174,15 @@ class AccessTable:
         return int(np.sum(self.stop[r] - self.offset[r]))
 
 
-def group_by_path(records: list[AccessRecord]) -> dict[str, AccessTable]:
-    """Bucket resolved accesses into one :class:`AccessTable` per file."""
+def group_by_path(records: "AccessList | Iterable[AccessRecord]"
+                  ) -> dict[str, AccessTable]:
+    """Bucket resolved accesses into one :class:`AccessTable` per file.
+
+    An :class:`AccessList` splits its columns (:attr:`AccessList.tables`);
+    any other iterable of records is bucketed object by object.
+    """
+    if isinstance(records, AccessList):
+        return records.tables
     buckets: dict[str, list[AccessRecord]] = {}
     for r in records:
         buckets.setdefault(r.path, []).append(r)

@@ -30,7 +30,7 @@ from repro.core.patterns import (
     global_pattern_mix,
     local_pattern_mix,
 )
-from repro.core.records import AccessRecord, AccessTable, group_by_path
+from repro.core.records import AccessList, AccessTable, group_by_path
 from repro.core.semantics import (
     FileSystemInfo,
     Semantics,
@@ -54,9 +54,9 @@ class RunReport:
     # -- pipeline stages (memoized) ------------------------------------------
 
     @cached_property
-    def accesses(self) -> list[AccessRecord]:
-        """Offset-resolved POSIX data accesses (§5.1)."""
-        return reconstruct_offsets(self.trace.records)
+    def accesses(self) -> AccessList:
+        """Offset-resolved POSIX data accesses (§5.1), in trace order."""
+        return reconstruct_offsets(self.trace)
 
     @cached_property
     def tables(self) -> dict[str, AccessTable]:

@@ -139,7 +139,7 @@ def audit_wal(trace: "Trace", result: "ReplayResult",
     cursor: dict[int, int] = {}
     covered: dict[int, list[tuple[int, int]]] = {}
     wal_writes = []
-    for acc in reconstruct_offsets(trace.records):
+    for acc in reconstruct_offsets(trace):
         if not acc.is_write or acc.nbytes <= 0:
             continue
         if acc.path.startswith(wal_prefix):

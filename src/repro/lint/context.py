@@ -28,22 +28,14 @@ from repro.tracer.events import TraceRecord
 class LintContext(RunReport):
     """A run report plus what the lint rules add.
 
-    That is the POSIX record view, the accesses in ``(tstart, rid)``
-    order, the happens-before order and uncapped conflict sets.
+    That is the POSIX record view, the happens-before order and
+    uncapped conflict sets.
     """
 
     @cached_property
     def posix_records(self) -> list[TraceRecord]:
         """POSIX-layer records in global timestamp order."""
         return self.trace.posix_records
-
-    @cached_property
-    def accesses(self) -> list[AccessRecord]:
-        """Offset-resolved POSIX data accesses (§5.1), time-sorted.
-
-        The order is ``(tstart, rid)``, the order the rules report in.
-        """
-        return sorted(super().accesses, key=lambda a: (a.tstart, a.rid))
 
     @cached_property
     def happens_before(self) -> HappensBefore:

@@ -227,15 +227,12 @@ class DeadCommitRule(LintRule):
                "or protect no subsequent reader")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        # first read of each path after a given time, from the resolved
-        # accesses (any rank)
-        read_times: dict[str, list[float]] = {}
-        dirty: dict[tuple[int, str], bool] = {}
-        for acc in ctx.accesses:
-            if not acc.is_write:
-                read_times.setdefault(acc.path, []).append(acc.tstart)
+        # last read of each path, from the resolved accesses (any rank)
         last_read: dict[str, float] = {
-            p: max(ts) for p, ts in read_times.items()}
+            path: float(table.tstart[~table.is_write].max())
+            for path, table in ctx.tables.items()
+            if not table.is_write.all()}
+        dirty: dict[tuple[int, str], bool] = {}
         noop: dict[tuple[int, str], list[TraceRecord]] = {}
         unread: dict[tuple[int, str], list[TraceRecord]] = {}
         for rec in ctx.posix_records:
@@ -344,27 +341,29 @@ class ReadBeforeAnyWriteRule(LintRule):
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         created: set[str] = set()
         for rec in ctx.posix_records:
-            if rec.path is not None and is_creating_open(rec):
+            if rec.path is not None and is_creating_open(rec.func,
+                                                         rec.args):
                 created.add(rec.path)
         if not created:
             return
-        written: dict[str, IntervalSet] = {}
+        bad: dict[str, list[tuple[int, int, int]]] = {}
         for path in created:
             table = ctx.tables.get(path)
             if table is None:
                 continue
-            written[path] = IntervalSet(
-                Interval(a.offset, a.stop) for a in table
-                if a.is_write)
-        bad: dict[str, list[tuple[int, int, int]]] = {}
-        for acc in ctx.accesses:
-            if acc.is_write or acc.path not in created:
-                continue
-            holes = IntervalSet([Interval(acc.offset, acc.stop)]).subtract(
-                written.get(acc.path, IntervalSet()))
-            if holes:
-                bad.setdefault(acc.path, []).append(
-                    (acc.rid, acc.rank, holes.total_bytes))
+            writes = table.is_write
+            written = IntervalSet(
+                Interval(lo, hi) for lo, hi in zip(
+                    table.offset[writes].tolist(),
+                    table.stop[writes].tolist()))
+            # reads in (tstart, rid) order, the order the rule reports in
+            for rid, rank, lo, hi in zip(*(
+                    column[~writes].tolist() for column in (
+                        table.rid, table.rank, table.offset, table.stop))):
+                holes = IntervalSet([Interval(lo, hi)]).subtract(written)
+                if holes:
+                    bad.setdefault(path, []).append(
+                        (rid, rank, holes.total_bytes))
         for path, items in sorted(bad.items()):
             total = sum(n for _, _, n in items)
             ranks = tuple(sorted({r for _, r, _ in items}))
@@ -469,8 +468,9 @@ class DataAtRiskOnCrashRule(LintRule):
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         # zero-length writes publish nothing and are no-ops on replay
-        write_rids = {a.rid for a in ctx.accesses
-                      if a.is_write and a.nbytes > 0}
+        acc = ctx.accesses
+        write_rids = set(
+            acc.rid[acc.is_write & (acc.stop > acc.offset)].tolist())
         state: dict[tuple[int, str], int] = {}
         last_write: dict[tuple[int, str], TraceRecord] = {}
         writes_since: dict[tuple[int, str], int] = {}

@@ -45,10 +45,8 @@ def lint_columnar(source, rules: Sequence[LintRule | str] | None = None,
     """Lint a columnar trace or an on-disk ``.rtrc`` file.
 
     ``source`` is a :class:`~repro.tracer.columnar.ColumnarTrace` or a
-    path to a ``.rtrc`` file.  The columnar form is rebuilt into record
-    objects (lossless by construction, pinned by the round-trip
-    property tests) and fed through :func:`lint_trace`, so the rule
-    catalogue sees exactly the trace the file was written from.
+    path to a ``.rtrc`` file; its :class:`~repro.tracer.trace.Trace`
+    view goes through :func:`lint_trace`.
     """
     from repro.tracer.columnar import ColumnarTrace, read_rtrc
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.offsets import reconstruct_offsets
 from repro.core.semantics import Semantics
 from repro.errors import PFSGiveUpError
@@ -35,7 +37,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, InjectedFault
 from repro.pfs.client import PFSClient, PFSimulator, PFSStats
 from repro.pfs.config import PFSConfig
-from repro.tracer.events import CLOSE_OPS, COMMIT_OPS, Layer, OPEN_OPS
+from repro.tracer.events import CLOSE_OPS, COMMIT_OPS, OPEN_OPS
 from repro.tracer.trace import Trace
 
 
@@ -105,22 +107,27 @@ def replay_trace(trace: Trace, config: PFSConfig,
     failed_ops: list[FailedOp] = []
 
     # resolved data extents, keyed by record id
-    extent_of = {a.rid: a for a in reconstruct_offsets(trace.records)}
+    extent_of = {a.rid: a for a in reconstruct_offsets(trace)}
 
-    for rec in trace.records:  # already in global tstart order
-        if rec.layer != Layer.POSIX or rec.path is None:
-            continue
-        client = clients[rec.rank]
-        client.advance_to(rec.tstart)
+    ct = trace.columnar
+    c = ct.columns
+    rows = np.flatnonzero(ct.posix_mask() & (c["path_id"] >= 0))
+    # POSIX rows with a path, already in global tstart order
+    for rid, rank, func_id, path_id, tstart in zip(*(
+            c[name][rows].tolist() for name in (
+                "rid", "rank", "func_id", "path_id", "tstart"))):
+        func, path = ct.funcs[func_id], ct.paths[path_id]
+        client = clients[rank]
+        client.advance_to(tstart)
         try:
-            if rec.func in OPEN_OPS:
-                client.open(rec.path)
-            elif rec.func in CLOSE_OPS:
-                client.close(rec.path)
-            elif rec.func in COMMIT_OPS:
-                client.commit(rec.path)
-            elif rec.rid in extent_of:
-                acc = extent_of[rec.rid]
+            if func in OPEN_OPS:
+                client.open(path)
+            elif func in CLOSE_OPS:
+                client.close(path)
+            elif func in COMMIT_OPS:
+                client.commit(path)
+            elif rid in extent_of:
+                acc = extent_of[rid]
                 if acc.is_write:
                     if acc.nbytes <= 0:
                         continue  # zero-length writes are no-ops
@@ -134,13 +141,13 @@ def replay_trace(trace: Trace, config: PFSConfig,
                             rank=acc.rank, path=acc.path,
                             offset=acc.offset, count=acc.nbytes,
                             stale_bytes=outcome.stale_bytes,
-                            tstart=rec.tstart))
+                            tstart=tstart))
             # metadata ops other than open/close/commit don't touch the
             # data path in this model
         except PFSGiveUpError as exc:
             failed_ops.append(FailedOp(
-                rank=rec.rank, op=exc.op, path=rec.path,
-                attempts=exc.attempts, tstart=rec.tstart))
+                rank=rank, op=exc.op, path=path,
+                attempts=exc.attempts, tstart=tstart))
 
     violations: list[Violation] = []
     if injector is not None:

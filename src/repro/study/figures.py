@@ -103,21 +103,21 @@ def figure2_series(fbs_run: RunResult,
     """The six panels of Figure 2 (checkpoint/plot × fbs/nofbs)."""
     panels = []
     for run, mode in ((fbs_run, "fbs"), (nofbs_run, "nofbs")):
-        accesses = run.report.accesses
+        tables = run.report.tables  # keyed and ordered by path
         for family, name in (("/flash/ckpt", "checkpoint"),
                              ("/flash/plot", "plot")):
-            paths = sorted({a.path for a in accesses
-                            if a.path.startswith(family)})
-            if not paths:
+            # first output file of the family
+            path = next((p for p in tables if p.startswith(family)), None)
+            if path is None:
                 continue
-            path = paths[0]  # first output file of the family
-            writes = [a for a in accesses if a.path == path and a.is_write]
+            table = tables[path]
+            writes = table.is_write
             panels.append(Figure2Series(
                 panel=f"{name}-{mode}", path=path,
-                ranks=[a.rank for a in writes],
-                offsets=[a.offset for a in writes],
-                times=[a.tstart for a in writes],
-                sizes=[a.nbytes for a in writes]))
+                ranks=table.rank[writes].tolist(),
+                offsets=table.offset[writes].tolist(),
+                times=table.tstart[writes].tolist(),
+                sizes=(table.stop - table.offset)[writes].tolist()))
     return panels
 
 

@@ -30,7 +30,7 @@ for pipelined workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.apps.base import AppConfig, AppProgram, run_application
@@ -63,23 +63,6 @@ class WorkflowResult:
         return self.rank_offsets[stage] + rank
 
 
-def _shift_record(rec: TraceRecord, *, dt: float, drank: int,
-                  drid: int) -> TraceRecord:
-    out = rec.shifted(dt)
-    out.rank = rec.rank + drank
-    out.rid = rec.rid + drid
-    return out
-
-
-def _shift_event(ev: MPIEvent, *, dt: float, drank: int, deid: int,
-                 stage: int) -> MPIEvent:
-    return MPIEvent(eid=ev.eid + deid, rank=ev.rank + drank,
-                    kind=ev.kind,
-                    match_key=("stage", stage) + tuple(ev.match_key),
-                    role=ev.role, tstart=ev.tstart + dt,
-                    tend=ev.tend + dt)
-
-
 def run_workflow(stages: list[WorkflowStage], *, gap: float = 1.0,
                  link_stages: bool = True,
                  meta: dict[str, Any] | None = None) -> WorkflowResult:
@@ -102,24 +85,26 @@ def run_workflow(stages: list[WorkflowStage], *, gap: float = 1.0,
 
     for i, trace in enumerate(stage_traces):
         rank_offsets.append(rank_cursor)
-        t_lo = min((r.tstart for r in trace.records), default=0.0)
-        t_hi = max((r.tend for r in trace.records), default=0.0)
-        for ev in trace.mpi_events:
-            t_lo = min(t_lo, ev.tstart)
-            t_hi = max(t_hi, ev.tend)
+        c = trace.columnar.columns
+        t_lo = min([min(c["tstart"].tolist(), default=0.0),
+                    *c["ev_tstart"].tolist()])
+        t_hi = max([max(c["tend"].tolist(), default=0.0),
+                    *c["ev_tend"].tolist()])
         dt = t_cursor - t_lo
-        records.extend(_shift_record(r, dt=dt, drank=rank_cursor,
-                                     drid=rid_cursor)
+        records.extend(replace(r, rid=r.rid + rid_cursor,
+                               rank=r.rank + rank_cursor,
+                               tstart=r.tstart + dt, tend=r.tend + dt)
                        for r in trace.records)
-        events.extend(_shift_event(e, dt=dt, drank=rank_cursor,
-                                   deid=eid_cursor, stage=i)
+        events.extend(replace(e, eid=e.eid + eid_cursor,
+                              rank=e.rank + rank_cursor,
+                              match_key=("stage", i) + tuple(e.match_key),
+                              tstart=e.tstart + dt, tend=e.tend + dt)
                       for e in trace.mpi_events)
         link_points.append((rank_cursor, t_cursor - gap / 2,
                             rank_cursor, t_cursor + (t_hi - t_lo)
                             + gap / 4))
-        rid_cursor += max((r.rid for r in trace.records), default=0) + 1
-        eid_cursor += max((e.eid for e in trace.mpi_events),
-                          default=0) + 1
+        rid_cursor += int(c["rid"].max(initial=0)) + 1
+        eid_cursor += int(c["ev_eid"].max(initial=0)) + 1
         rank_cursor += trace.nranks
         t_cursor += (t_hi - t_lo) + gap
 

@@ -1,13 +1,13 @@
 """Structure-of-arrays trace core and the ``.rtrc`` binary format.
 
-The analysis side has been columnar since the beginning
-(:class:`repro.core.records.AccessTable`), but traces themselves were
-per-record Python objects, which caps every downstream consumer at toy
-sizes.  :class:`ColumnarTrace` stores one trace as parallel numpy arrays
-— ``tstart``/``tend``/``rank``/``func``/``fd``/``offset``/``count``/
+:class:`ColumnarTrace` is the one trace form: parallel numpy arrays —
+``tstart``/``tend``/``rank``/``func``/``fd``/``offset``/``count``/
 ``flags``/… — with interned string tables for function names and file
 paths, mirroring the Recorder paper's insight that parallel-I/O analysis
 stays tractable at millions of ops only with a compact columnar format.
+:class:`~repro.tracer.trace.Trace` is a read-only view over one whose
+:class:`TraceRecord` items are built on demand (:func:`build_records`);
+:func:`encode` is the one way in from per-record tuples.
 
 Representation rules:
 
@@ -47,15 +47,18 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import AnalysisError
-from repro.tracer.events import Layer, MPIEvent, TraceRecord
-from repro.tracer.trace import Trace
+from repro.errors import AnalysisError, TraceError
+from repro.tracer.events import DATA_OPS, Layer, MPIEvent, TraceRecord
+
+if TYPE_CHECKING:  # pragma: no cover - trace.py imports this module
+    from repro.tracer.trace import Trace
 
 #: file magic, first four bytes of every ``.rtrc`` file
 RTRC_MAGIC = b"RTRC"
@@ -68,7 +71,8 @@ I64_NONE = np.iinfo(np.int64).min
 #: fixed table for layer/issuer ids — the :class:`Layer` enum in
 #: declaration order, so ids are stable across traces and versions
 LAYER_TABLE: tuple[str, ...] = tuple(layer.value for layer in Layer)
-_LAYER_ID = {name: i for i, name in enumerate(LAYER_TABLE)}
+_LAYER_INDEX = {layer: i for i, layer in enumerate(Layer)}
+_LAYERS = tuple(Layer)
 
 #: ``args`` keys promoted to dedicated integer columns (values that are
 #: exactly ``int`` and representable in int64 without colliding with
@@ -78,6 +82,21 @@ PROMOTED_ARGS: tuple[str, ...] = ("flags", "whence", "offset", "length",
                                   "newfd", "size_at_open", "requested")
 _ARG_COLUMN = {key: (f"arg_{key}" if key == "offset" else key)
                for key in PROMOTED_ARGS}
+#: the key order of the ``args`` the POSIX layer records (open: flags,
+#: flags_str, existed, size_at_open; lseek: offset, whence).  A rebuilt
+#: record lists its promoted and side-table keys in this order, then any
+#: other side-table keys, so it renders (JSONL, text) as it was recorded
+ARG_ORDER: tuple[str, ...] = ("flags", "flags_str", "existed",
+                              "size_at_open", "offset", "whence",
+                              "length", "newfd", "requested")
+_ARG_RANK = {key: i for i, key in enumerate(ARG_ORDER)}
+
+#: the tuple orders :func:`encode` takes: the :class:`TraceRecord` and
+#: :class:`MPIEvent` fields
+RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+EVENT_FIELDS = tuple(f.name for f in fields(MPIEvent))
+#: records built per step while iterating a view; none are kept
+CHUNK = 4096
 
 #: record columns in serialization order: (attribute name, dtype)
 RECORD_COLUMNS: tuple[tuple[str, str], ...] = (
@@ -116,22 +135,6 @@ EVENT_COLUMNS: tuple[tuple[str, str], ...] = (
 _COLUMN_DTYPES = dict(RECORD_COLUMNS) | dict(EVENT_COLUMNS)
 
 
-class _Interner:
-    """First-appearance string interner (deterministic table order)."""
-
-    def __init__(self) -> None:
-        self.table: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def intern(self, value: str) -> int:
-        idx = self._index.get(value)
-        if idx is None:
-            idx = len(self.table)
-            self.table.append(value)
-            self._index[value] = idx
-        return idx
-
-
 #: largest value an ``<i8`` column can hold
 _I64_MAX = int(np.iinfo(np.int64).max)
 
@@ -142,24 +145,182 @@ def _column_representable(value: int) -> bool:
     return I64_NONE < value <= _I64_MAX
 
 
-def _opt_int(value: int | None, rid: int, name: str) -> int:
-    if value is None:
-        return I64_NONE
-    value = int(value)
-    if not _column_representable(value):
-        raise AnalysisError(
-            f"record {rid}: {name}={value} cannot be stored in an "
-            f"int64 trace column (it collides with the I64_NONE "
-            f"absent-value sentinel or exceeds the int64 range)")
-    return value
-
-
 def _decode_match_key(parts):
     """Recursive list→tuple: match keys nest (collectives carry rank
     subsets inside the key), unlike the one-level ``from_jsonl`` form."""
     if isinstance(parts, list):
         return tuple(_decode_match_key(x) for x in parts)
     return parts
+
+
+def interned(values) -> tuple[list, np.ndarray]:
+    """A first-appearance string table and int32 row ids into it.
+
+    ``None`` is id -1 and stays out of the table."""
+    table = [v for v in dict.fromkeys(values) if v is not None]
+    index = {v: i for i, v in enumerate(table)}
+    index[None] = -1
+    return table, np.fromiter(map(index.__getitem__, values), np.int32,
+                              len(values))
+
+
+def _opt_column(values, rids, name: str) -> np.ndarray:
+    """An optional-int column: ``None`` becomes :data:`I64_NONE`; a
+    value the column cannot carry raises :class:`AnalysisError`."""
+    try:
+        column = np.array([I64_NONE if v is None else v for v in values],
+                          dtype=np.int64)
+        if np.count_nonzero(column == I64_NONE) == values.count(None):
+            return column
+    except OverflowError:
+        pass
+    rid, value = next((rid, v) for rid, v in zip(rids, values)
+                      if v is not None and not _column_representable(int(v)))
+    raise AnalysisError(
+        f"record {rid}: {name}={value} cannot be stored in an int64 "
+        f"trace column (it collides with the I64_NONE absent-value "
+        f"sentinel or exceeds the int64 range)")
+
+
+def encode(nranks: int, records: Iterable[tuple],
+           events: Iterable[tuple] = (),
+           meta: dict[str, Any] | None = None) -> "ColumnarTrace":
+    """Columns from record and event tuples, in the given row order.
+
+    Tuples follow :data:`RECORD_FIELDS` and :data:`EVENT_FIELDS`; string
+    tables, promoted ``args`` and side tables are as the format
+    describes."""
+    records, events = list(records), list(events)
+    r = dict(zip(RECORD_FIELDS, zip(*records) if records
+                 else ((),) * len(RECORD_FIELDS)))
+    e = dict(zip(EVENT_FIELDS, zip(*events) if events
+                 else ((),) * len(EVENT_FIELDS)))
+    funcs, func_id = interned(r["func"])
+    paths, path_id = interned(r["path"])
+    kinds, kind_id = interned(e["kind"])
+    roles, role_id = interned(e["role"])
+    cols = {"rid": r["rid"], "rank": r["rank"], "func_id": func_id,
+            "layer_id": [_LAYER_INDEX[x] for x in r["layer"]],
+            "issuer_id": [_LAYER_INDEX[x] for x in r["issuer"]],
+            "tstart": r["tstart"], "tend": r["tend"], "path_id": path_id,
+            "ev_eid": e["eid"], "ev_rank": e["rank"],
+            "ev_kind_id": kind_id, "ev_role_id": role_id,
+            "ev_tstart": e["tstart"], "ev_tend": e["tend"]}
+    for name in ("fd", "offset", "count", "gt_offset"):
+        cols[name] = _opt_column(r[name], r["rid"], name)
+    promoted = {key: [I64_NONE] * len(records) for key in PROMOTED_ARGS}
+    extras: dict[int, dict[str, Any]] = {}
+    for i, args in enumerate(r["args"]):
+        # sentinel-valued / out-of-range ints escape-encode through the
+        # extras side table instead of silently round-tripping to absent
+        for key, value in (args or {}).items():
+            if (key in promoted and type(value) is int
+                    and _column_representable(value)):
+                promoted[key][i] = value
+            else:
+                extras.setdefault(i, {})[key] = value
+    for key, values in promoted.items():
+        cols[_ARG_COLUMN[key]] = values
+    cols["result_i"] = [I64_NONE] * len(records)
+    results: dict[int, Any] = {}
+    for i, value in enumerate(r["result"]):
+        if type(value) is int and _column_representable(value):
+            cols["result_i"][i] = value
+        elif value is not None:
+            results[i] = value
+    return ColumnarTrace(
+        nranks=int(nranks), meta=dict(meta or {}),
+        columns={name: np.array(cols[name], dtype=dtype)
+                 for name, dtype in RECORD_COLUMNS + EVENT_COLUMNS},
+        funcs=funcs, paths=paths, kinds=kinds, roles=roles,
+        match_keys=list(e["match_key"]), extras=extras, results=results)
+
+
+class RowView(Sequence):
+    """A read-only sequence of objects built on demand from rows.
+
+    ``build(rows)`` makes the objects of a slice or an index array of
+    the ``n`` rows.  Iterating builds at most :data:`CHUNK` at a time and
+    keeps none; equality is elementwise."""
+
+    def __init__(self, n: int, build: Callable[[Any], list]):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(index)
+        if not -self._n <= index < self._n:
+            raise IndexError(f"row {index} of {self._n}")
+        return self._build(slice(index % self._n, index % self._n + 1))[0]
+
+    def __iter__(self) -> Iterator:
+        for lo in range(0, self._n, CHUNK):
+            yield from self._build(slice(lo, lo + CHUNK))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RowView, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+
+def _rebuilt_args(promoted: dict[str, Any],
+                  extra: dict[str, Any] | None) -> dict[str, Any]:
+    if not extra:
+        return promoted
+    merged = {**promoted, **extra}
+    return {key: merged[key] for key in
+            sorted(merged, key=lambda k: _ARG_RANK.get(k, len(ARG_ORDER)))}
+
+
+def _row_numbers(n: int, rows) -> list[int]:
+    return (list(range(n)[rows]) if isinstance(rows, slice)
+            else np.asarray(rows).tolist())
+
+
+def _opt(value: int) -> int | None:
+    return None if value == I64_NONE else value
+
+
+def build_records(ct: "ColumnarTrace", rows) -> list[TraceRecord]:
+    """Rebuild the :class:`TraceRecord` objects of ``rows``.
+
+    ``rows`` is a slice or an index array; values come from the columns
+    and side tables."""
+    c = ct.columns
+    index = _row_numbers(ct.nrecords, rows)
+    arg_lists = [(key, c[_ARG_COLUMN[key]][rows].tolist())
+                 for key in ARG_ORDER if key in _ARG_COLUMN]
+    return [TraceRecord(
+        rid, rank, _LAYERS[layer], _LAYERS[issuer], ct.funcs[func], t0, t1,
+        None if path < 0 else ct.paths[path], _opt(fd), _opt(offset),
+        _opt(count), _rebuilt_args({key: values[k] for key, values
+                                    in arg_lists if values[k] != I64_NONE},
+                                   ct.extras.get(index[k])),
+        result if result != I64_NONE else ct.results.get(index[k]),
+        _opt(gt_offset))
+        for k, (rid, rank, layer, issuer, func, t0, t1, path, fd, offset,
+                count, result, gt_offset) in enumerate(zip(*(
+                    c[name][rows].tolist() for name in (
+                        "rid", "rank", "layer_id", "issuer_id", "func_id",
+                        "tstart", "tend", "path_id", "fd", "offset",
+                        "count", "result_i", "gt_offset"))))]
+
+
+def build_events(ct: "ColumnarTrace", rows) -> list[MPIEvent]:
+    """Rebuild the :class:`MPIEvent` objects of ``rows``."""
+    c = ct.columns
+    return [MPIEvent(eid, rank, ct.kinds[kind], ct.match_keys[row],
+                     ct.roles[role], t0, t1)
+            for row, eid, rank, kind, role, t0, t1 in zip(
+                _row_numbers(ct.nevents, rows), *(
+                    c[name][rows].tolist() for name in (
+                        "ev_eid", "ev_rank", "ev_kind_id", "ev_role_id",
+                        "ev_tstart", "ev_tend")))]
 
 
 @dataclass
@@ -171,6 +332,8 @@ class ColumnarTrace:
     ``{row_index: value}`` side tables for whatever the integer columns
     cannot carry.  Instances loaded from disk hold read-only views into
     the underlying ``memmap`` — treat columns as immutable.
+    :meth:`to_trace` wraps one in the :class:`~repro.tracer.trace.Trace`
+    view the analyses take.
     """
 
     nranks: int
@@ -214,7 +377,7 @@ class ColumnarTrace:
 
     def posix_mask(self) -> np.ndarray:
         """Boolean mask of POSIX-layer rows."""
-        return self.columns["layer_id"] == _LAYER_ID[Layer.POSIX.value]
+        return self.columns["layer_id"] == _LAYER_INDEX[Layer.POSIX]
 
     def func_lookup(self, names) -> np.ndarray:
         """Boolean per-entry table mask: is ``funcs[i]`` in ``names``?"""
@@ -222,11 +385,12 @@ class ColumnarTrace:
                            dtype=bool, count=len(self.funcs))
 
     def validate(self) -> None:
-        """Cheap structural checks mirroring :meth:`Trace.validate`.
-
-        Also requires every interned id to lie inside the table it
-        indexes and one MPI match key per event.
-        """
+        """The one trace validator, run by :func:`read_rtrc` and
+        ``analyze``.  Structural damage (column lengths, match keys, ids
+        outside their tables) raises :class:`AnalysisError`; then the
+        first bad record raises :class:`TraceError`: a rank outside
+        ``[0, nranks)``, an end before its start, or a POSIX data
+        record without a byte count."""
         n = self.nrecords
         for name, _ in RECORD_COLUMNS:
             if self.columns[name].shape[0] != n:
@@ -255,13 +419,23 @@ class ColumnarTrace:
                 raise AnalysisError(
                     f"row {i}: {name} {int(ids[i])} is outside its "
                     f"{len(table)}-entry table")
-        rank = self.columns["rank"]
-        if n and (int(rank.min()) < 0 or int(rank.max()) >= self.nranks):
-            raise AnalysisError("columnar trace has an out-of-range rank")
-        if n and bool(np.any(self.columns["tend"]
-                             < self.columns["tstart"])):
-            raise AnalysisError("columnar trace record ends before it "
-                               "starts")
+        c = self.columns
+        bad_rank = (c["rank"] < 0) | (c["rank"] >= self.nranks)
+        backwards = c["tend"] < c["tstart"]
+        no_count = (self.posix_mask() & (c["count"] < 0)
+                    & self.func_lookup(DATA_OPS)[c["func_id"]])
+        bad = np.flatnonzero(bad_rank | backwards | no_count)
+        if bad.size:
+            i = int(bad[0])
+            rid = int(c["rid"][i])
+            if bad_rank[i]:
+                raise TraceError(
+                    f"record {rid} has bad rank {int(c['rank'][i])}")
+            if backwards[i]:
+                raise TraceError(f"record {rid} ends before it starts")
+            raise TraceError(
+                f"data record {rid} ({self.funcs[c['func_id'][i]]}) "
+                f"lacks a byte count")
 
     def columns_equal(self, other: "ColumnarTrace") -> bool:
         """Exact column-level equality (tests and round-trip checks)."""
@@ -282,125 +456,12 @@ class ColumnarTrace:
 
     # -- converters -------------------------------------------------------------
 
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Lossless conversion from per-record trace objects."""
-        n = len(trace.records)
-        funcs = _Interner()
-        paths = _Interner()
-        kinds = _Interner()
-        roles = _Interner()
-        cols = {name: np.empty(n, dtype=dtype)
-                for name, dtype in RECORD_COLUMNS}
-        extras: dict[int, dict[str, Any]] = {}
-        results: dict[int, Any] = {}
-        # lint: allow-per-op-loop (the one conversion off the object form)
-        for i, rec in enumerate(trace.records):
-            cols["rid"][i] = rec.rid
-            cols["rank"][i] = rec.rank
-            cols["layer_id"][i] = _LAYER_ID[rec.layer.value]
-            cols["issuer_id"][i] = _LAYER_ID[rec.issuer.value]
-            cols["func_id"][i] = funcs.intern(rec.func)
-            cols["tstart"][i] = rec.tstart
-            cols["tend"][i] = rec.tend
-            cols["path_id"][i] = (-1 if rec.path is None
-                                  else paths.intern(rec.path))
-            cols["fd"][i] = _opt_int(rec.fd, rec.rid, "fd")
-            cols["offset"][i] = _opt_int(rec.offset, rec.rid, "offset")
-            cols["count"][i] = _opt_int(rec.count, rec.rid, "count")
-            cols["gt_offset"][i] = _opt_int(rec.gt_offset, rec.rid,
-                                            "gt_offset")
-            leftover: dict[str, Any] = {}
-            promoted = {key: I64_NONE for key in PROMOTED_ARGS}
-            for key, value in rec.args.items():
-                # sentinel-valued / out-of-range ints escape-encode
-                # through the extras side table instead of silently
-                # round-tripping to "absent"
-                if (key in promoted and type(value) is int
-                        and _column_representable(value)):
-                    promoted[key] = value
-                else:
-                    leftover[key] = value
-            for key in PROMOTED_ARGS:
-                cols[_ARG_COLUMN[key]][i] = promoted[key]
-            if leftover:
-                extras[i] = leftover
-            if type(rec.result) is int \
-                    and _column_representable(rec.result):
-                cols["result_i"][i] = rec.result
-            else:
-                cols["result_i"][i] = I64_NONE
-                if rec.result is not None:
-                    results[i] = rec.result
-        ne = len(trace.mpi_events)
-        for name, dtype in EVENT_COLUMNS:
-            cols[name] = np.empty(ne, dtype=dtype)
-        match_keys: list[tuple] = []
-        for i, ev in enumerate(trace.mpi_events):
-            cols["ev_eid"][i] = ev.eid
-            cols["ev_rank"][i] = ev.rank
-            cols["ev_kind_id"][i] = kinds.intern(ev.kind)
-            cols["ev_role_id"][i] = roles.intern(ev.role)
-            cols["ev_tstart"][i] = ev.tstart
-            cols["ev_tend"][i] = ev.tend
-            match_keys.append(ev.match_key)
-        return cls(nranks=trace.nranks, meta=dict(trace.meta),
-                   columns=cols, funcs=funcs.table, paths=paths.table,
-                   kinds=kinds.table, roles=roles.table,
-                   match_keys=match_keys, extras=extras,
-                   results=results)
+    def to_trace(self) -> "Trace":
+        """A read-only :class:`~repro.tracer.trace.Trace` view over
+        these columns, in O(1): nothing is copied or built."""
+        from repro.tracer.trace import Trace
 
-    def to_trace(self) -> Trace:
-        """Materialize per-record trace objects (lossless inverse)."""
-        funcs = self.funcs
-        paths = self.paths
-        records: list[TraceRecord] = []
-        c = self.columns
-        col_lists = [c["rid"].tolist(), c["rank"].tolist(),
-                     c["layer_id"].tolist(), c["issuer_id"].tolist(),
-                     c["func_id"].tolist(), c["tstart"].tolist(),
-                     c["tend"].tolist(), c["path_id"].tolist(),
-                     c["fd"].tolist(), c["offset"].tolist(),
-                     c["count"].tolist(), c["gt_offset"].tolist(),
-                     c["result_i"].tolist()]
-        arg_lists = {key: c[_ARG_COLUMN[key]].tolist()
-                     for key in PROMOTED_ARGS}
-        for i, (rid, rank, layer_id, issuer_id, func_id, tstart, tend,
-                path_id, fd, offset, count, gt_offset, result_i) \
-                in enumerate(zip(*col_lists)):
-            args: dict[str, Any] = {}
-            for key in PROMOTED_ARGS:
-                value = arg_lists[key][i]
-                if value != I64_NONE:
-                    args[key] = value
-            extra = self.extras.get(i)
-            if extra:
-                args.update(extra)
-            result = (result_i if result_i != I64_NONE
-                      else self.results.get(i))
-            records.append(TraceRecord(
-                rid=rid, rank=rank,
-                layer=Layer(LAYER_TABLE[layer_id]),
-                issuer=Layer(LAYER_TABLE[issuer_id]),
-                func=funcs[func_id], tstart=tstart, tend=tend,
-                path=None if path_id < 0 else paths[path_id],
-                fd=None if fd == I64_NONE else fd,
-                offset=None if offset == I64_NONE else offset,
-                count=None if count == I64_NONE else count,
-                args=args, result=result,
-                gt_offset=None if gt_offset == I64_NONE else gt_offset))
-        events: list[MPIEvent] = []
-        ev_lists = [c["ev_eid"].tolist(), c["ev_rank"].tolist(),
-                    c["ev_kind_id"].tolist(), c["ev_role_id"].tolist(),
-                    c["ev_tstart"].tolist(), c["ev_tend"].tolist()]
-        for i, (eid, rank, kind_id, role_id, tstart, tend) \
-                in enumerate(zip(*ev_lists)):
-            events.append(MPIEvent(
-                eid=eid, rank=rank, kind=self.kinds[kind_id],
-                match_key=self.match_keys[i], role=self.roles[role_id],
-                tstart=tstart, tend=tend))
-        return Trace(nranks=self.nranks, records=records,
-                     mpi_events=events, meta=dict(self.meta))
+        return Trace.view(self)
 
     # -- binary (de)serialization ------------------------------------------------
 
@@ -559,18 +620,26 @@ def read_rtrc(path: str | Path, *, mmap: bool = True,
         raise _format_error(p, "record count disagrees with columns")
     try:
         ct.validate()
-    except AnalysisError as exc:
+    except (AnalysisError, TraceError) as exc:
         raise _format_error(p, str(exc)) from None
     return ct
 
 
 __all__ = [
+    "ARG_ORDER",
     "ColumnarTrace",
     "EVENT_COLUMNS",
+    "EVENT_FIELDS",
     "I64_NONE",
     "LAYER_TABLE",
     "PROMOTED_ARGS",
     "RECORD_COLUMNS",
+    "RECORD_FIELDS",
+    "RowView",
+    "build_events",
+    "build_records",
+    "encode",
+    "interned",
     "RTRC_MAGIC",
     "RTRC_VERSION",
     "read_rtrc",

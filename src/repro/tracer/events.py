@@ -122,17 +122,6 @@ class TraceRecord:
     def op_class(self) -> OpClass:
         return classify_posix_op(self.func)
 
-    @property
-    def duration(self) -> float:
-        return self.tend - self.tstart
-
-    def shifted(self, delta: float) -> "TraceRecord":
-        """Copy with both timestamps moved by ``delta`` (barrier alignment)."""
-        out = TraceRecord(**{**self.__dict__})
-        out.tstart = self.tstart + delta
-        out.tend = self.tend + delta
-        return out
-
 
 @dataclass
 class MPIEvent:
@@ -151,7 +140,3 @@ class MPIEvent:
     role: str
     tstart: float
     tend: float
-
-    def shifted(self, delta: float) -> "MPIEvent":
-        return MPIEvent(self.eid, self.rank, self.kind, self.match_key,
-                        self.role, self.tstart + delta, self.tend + delta)

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.tracer.events import DATA_OPS, Layer, METADATA_OPS, OpClass
+import numpy as np
+
+from repro.tracer.columnar import I64_NONE
+from repro.tracer.events import DATA_OPS, METADATA_OPS, OPEN_OPS, READ_OPS
 from repro.tracer.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (avoids a
@@ -130,48 +133,48 @@ class TraceProfile:
 def profile_trace(trace: Trace,
                   tables: "dict[str, AccessTable] | None" = None
                   ) -> TraceProfile:
-    """Build the per-file counter roll-up from a trace.
+    """Build the per-file counter roll-up from a trace's columns.
 
     Pass the per-file access ``tables`` (from offset reconstruction) to
     also populate ``max_offset``; counters themselves need only the raw
-    records.
+    records.  ``wallclock`` spans the earliest start to the latest end
+    of any record.
     """
+    ct = trace.columnar
+    c = ct.columns
     profile = TraceProfile()
-
-    def file_of(path: str) -> FileProfile:
-        fp = profile.files.get(path)
-        if fp is None:
-            fp = FileProfile(path=path)
-            profile.files[path] = fp
-        return fp
-
-    t_lo = float("inf")
-    t_hi = 0.0
-    # lint: allow-per-op-loop (profiling summary; object path)
-    for rec in trace.records:
-        t_lo = min(t_lo, rec.tstart)
-        t_hi = max(t_hi, rec.tend)
-        if rec.layer != Layer.POSIX or rec.path is None:
-            continue
-        fp = file_of(rec.path)
-        fp.time_in_io += rec.duration
-        # every touch counts for the shared/unique split: a file opened
-        # or stat'd by many ranks but written by one is still shared
-        fp.ranks.add(rec.rank)
-        if rec.func in DATA_OPS:
-            n = int(rec.count or 0)
-            fp.size_histogram[size_bucket(n)] += 1
-            if rec.op_class is OpClass.READ:
-                fp.reads += 1
-                fp.bytes_read += n
-            else:
-                fp.writes += 1
-                fp.bytes_written += n
-        elif rec.op_class is OpClass.OPEN:
-            fp.opens += 1
-        elif rec.func in METADATA_OPS:
-            fp.metadata_ops += 1
-    profile.wallclock = t_hi - t_lo if trace.records else 0.0
+    if ct.nrecords:
+        profile.wallclock = float(c["tend"].max() - c["tstart"].min())
+    # every touch counts for the shared/unique split: a file opened or
+    # stat'd by many ranks but written by one is still shared
+    rows = np.flatnonzero(ct.posix_mask() & (c["path_id"] >= 0))
+    func_id = c["func_id"][rows]
+    count = np.where(c["count"][rows] == I64_NONE, 0, c["count"][rows])
+    data = ct.func_lookup(DATA_OPS)[func_id]
+    read = data & ct.func_lookup(READ_OPS)[func_id]
+    opens = ~data & ct.func_lookup(OPEN_OPS)[func_id]
+    meta = ~data & ~opens & ct.func_lookup(METADATA_OPS)[func_id]
+    bucket = np.searchsorted(SIZE_BUCKETS, count)
+    duration = c["tend"][rows] - c["tstart"][rows]
+    pid = c["path_id"][rows]
+    order = np.argsort(pid, kind="stable")
+    files, starts = np.unique(pid[order], return_index=True)
+    # files in first-touch order; each file's rows in trace order
+    for f, seg in sorted(zip(files.tolist(), np.split(order, starts[1:])),
+                         key=lambda file_rows: file_rows[1][0]):
+        path = ct.paths[f]
+        n, d, r = count[seg], data[seg], read[seg]
+        profile.files[path] = FileProfile(
+            path=path, reads=int(np.count_nonzero(r)),
+            writes=int(np.count_nonzero(d & ~r)),
+            bytes_read=int(n[r].sum()), bytes_written=int(n[d & ~r].sum()),
+            metadata_ops=int(np.count_nonzero(meta[seg])),
+            opens=int(np.count_nonzero(opens[seg])),
+            # summed in trace order, as a running total would
+            time_in_io=float(np.cumsum(np.r_[0.0, duration[seg]])[-1]),
+            ranks=set(c["rank"][rows][seg].tolist()),
+            size_histogram=np.bincount(
+                bucket[seg][d], minlength=len(SIZE_BUCKETS) + 1).tolist())
 
     for path, table in (tables or {}).items():
         fp = profile.files.get(path)

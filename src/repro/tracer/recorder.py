@@ -5,6 +5,8 @@ One :class:`Recorder` instance is shared by all ranks of a simulated run
 library layers call :meth:`record` around each operation; MPI communication
 calls :meth:`record_mpi`.  Layer attribution works with a per-rank stack:
 entering a library pushes its layer, so any nested call knows who issued it.
+Each call appends one tuple to its rank's buffer; :meth:`build_trace`
+encodes the buffers into columns once.
 """
 
 from __future__ import annotations
@@ -12,17 +14,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.tracer.events import Layer, MPIEvent, TraceRecord
+from repro.tracer.columnar import encode
+from repro.tracer.events import Layer
 from repro.tracer.trace import Trace
 
 
 class Recorder:
-    """Collects :class:`TraceRecord`/:class:`MPIEvent` streams for a run."""
+    """Collects record and MPI-event tuples for a run, per rank."""
 
     def __init__(self, nranks: int):
         self.nranks = int(nranks)
-        self._records: list[list[TraceRecord]] = [[] for _ in range(nranks)]
-        self._mpi_events: list[list[MPIEvent]] = [[] for _ in range(nranks)]
+        self._records: list[list[tuple]] = [[] for _ in range(nranks)]
+        self._mpi_events: list[list[tuple]] = [[] for _ in range(nranks)]
         self._stacks: list[list[Layer]] = [[Layer.APP] for _ in range(nranks)]
         self._origins: list[float | None] = [None] * nranks
         self._next_rid = 0
@@ -51,25 +54,20 @@ class Recorder:
                path: str | None = None, fd: int | None = None,
                offset: int | None = None, count: int | None = None,
                args: dict[str, Any] | None = None, result: Any = None,
-               gt_offset: int | None = None) -> TraceRecord:
-        rec = TraceRecord(
-            rid=self._next_rid, rank=rank, layer=layer,
-            issuer=self.issuer(rank), func=func,
-            tstart=tstart, tend=tend, path=path, fd=fd, offset=offset,
-            count=count, args=dict(args or {}), result=result,
-            gt_offset=gt_offset)
+               gt_offset: int | None = None) -> None:
+        """Buffer one call, in :data:`~repro.tracer.columnar.RECORD_FIELDS`
+        order; the provisional id is the global call number."""
+        self._records[rank].append((
+            self._next_rid, rank, layer, self._stacks[rank][-1], func,
+            tstart, tend, path, fd, offset, count,
+            dict(args) if args else None, result, gt_offset))
         self._next_rid += 1
-        self._records[rank].append(rec)
-        return rec
 
     def record_mpi(self, rank: int, kind: str, match_key: tuple, role: str,
-                   tstart: float, tend: float) -> MPIEvent:
-        ev = MPIEvent(eid=self._next_eid, rank=rank, kind=kind,
-                      match_key=match_key, role=role,
-                      tstart=tstart, tend=tend)
+                   tstart: float, tend: float) -> None:
+        self._mpi_events[rank].append(
+            (self._next_eid, rank, kind, match_key, role, tstart, tend))
         self._next_eid += 1
-        self._mpi_events[rank].append(ev)
-        return ev
 
     # -- barrier-based timestamp alignment ------------------------------------------
 
@@ -85,23 +83,19 @@ class Recorder:
 
     # -- finalization ---------------------------------------------------------------
 
+    def _aligned(self, buffers: list[list[tuple]]) -> list[tuple]:
+        """Every rank's tuples, timestamps (fields 5 and 6) moved by the
+        rank's origin, sorted by ``(tstart, rank, id)`` and renumbered to
+        their position: ingestion order within a rank is kept, so ids
+        become a function of the trace *content*, not of interleaving."""
+        shift = [-(origin or 0.0) for origin in self._origins]
+        rows = sorted(((*row[:5], row[5] + shift[row[1]],
+                        row[6] + shift[row[1]], *row[7:])
+                       for buffer in buffers for row in buffer),
+                      key=lambda row: (row[5], row[1], row[0]))
+        return [(i, *row[1:]) for i, row in enumerate(rows)]
+
     def build_trace(self, *, meta: dict[str, Any] | None = None) -> Trace:
         """Produce the immutable aligned trace for analysis."""
-        records: list[TraceRecord] = []
-        events: list[MPIEvent] = []
-        for rank in range(self.nranks):
-            origin = self._origins[rank] or 0.0
-            records.extend(r.shifted(-origin) for r in self._records[rank])
-            events.extend(e.shifted(-origin) for e in self._mpi_events[rank])
-        records.sort(key=lambda r: (r.tstart, r.rank, r.rid))
-        events.sort(key=lambda e: (e.tstart, e.rank, e.eid))
-        # Renumber ids to the sorted position.  Ingestion order within one
-        # rank is preserved (ties sort by the provisional id), so this is a
-        # pure relabeling — and it makes ids a function of the trace
-        # *content* rather than of global interleaving.
-        for i, r in enumerate(records):
-            r.rid = i
-        for i, e in enumerate(events):
-            e.eid = i
-        return Trace(nranks=self.nranks, records=records, mpi_events=events,
-                     meta=dict(meta or {}))
+        return encode(self.nranks, self._aligned(self._records),
+                      self._aligned(self._mpi_events), meta).to_trace()

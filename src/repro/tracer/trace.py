@@ -1,122 +1,149 @@
-"""Immutable trace container with filtering, stats, and (de)serialization."""
+"""The trace view: a read-only window onto a :class:`ColumnarTrace`."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable
+
+import numpy as np
 
 from repro.errors import TraceError
+from repro.tracer.columnar import (
+    EVENT_FIELDS,
+    I64_NONE,
+    LAYER_TABLE,
+    RECORD_FIELDS,
+    ColumnarTrace,
+    RowView,
+    build_events,
+    build_records,
+    encode,
+)
 from repro.tracer.events import (
     DATA_OPS,
+    READ_OPS,
     Layer,
     MPIEvent,
-    OpClass,
     TraceRecord,
 )
 
+_record_tuple = attrgetter(*RECORD_FIELDS)
+_event_tuple = attrgetter(*EVENT_FIELDS)
 
-@dataclass
+
 class Trace:
     """A finished, time-aligned trace of one application run.
 
-    ``records`` are all layer records sorted by ``(tstart, rank, rid)``;
-    ``mpi_events`` are the matched communication events used to rebuild the
-    happens-before order.  ``meta`` carries run identity (application name,
-    I/O library, rank count, options) used by reports and table builders.
+    A thin read-only view over its :attr:`columnar` form.  ``records``
+    (all layers, sorted by ``(tstart, rank, rid)``) and ``mpi_events``
+    (for the happens-before order) are sequences whose items are built
+    on demand.  ``meta`` carries run identity.  Built from record and
+    event objects, a ``Trace`` encodes them once, in the given order;
+    :meth:`ColumnarTrace.to_trace` wraps existing columns.
     """
 
-    nranks: int
-    records: list[TraceRecord]
-    mpi_events: list[MPIEvent] = field(default_factory=list)
-    meta: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("columnar",)
+
+    def __init__(self, nranks: int,
+                 records: Iterable[TraceRecord] = (),
+                 mpi_events: Iterable[MPIEvent] = (),
+                 meta: dict[str, Any] | None = None):
+        self.columnar = encode(nranks, map(_record_tuple, records),
+                               map(_event_tuple, mpi_events), meta)
+
+    @classmethod
+    def view(cls, ct: ColumnarTrace) -> "Trace":
+        """Wrap ``ct`` without copying."""
+        trace = cls.__new__(cls)
+        trace.columnar = ct
+        return trace
+
+    @property
+    def nranks(self) -> int:
+        return self.columnar.nranks
+
+    @property
+    def meta(self) -> dict[str, Any]:
+        return self.columnar.meta
+
+    @property
+    def records(self) -> RowView:
+        """The :class:`TraceRecord` rows, built on demand."""
+        return RowView(self.columnar.nrecords,
+                       partial(build_records, self.columnar))
+
+    @property
+    def mpi_events(self) -> RowView:
+        """The :class:`MPIEvent` rows, built on demand."""
+        return RowView(self.columnar.nevents,
+                       partial(build_events, self.columnar))
 
     # -- filtering ------------------------------------------------------------
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+    def _mask(self, layer: Layer | None = None, funcs=None) -> np.ndarray:
+        """Rows of ``layer`` (any when ``None``) calling one of ``funcs``
+        (any when ``None``)."""
+        c = self.columnar.columns
+        mask = np.ones(self.columnar.nrecords, dtype=bool)
+        if layer is not None:
+            mask &= c["layer_id"] == LAYER_TABLE.index(layer.value)
+        if funcs is not None:
+            mask &= self.columnar.func_lookup(funcs)[c["func_id"]]
+        return mask
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def filter(self, pred: Callable[[TraceRecord], bool]) -> list[TraceRecord]:
-        # lint: allow-per-op-loop (Trace is the object-form container)
-        return [r for r in self.records if pred(r)]
+    def _rows(self, mask: np.ndarray) -> list[TraceRecord]:
+        return build_records(self.columnar, np.flatnonzero(mask))
 
     def layer_records(self, layer: Layer) -> list[TraceRecord]:
-        return self.filter(lambda r: r.layer == layer)
+        return self._rows(self._mask(layer))
 
     @property
     def posix_records(self) -> list[TraceRecord]:
         """Bottom-of-stack records: what actually reached the file system."""
-        return self.layer_records(Layer.POSIX)
+        return self._rows(self._mask(Layer.POSIX))
 
     @property
     def posix_data_records(self) -> list[TraceRecord]:
-        return self.filter(
-            lambda r: r.layer == Layer.POSIX and r.func in DATA_OPS)
-
-    def records_for_rank(self, rank: int) -> list[TraceRecord]:
-        return self.filter(lambda r: r.rank == rank)
-
-    @property
-    def paths(self) -> list[str]:
-        """All file paths touched by POSIX records, in first-touch order."""
-        seen: dict[str, None] = {}
-        # lint: allow-per-op-loop (Trace is the object-form container)
-        for r in self.records:
-            if r.layer == Layer.POSIX and r.path is not None:
-                seen.setdefault(r.path, None)
-        return list(seen)
+        return self._rows(self._mask(Layer.POSIX, DATA_OPS))
 
     @property
     def data_paths(self) -> list[str]:
-        """Paths with at least one POSIX read/write."""
-        seen: dict[str, None] = {}
-        for r in self.posix_data_records:
-            if r.path is not None:
-                seen.setdefault(r.path, None)
-        return list(seen)
+        """Paths with at least one POSIX read/write, in first-touch order."""
+        ids = self.columnar.columns["path_id"][
+            self._mask(Layer.POSIX, DATA_OPS)]
+        unique, first = np.unique(ids[ids >= 0], return_index=True)
+        return [self.columnar.paths[i]
+                for i in unique[np.argsort(first)].tolist()]
 
     # -- stats -----------------------------------------------------------------
 
     def function_counts(self, layer: Layer | None = None) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        # lint: allow-per-op-loop (Trace is the object-form container)
-        for r in self.records:
-            if layer is None or r.layer == layer:
-                counts[r.func] = counts.get(r.func, 0) + 1
-        return counts
+        """Calls per function, in first-call order."""
+        ids = self.columnar.columns["func_id"][self._mask(layer)]
+        unique, first, counts = np.unique(ids, return_index=True,
+                                          return_counts=True)
+        order = np.argsort(first)
+        return dict(zip([self.columnar.funcs[f]
+                         for f in unique[order].tolist()],
+                        counts[order].tolist()))
 
     def bytes_moved(self) -> tuple[int, int]:
         """(bytes read, bytes written) at the POSIX layer."""
-        rd = wr = 0
-        for r in self.posix_data_records:
-            n = int(r.count or 0)
-            if r.op_class == OpClass.READ:
-                rd += n
-            else:
-                wr += n
-        return rd, wr
-
-    def ranks_touching(self, path: str) -> set[int]:
-        return {r.rank for r in self.posix_data_records if r.path == path}
+        data = self._mask(Layer.POSIX, DATA_OPS)
+        count = self.columnar.columns["count"]
+        count = np.where(data & (count != I64_NONE), count, 0)
+        read = self._mask(funcs=READ_OPS)
+        return int(count[read].sum()), int(count[~read].sum())
 
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:
-        """Cheap structural sanity checks; raises :class:`TraceError`."""
-        # lint: allow-per-op-loop (Trace is the object-form container)
-        for r in self.records:
-            if not (0 <= r.rank < self.nranks):
-                raise TraceError(f"record {r.rid} has bad rank {r.rank}")
-            if r.tend < r.tstart:
-                raise TraceError(f"record {r.rid} ends before it starts")
-            if r.func in DATA_OPS and r.layer == Layer.POSIX:
-                if r.count is None or r.count < 0:
-                    raise TraceError(
-                        f"data record {r.rid} ({r.func}) lacks a byte count")
+        """Structural sanity checks (:meth:`ColumnarTrace.validate`);
+        a bad record raises :class:`TraceError`."""
+        self.columnar.validate()
 
     # -- (de)serialization ----------------------------------------------------------
 
@@ -170,20 +197,3 @@ class Trace:
             raise TraceError(f"{p} has no trace header")
         return cls(nranks=nranks, records=records, mpi_events=events,
                    meta=meta)
-
-
-def concat_traces(traces: Iterable[Trace]) -> Trace:
-    """Concatenate traces of the same width (e.g. per-phase captures)."""
-    traces = list(traces)
-    if not traces:
-        raise TraceError("cannot concatenate zero traces")
-    nranks = traces[0].nranks
-    if any(t.nranks != nranks for t in traces):
-        raise TraceError("traces have differing rank counts")
-    # lint: allow-per-op-loop (merging object-form traces)
-    records = [r for t in traces for r in t.records]
-    events = [e for t in traces for e in t.mpi_events]
-    records.sort(key=lambda r: (r.tstart, r.rank, r.rid))
-    events.sort(key=lambda e: (e.tstart, e.rank, e.eid))
-    meta = dict(traces[0].meta)
-    return Trace(nranks=nranks, records=records, mpi_events=events, meta=meta)

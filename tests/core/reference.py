@@ -1,9 +1,14 @@
-"""Reference oracles for the analysis stages after offset reconstruction.
+"""Reference oracles for the analysis stages.
 
-The library keeps one array implementation per stage; the slow,
+The library keeps one columnar implementation per stage; the slow,
 obviously-correct forms live here, and the property tests compare the
 two on random inputs:
 
+* :func:`reconstruct_offsets` — the §5.1 offset replay over
+  :class:`~repro.tracer.events.TraceRecord` objects, one record at a
+  time;
+* :class:`RecordVisibility` — the open/close/commit timelines gathered
+  record by record;
 * :func:`find_overlaps_bruteforce` — the O(n²) overlap detector
   (Algorithm 1's specification);
 * :func:`reference_conflicts` — the per-pair §5.2 predicate
@@ -21,6 +26,7 @@ from __future__ import annotations
 import posixpath
 from bisect import bisect_right
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +35,18 @@ from repro.core.conflicts import (
     ConflictKind,
     ConflictScope,
     VisibilityIndex,
+)
+from repro.errors import TraceError
+from repro.posix import flags as F
+from repro.tracer.events import (
+    CLOSE_OPS,
+    COMMIT_OPS,
+    DATA_OPS,
+    Layer,
+    OPEN_OPS,
+    READ_OPS,
+    SEEK_OPS,
+    TraceRecord,
 )
 from repro.core.highlevel import SharingPattern
 from repro.core.patterns import (
@@ -39,6 +57,171 @@ from repro.core.patterns import (
 )
 from repro.core.records import AccessRecord, AccessTable
 from repro.core.semantics import Semantics
+
+# -- §5.1 offset replay over record objects ----------------------------------
+
+
+@dataclass
+class _OfdState:
+    """Tracked open-file-description state (mirror of the kernel object)."""
+
+    path: str
+    offset: int
+    append: bool
+
+
+class _SizeTracker:
+    """Global per-path file-size model, replayed in timestamp order."""
+
+    def __init__(self) -> None:
+        self._sizes: dict[str, int] = {}
+
+    def seed(self, path: str, size: int) -> None:
+        self._sizes.setdefault(path, size)
+
+    def get(self, path: str) -> int:
+        return self._sizes.get(path, 0)
+
+    def set(self, path: str, size: int) -> None:
+        self._sizes[path] = size
+
+    def grow_to(self, path: str, stop: int) -> None:
+        if stop > self._sizes.get(path, 0):
+            self._sizes[path] = stop
+
+
+def reconstruct_offsets(records, *, strict: bool = True
+                        ) -> list[AccessRecord]:
+    """Resolve every POSIX data record to an absolute byte extent,
+    replaying ``records`` in order (the §5.1 specification)."""
+    size = _SizeTracker()
+    # descriptor tables: (rank, fd) -> shared description state
+    ofds: dict[tuple[int, int], _OfdState] = {}
+    out: list[AccessRecord] = []
+
+    for rec in records:
+        if rec.layer != Layer.POSIX:
+            continue
+        func = rec.func
+        if func in OPEN_OPS:
+            _handle_open(rec, ofds, size)
+        elif func in CLOSE_OPS:
+            ofds.pop((rec.rank, rec.fd), None)
+        elif func == "dup":
+            st = ofds.get((rec.rank, rec.fd))
+            if st is not None:
+                ofds[(rec.rank, int(rec.args["newfd"]))] = st
+        elif func in SEEK_OPS:
+            _handle_seek(rec, ofds, size, strict)
+        elif func in ("truncate",):
+            size.set(_require_path(rec), int(rec.args["length"]))
+        elif func == "ftruncate":
+            st = ofds.get((rec.rank, rec.fd))
+            path = st.path if st is not None else rec.path
+            if path is not None:
+                size.set(path, int(rec.args["length"]))
+        elif func in DATA_OPS:
+            acc = _handle_data(rec, ofds, size, strict)
+            if acc is not None:
+                out.append(acc)
+        # all other (metadata) operations do not move offsets
+    return out
+
+
+def _require_path(rec: TraceRecord) -> str:
+    if rec.path is None:
+        raise TraceError(f"record {rec.rid} ({rec.func}) lacks a path")
+    return rec.path
+
+
+def _handle_open(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
+                 size: _SizeTracker) -> None:
+    path = _require_path(rec)
+    open_flags = int(rec.args.get("flags", 0))
+    if "size_at_open" in rec.args:
+        size.seed(path, int(rec.args["size_at_open"]))
+    if open_flags & F.O_TRUNC and F.writable(open_flags):
+        size.set(path, 0)
+    ofds[(rec.rank, rec.fd)] = _OfdState(
+        path=path, offset=0, append=bool(open_flags & F.O_APPEND))
+
+
+def _handle_seek(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
+                 size: _SizeTracker, strict: bool) -> None:
+    st = ofds.get((rec.rank, rec.fd))
+    if st is None:
+        if strict:
+            raise TraceError(
+                f"seek on untracked fd {rec.fd} (rank {rec.rank})")
+        return
+    offset = int(rec.args["offset"])
+    whence = int(rec.args["whence"])
+    if whence == F.SEEK_SET:
+        st.offset = offset
+    elif whence == F.SEEK_CUR:
+        st.offset += offset
+    elif whence == F.SEEK_END:
+        st.offset = size.get(st.path) + offset
+    else:
+        raise TraceError(f"record {rec.rid}: unknown whence {whence}")
+
+
+def _handle_data(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
+                 size: _SizeTracker, strict: bool) -> AccessRecord | None:
+    count = int(rec.count or 0)
+    is_write = rec.func not in READ_OPS
+    explicit = rec.offset is not None  # pread/pwrite carry their offset
+    if explicit:
+        start = int(rec.offset)
+        path = _require_path(rec)
+    else:
+        st = ofds.get((rec.rank, rec.fd))
+        if st is None:
+            if strict:
+                raise TraceError(
+                    f"data op on untracked fd {rec.fd} (rank {rec.rank})")
+            return None
+        if is_write and st.append:
+            st.offset = size.get(st.path)
+        start = st.offset
+        st.offset = start + count
+        path = st.path
+    stop = start + count
+    if is_write:
+        size.grow_to(path, stop)
+    if count == 0:
+        return None
+    return AccessRecord(
+        rid=rec.rid, rank=rec.rank, path=path, offset=start, stop=stop,
+        is_write=is_write, tstart=rec.tstart, tend=rec.tend,
+        fd=rec.fd if rec.fd is not None else -1, func=rec.func,
+        issuer=rec.issuer.value)
+
+
+# -- visibility timelines over record objects ---------------------------------
+
+
+class RecordVisibility:
+    """The :class:`~repro.core.conflicts.VisibilityIndex` timelines,
+    gathered record by record; answers the same ``times`` query."""
+
+    def __init__(self, records):
+        times: dict[tuple[str, int, str], list[float]] = {}
+        for rec in records:
+            if rec.layer != Layer.POSIX or rec.path is None:
+                continue
+            for family, ops in (("open", OPEN_OPS), ("close", CLOSE_OPS),
+                                ("commit", COMMIT_OPS)):
+                if rec.func in ops:
+                    times.setdefault((family, rec.rank, rec.path),
+                                     []).append(rec.tstart)
+        self._times = {key: np.sort(np.asarray(ts, dtype=np.float64))
+                       for key, ts in times.items()}
+
+    def times(self, family: str, rank: int, path: str) -> np.ndarray:
+        return self._times.get((family, rank, path),
+                               np.empty(0, dtype=np.float64))
+
 
 # -- overlaps -----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from repro.tracer.recorder import Recorder
 
 def reconstruct_and_check(trace):
     """Reconstruct offsets and compare against gt_offset ground truth."""
-    accs = reconstruct_offsets(trace.records)
+    accs = reconstruct_offsets(trace)
     gt = {r.rid: r.gt_offset for r in trace.posix_data_records
           if r.gt_offset is not None}
     assert accs, "no data accesses resolved"
@@ -182,13 +182,13 @@ class TestRobustness:
         rec.record(0, Layer.POSIX, "write", 0.0, 0.1, path="/f", fd=9,
                    count=4)
         with pytest.raises(TraceError):
-            reconstruct_offsets(rec.build_trace().records)
+            reconstruct_offsets(rec.build_trace())
 
     def test_lenient_untracked_fd_skips(self):
         rec = Recorder(1)
         rec.record(0, Layer.POSIX, "write", 0.0, 0.1, path="/f", fd=9,
                    count=4)
-        assert reconstruct_offsets(rec.build_trace().records,
+        assert reconstruct_offsets(rec.build_trace(),
                                    strict=False) == []
 
     def test_zero_length_accesses_dropped(self, run_traced):
@@ -200,18 +200,18 @@ class TestRobustness:
             px.close(fd)
 
         trace, _ = run_traced(program, nranks=1)
-        accs = reconstruct_offsets(trace.records)
+        accs = reconstruct_offsets(trace)
         assert len(accs) == 1
 
     def test_non_posix_layers_ignored(self):
         rec = Recorder(1)
         rec.record(0, Layer.HDF5, "H5Dwrite", 0.0, 0.1, path="/f",
                    count=10)
-        assert reconstruct_offsets(rec.build_trace().records) == []
+        assert reconstruct_offsets(rec.build_trace()) == []
 
     def test_explicit_offset_ops_need_no_fd_state(self):
         rec = Recorder(1)
         rec.record(0, Layer.POSIX, "pwrite", 0.0, 0.1, path="/f", fd=9,
                    offset=5, count=4)
-        accs = reconstruct_offsets(rec.build_trace().records)
+        accs = reconstruct_offsets(rec.build_trace())
         assert len(accs) == 1 and accs[0].offset == 5 and accs[0].stop == 9

@@ -1,13 +1,13 @@
-"""Columnar offset reconstruction: parity with the object replay.
+"""Columnar offset reconstruction: parity with the record-object oracle.
 
 ``reconstruct_tables_columnar`` must produce exactly the tables that
-``group_by_path(reconstruct_offsets(records))`` produces — same paths,
-same rows, same order — whether it takes the vectorized pass or the
-object fallback.  The synthetic benchmark traces must take the
-vectorized pass (otherwise the trace-scaling gate would time the object
-path against itself), and traces with features the array passes do not
-model (``dup``, ``SEEK_END``, ``strict=False``) must fall back rather
-than diverge.
+``group_by_path(reference.reconstruct_offsets(records))`` produces —
+same paths, same rows, same order — whether it takes the vectorized
+pass or the sequential column replay.  The synthetic benchmark traces
+must take the vectorized pass (otherwise the trace-scaling gate would
+time the replay against the object path), and traces with features the
+array passes do not model (``dup``, ``SEEK_END``, ``strict=False``)
+must fall back rather than diverge.
 """
 
 import numpy as np
@@ -19,16 +19,13 @@ from repro.core.conflicts import (
     count_conflicts,
     count_conflicts_columnar,
 )
-from repro.core.offsets import (
-    reconstruct_offsets,
-    reconstruct_tables_columnar,
-)
+from repro.core.offsets import reconstruct_tables_columnar
 from repro.core.records import group_by_path
 from repro.core.semantics import Semantics
 from repro.posix import flags as F
-from repro.tracer.columnar import ColumnarTrace
 from repro.tracer.synth import synthetic_columnar_trace
 from tests.conftest import SimHarness
+from tests.core.reference import RecordVisibility, reconstruct_offsets
 
 N = 20_000
 
@@ -58,15 +55,15 @@ class TestSynthParity:
 
     def test_synth_takes_the_vectorized_pass(self, synth, monkeypatch):
         def boom(*a, **kw):  # the fallback would have to call this
-            raise AssertionError("object replay invoked")
+            raise AssertionError("sequential replay invoked")
 
-        monkeypatch.setattr(offsets, "reconstruct_offsets", boom)
+        monkeypatch.setattr(offsets, "_replay", boom)
         tables = reconstruct_tables_columnar(synth)
         assert sum(len(t) for t in tables.values()) > 0
 
     def test_visibility_timelines_match_object_index(self, synth):
-        cols = VisibilityIndex.from_columnar(synth)
-        objs = VisibilityIndex(synth.to_trace())
+        cols = VisibilityIndex(synth.to_trace())
+        objs = RecordVisibility(synth.to_trace().records)
         for family in ("open", "close", "commit"):
             for rank in range(synth.nranks):
                 for path in synth.paths:
@@ -80,7 +77,8 @@ class TestSynthParity:
         tables = group_by_path(reconstruct_offsets(tr.records))
         for semantics in Semantics:
             assert count_conflicts_columnar(synth, semantics) == \
-                count_conflicts(VisibilityIndex(tr), tables, semantics)
+                count_conflicts(RecordVisibility(tr.records), tables,
+                                semantics)
 
 
 def _traced(program, nranks=1):
@@ -90,7 +88,7 @@ def _traced(program, nranks=1):
 
 
 def _parity(trace, *, strict=True):
-    ct = ColumnarTrace.from_trace(trace)
+    ct = trace.columnar
     cols = reconstruct_tables_columnar(ct, strict=strict)
     objs = group_by_path(
         reconstruct_offsets(trace.records, strict=strict))
@@ -213,7 +211,8 @@ class TestFallbackParity:
             px.close(fd)
 
         trace = _traced(program)
-        ct = ColumnarTrace.from_trace(trace)
+        records = list(trace.records)  # the oracle's input, undamaged
+        ct = trace.columnar
         row = next(i for i in range(ct.nrecords)
                    if ct.funcs[ct.func_id[i]] == "open"
                    and ct.flags[i] & F.O_APPEND)
@@ -227,7 +226,7 @@ class TestFallbackParity:
         with pytest.raises(offsets._ColumnarFallback):
             offsets._reconstruct_vectorized(ct)
         cols = reconstruct_tables_columnar(ct)
-        objs = group_by_path(reconstruct_offsets(trace.records))
+        objs = group_by_path(reconstruct_offsets(records))
         assert_tables_equal(cols, objs)
 
     def test_nonstructural_extras_stay_vectorized(self, monkeypatch):
@@ -240,13 +239,13 @@ class TestFallbackParity:
             px.close(fd)
 
         trace = _traced(program)
-        ct = ColumnarTrace.from_trace(trace)
+        ct = trace.columnar
         ct.extras[0] = {"requested": 123, "note": "hi"}
 
         def boom(*a, **kw):
-            raise AssertionError("object replay invoked")
+            raise AssertionError("sequential replay invoked")
 
-        monkeypatch.setattr(offsets, "reconstruct_offsets", boom)
+        monkeypatch.setattr(offsets, "_replay", boom)
         tables = reconstruct_tables_columnar(ct)
         assert sum(len(t) for t in tables.values()) > 0
 

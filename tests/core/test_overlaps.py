@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.offsets import reconstruct_offsets
 from repro.core.overlaps import find_overlaps, overlap_rank_matrix
 from repro.core.records import AccessRecord, AccessTable
 from repro.errors import AnalysisError
 from repro.tracer.events import Layer, TraceRecord
+from repro.core.offsets import reconstruct_offsets
+from repro.tracer.trace import Trace
 from tests.core.reference import canonical_pairs, find_overlaps_bruteforce
 
 
@@ -105,7 +106,7 @@ class TestDegenerateExtents:
                         issuer=Layer.APP, func="pwrite", tstart=0.2,
                         tend=0.3, path="/f", fd=3, offset=10, count=4),
         ]
-        accesses = reconstruct_offsets(recs)
+        accesses = reconstruct_offsets(Trace(nranks=1, records=recs))
         assert [a.rid for a in accesses] == [1]
 
     def test_adjacent_extents_agree_with_bruteforce(self):

@@ -3,16 +3,23 @@
 Hypothesis builds arbitrary traces — any layer, optional fields present
 or absent, promoted and unpromoted args, nested MPI match keys, offsets
 past 2 GiB — and asserts that object → columnar → ``.rtrc`` bytes →
-columnar → object is the identity, both at the record level and at the
-column level (zero-copy load included).  Empty and single-record traces
+columnar → object is the identity: the rebuilt records and events equal
+the drawn objects, and the loaded columns equal the encoded ones
+(zero-copy load included).  A trace the validator rejects
+(a POSIX data record drawn without a byte count) must instead fail to
+load, with the validator's message.  Empty and single-record traces
 are explicit edge cases of the same strategies.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tracer.columnar import I64_NONE, ColumnarTrace, read_rtrc
+from repro.errors import AnalysisError, TraceError
+from repro.tracer.columnar import I64_NONE, read_rtrc
 from repro.tracer.events import Layer, MPIEvent, TraceRecord
 from repro.tracer.trace import Trace
 
@@ -87,24 +94,33 @@ def mpi_events(draw, eid):
 
 
 @st.composite
-def traces(draw):
+def programs(draw):
+    """Drawn record objects, event objects and meta of one trace."""
     recs = [draw(records(rid=i))
             for i in range(draw(st.integers(0, 12)))]
     events = [draw(mpi_events(eid=i))
               for i in range(draw(st.integers(0, 4)))]
-    return Trace(nranks=4, records=recs, mpi_events=events,
-                 meta=draw(st.dictionaries(
-                     st.sampled_from(("app", "io_library", "seed")),
-                     st.one_of(st.text(max_size=6), st.integers(0, 99)),
-                     max_size=3)))
+    meta = draw(st.dictionaries(
+        st.sampled_from(("app", "io_library", "seed")),
+        st.one_of(st.text(max_size=6), st.integers(0, 99)),
+        max_size=3))
+    return recs, events, meta
 
 
-@given(traces())
+@given(programs())
 @settings(max_examples=80, deadline=None)
-def test_rtrc_round_trip_is_identity(tmp_path_factory, tr):
+def test_rtrc_round_trip_is_identity(tmp_path_factory, program):
+    recs, events, meta = program
+    tr = Trace(nranks=4, records=recs, mpi_events=events, meta=meta)
     path = tmp_path_factory.mktemp("rtrc") / "t.rtrc"
-    ct = ColumnarTrace.from_trace(tr)
+    ct = tr.columnar
     ct.save(path)
+    try:
+        tr.validate()
+    except TraceError as exc:
+        with pytest.raises(AnalysisError, match=re.escape(str(exc))):
+            read_rtrc(path)
+        return
     loaded = read_rtrc(path)
 
     # column-level: the zero-copy views equal the in-memory arrays
@@ -112,20 +128,23 @@ def test_rtrc_round_trip_is_identity(tmp_path_factory, tr):
     assert all(not loaded.columns[name].flags.owndata
                for name in loaded.columns)
 
-    # object-level: the rebuilt trace is the original, field for field
+    # object-level: the rebuilt objects are the drawn ones, field for field
     back = loaded.to_trace()
-    assert back.records == tr.records
-    assert back.mpi_events == tr.mpi_events
-    assert back.meta == tr.meta
-    assert back.nranks == tr.nranks
+    assert list(back.records) == recs
+    assert list(back.mpi_events) == events
+    assert back.meta == meta
+    assert back.nranks == 4
 
 
-@given(traces())
+@given(programs())
 @settings(max_examples=40, deadline=None)
-def test_from_trace_interns_deterministically(tr):
-    a = ColumnarTrace.from_trace(tr)
-    b = ColumnarTrace.from_trace(tr)
-    assert a.columns_equal(b)
+def test_from_trace_interns_deterministically(program):
+    recs, events, meta = program
+    a = Trace(nranks=4, records=recs, mpi_events=events,
+              meta=meta).columnar
+    b = Trace(nranks=4, records=recs, mpi_events=events,
+              meta=meta).columnar
+    assert a is not b and a.columns_equal(b)
     # interning is first-appearance ordered: ids are dense and in-range
     if a.nrecords:
         assert int(a.func_id.max()) == len(a.funcs) - 1
@@ -135,20 +154,20 @@ def test_from_trace_interns_deterministically(tr):
 
 
 def test_single_record_trace(tmp_path):
-    tr = Trace(nranks=1, records=[TraceRecord(
+    recs = [TraceRecord(
         rid=0, rank=0, layer=Layer.POSIX, issuer=Layer.POSIX,
         func="pwrite", tstart=0.0, tend=0.1, path="/x", fd=3,
-        offset=5 * 2 ** 30, count=1 << 20, result=1 << 20)])
+        offset=5 * 2 ** 30, count=1 << 20, result=1 << 20)]
     path = tmp_path / "one.rtrc"
-    ColumnarTrace.from_trace(tr).save(path)
+    Trace(nranks=1, records=recs).columnar.save(path)
     back = read_rtrc(path).to_trace()
-    assert back.records == tr.records
+    assert list(back.records) == recs
     assert back.records[0].offset == 5 * 2 ** 30
 
 
 def test_empty_trace_round_trips(tmp_path):
     path = tmp_path / "empty.rtrc"
-    ColumnarTrace.from_trace(Trace(nranks=8, records=[])).save(path)
+    Trace(nranks=8, records=[]).columnar.save(path)
     loaded = read_rtrc(path)
     assert loaded.nrecords == 0 and loaded.nevents == 0
     assert loaded.to_trace().records == []

@@ -84,7 +84,7 @@ def test_reconstruction_matches_ground_truth(ops):
     trace = h.trace()
     gt = {r.rid: r.gt_offset for r in trace.posix_data_records
           if r.gt_offset is not None}
-    accs = reconstruct_offsets(trace.records)
+    accs = reconstruct_offsets(trace)
     resolved = {a.rid: a.offset for a in accs}
     for rid, true_offset in gt.items():
         if rid in resolved:  # zero-length accesses are dropped

@@ -83,7 +83,7 @@ class TestAlignmentMethod:
                 break
         if inverted_seed is None:
             pytest.skip("no inverting skew draw in range")
-        accs = sorted(reconstruct_offsets(trace.records),
+        accs = sorted(reconstruct_offsets(trace),
                       key=lambda a: a.tstart)
         report = validate_race_freedom(trace, [(accs[0], accs[1])])
         assert report.timestamp_disagreements

@@ -101,7 +101,6 @@ class TestRoundtripCheck:
 
     @pytest.fixture()
     def rtrc(self, tmp_path):
-        from repro.tracer.columnar import ColumnarTrace
         from repro.tracer.events import Layer, TraceRecord
         from repro.tracer.trace import Trace
 
@@ -110,7 +109,7 @@ class TestRoundtripCheck:
             func="pwrite", tstart=0.0, tend=0.1, path="/x", fd=3,
             offset=0, count=8, result=8)])
         path = tmp_path / "t.rtrc"
-        ColumnarTrace.from_trace(trace).save(path)
+        trace.columnar.save(path)
         return path
 
     def test_valid_file_exits_0(self, capsys, rtrc):
@@ -174,6 +173,26 @@ class TestRoundtripCheck:
         assert [line.split()[1] for line in lines] == \
             ["FAIL", "ok", "FAIL", "FAIL"]
         assert "func_id 999" in lines[0] and "layer_id 42" in lines[3]
+
+    def test_data_row_without_byte_count_fails(self, capsys, tmp_path):
+        import dataclasses
+
+        from repro.tracer.columnar import I64_NONE, write_rtrc
+        from repro.tracer.synth import synthetic_columnar_trace
+
+        ct = synthetic_columnar_trace(200, seed=7)
+        count = ct.columns["count"].copy()
+        row = int(next(i for i in range(ct.nrecords)
+                       if ct.funcs[ct.func_id[i]] == "pwrite"))
+        count[row] = I64_NONE
+        path = tmp_path / "nocount.rtrc"
+        write_rtrc(dataclasses.replace(
+            ct, columns={**ct.columns, "count": count}), path)
+        assert cli_main(["roundtrip", "--check", str(path)]) \
+            == EXIT_FINDINGS
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].split()[1] == "FAIL"
+        assert f"data record {row} (pwrite) lacks a byte count" in lines[0]
 
     def test_check_with_selection_is_usage_error(self, capsys, rtrc):
         rc = cli_main(["roundtrip", "--all", "--check", str(rtrc)])

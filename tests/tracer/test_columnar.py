@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import find_variant
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TraceError
 from repro.tracer.columnar import (
     I64_NONE,
     PROMOTED_ARGS,
     RTRC_MAGIC,
     RTRC_VERSION,
-    ColumnarTrace,
     read_rtrc,
     write_rtrc,
 )
@@ -54,7 +53,8 @@ def _record(rid, func="pwrite", **kw):
     return TraceRecord(**base)
 
 
-def _small_trace():
+def _small_parts():
+    """The record and event objects of :func:`_small_trace`, and its meta."""
     records = [
         _record(0, func="open", path="/a", fd=3,
                 args={"flags": 0o102, "size_at_open": 0}, result=3),
@@ -70,22 +70,26 @@ def _small_trace():
                  match_key=("coll", 0, ("sub", (0, 1), -1)),
                  role="member", tstart=0.1, tend=0.2),
     ]
-    return Trace(nranks=2, records=records, mpi_events=events,
-                 meta={"app": "unit", "options": {"x": 1}})
+    return records, events, {"app": "unit", "options": {"x": 1}}
+
+
+def _small_trace():
+    records, events, meta = _small_parts()
+    return Trace(nranks=2, records=records, mpi_events=events, meta=meta)
 
 
 class TestColumnarConversion:
     def test_round_trip_small(self):
-        tr = _small_trace()
-        ct = ColumnarTrace.from_trace(tr)
-        back = ct.to_trace()
-        assert back.records == tr.records
-        assert back.mpi_events == tr.mpi_events
-        assert back.meta == tr.meta
-        assert back.nranks == tr.nranks
+        records, events, meta = _small_parts()
+        back = Trace(nranks=2, records=records, mpi_events=events,
+                     meta=meta).columnar.to_trace()
+        assert list(back.records) == records
+        assert list(back.mpi_events) == events
+        assert back.meta == meta
+        assert back.nranks == 2
 
     def test_sentinels_and_promotion(self):
-        ct = ColumnarTrace.from_trace(_small_trace())
+        ct = _small_trace().columnar
         # absent optional ints use the sentinel; None path is -1
         assert ct.offset[0] == I64_NONE
         assert ct.path_id[2] == -1
@@ -103,7 +107,7 @@ class TestColumnarConversion:
         # bool is an int subclass; promoting it would come back as 1
         tr = Trace(nranks=1, records=[
             _record(0, args={"flags": True, "sync": False})])
-        ct = ColumnarTrace.from_trace(tr)
+        ct = tr.columnar
         assert ct.flags[0] == I64_NONE
         back = ct.to_trace().records[0].args
         assert back == {"flags": True, "sync": False}
@@ -114,39 +118,41 @@ class TestColumnarConversion:
                 "size_at_open"} <= set(PROMOTED_ARGS)
 
     def test_empty_trace(self):
-        ct = ColumnarTrace.from_trace(Trace(nranks=4, records=[]))
+        ct = Trace(nranks=4, records=[]).columnar
         assert ct.nrecords == 0 and ct.nevents == 0
         assert len(ct) == 0
         back = ct.to_trace()
         assert back.records == [] and back.nranks == 4
 
     def test_validate_catches_bad_rank(self):
-        ct = ColumnarTrace.from_trace(_small_trace())
+        ct = _small_trace().columnar
         ct.validate()
         ct.columns["rank"] = ct.columns["rank"] + 7
-        with pytest.raises(AnalysisError):
+        with pytest.raises(TraceError, match="record 0 has bad rank 7"):
             ct.validate()
 
     @pytest.mark.parametrize("column", ["func_id", "path_id", "layer_id",
                                         "issuer_id", "ev_kind_id",
                                         "ev_role_id"])
     def test_validate_catches_ids_outside_their_tables(self, column):
-        ct = ColumnarTrace.from_trace(_small_trace())
+        ct = _small_trace().columnar
         ct.columns[column] = ct.columns[column] + 50
         with pytest.raises(AnalysisError, match=f"{column} 5"):
             ct.validate()
 
     def test_validate_catches_match_key_count(self):
-        ct = ColumnarTrace.from_trace(_small_trace())
+        ct = _small_trace().columnar
         ct.match_keys.append(("p2p", 0, 1, 0))
         with pytest.raises(AnalysisError, match="2 MPI match keys"):
             ct.validate()
 
     def test_real_variant_is_lossless(self):
+        # the Recorder encodes its columns directly; rebuilding the
+        # objects and encoding them again must give the same columns
         trace = find_variant("GTC", "POSIX").run(nranks=2, seed=7)
-        back = ColumnarTrace.from_trace(trace).to_trace()
-        assert back.records == trace.records
-        assert back.mpi_events == trace.mpi_events
+        again = Trace(nranks=trace.nranks, records=list(trace.records),
+                      mpi_events=list(trace.mpi_events), meta=trace.meta)
+        assert again.columnar.columns_equal(trace.columnar)
 
 
 class TestSentinelCollision:
@@ -166,7 +172,7 @@ class TestSentinelCollision:
         tr = Trace(nranks=1, records=[
             _record(0, func="open", path="/a", fd=3,
                     args={"flags": value, "whence": 1})])
-        ct = ColumnarTrace.from_trace(tr)
+        ct = tr.columnar
         assert ct.flags[0] == I64_NONE       # column says "absent"
         assert ct.extras[0]["flags"] == value  # side table carries it
         assert ct.whence[0] == 1             # clean values still promote
@@ -177,36 +183,34 @@ class TestSentinelCollision:
                                        int(np.iinfo(np.int64).max) + 1])
     def test_result_escapes_to_side_table(self, value):
         tr = Trace(nranks=1, records=[_record(0, result=value)])
-        ct = ColumnarTrace.from_trace(tr)
+        ct = tr.columnar
         assert ct.result_i[0] == I64_NONE
         assert ct.results == {0: value}
         assert ct.to_trace().records[0].result == value
 
     def test_boundary_neighbours_stay_in_columns(self):
-        tr = Trace(nranks=1, records=[
-            _record(0, args={"flags": I64_NONE + 1,
-                             "length": self.I64_MAX},
-                    result=I64_NONE + 1)])
-        ct = ColumnarTrace.from_trace(tr)
+        records = [_record(0, args={"flags": I64_NONE + 1,
+                                    "length": self.I64_MAX},
+                           result=I64_NONE + 1)]
+        ct = Trace(nranks=1, records=records).columnar
         assert ct.flags[0] == I64_NONE + 1
         assert ct.length[0] == self.I64_MAX
         assert ct.result_i[0] == I64_NONE + 1
         assert ct.extras == {} and ct.results == {}
-        assert ct.to_trace().records == tr.records
+        assert list(ct.to_trace().records) == records
 
     @pytest.mark.parametrize("field", ["fd", "offset", "count",
                                        "gt_offset"])
     def test_core_column_collision_raises(self, field):
-        tr = Trace(nranks=1, records=[_record(0, **{field: I64_NONE})])
         with pytest.raises(AnalysisError, match="sentinel"):
-            ColumnarTrace.from_trace(tr)
+            Trace(nranks=1, records=[_record(0, **{field: I64_NONE})])
 
     def test_escaped_values_survive_rtrc(self, tmp_path):
         tr = Trace(nranks=1, records=[
             _record(0, func="open", path="/a", fd=3,
                     args={"flags": I64_NONE}, result=I64_NONE)])
         path = tmp_path / "sentinel.rtrc"
-        ColumnarTrace.from_trace(tr).save(path)
+        tr.columnar.save(path)
         back = read_rtrc(path).to_trace().records[0]
         assert back.args == {"flags": I64_NONE}
         assert back.result == I64_NONE
@@ -215,17 +219,19 @@ class TestSentinelCollision:
 class TestRtrcContainer:
     @pytest.fixture
     def saved(self, tmp_path):
-        ct = ColumnarTrace.from_trace(_small_trace())
+        ct = _small_trace().columnar
         path = tmp_path / "t.rtrc"
         write_rtrc(ct, path)
         return ct, path
 
     def test_save_load_identity(self, saved):
         ct, path = saved
+        records, events, _ = _small_parts()
         for mmap in (True, False):
             loaded = read_rtrc(path, mmap=mmap)
             assert loaded.columns_equal(ct)
-            assert loaded.to_trace().records == ct.to_trace().records
+            assert list(loaded.to_trace().records) == records
+            assert list(loaded.to_trace().mpi_events) == events
 
     def test_loaded_columns_are_views_not_copies(self, saved):
         _, path = saved
@@ -270,6 +276,9 @@ class TestRtrcContainer:
         (lambda b: _patch_column(b, "func_id", 1, 999), "func_id 999"),
         (lambda b: _patch_column(b, "path_id", 1, 77), "path_id 77"),
         (lambda b: _patch_column(b, "layer_id", 1, 42), "layer_id 42"),
+        # CRC-valid, but a POSIX pwrite lost its byte count
+        (lambda b: _patch_column(b, "count", 1, I64_NONE),
+         "data record 1 (pwrite) lacks a byte count"),
     ])
     def test_damaged_files_raise_analysis_error(self, saved, tmp_path,
                                                 mangle, detail):

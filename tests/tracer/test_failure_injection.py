@@ -64,9 +64,9 @@ class TestPartialTraces:
                     mpi_events=sample_trace.mpi_events,
                     meta=sample_trace.meta)
         with pytest.raises(TraceError):
-            reconstruct_offsets(cut.records, strict=True)
-        lenient = reconstruct_offsets(cut.records, strict=False)
-        full = reconstruct_offsets(sample_trace.records)
+            reconstruct_offsets(cut, strict=True)
+        lenient = reconstruct_offsets(cut, strict=False)
+        full = reconstruct_offsets(sample_trace)
         # explicit-offset ops (pread/pwrite) survive even without opens
         assert 0 < len(lenient) <= len(full)
 
@@ -86,10 +86,10 @@ class TestPartialTraces:
         report.conflicts(Semantics.SESSION)
 
     def test_validate_rejects_negative_duration(self, sample_trace):
-        bad = Trace(nranks=sample_trace.nranks,
-                    records=list(sample_trace.records),
+        records = list(sample_trace.records)
+        records[0].tend = records[0].tstart - 1.0
+        bad = Trace(nranks=sample_trace.nranks, records=records,
                     meta=sample_trace.meta)
-        bad.records[0].tend = bad.records[0].tstart - 1.0
         with pytest.raises(TraceError, match="ends before it starts"):
             bad.validate()
 
@@ -124,6 +124,6 @@ class TestAnalyzerRobustness:
         rec.record(0, Layer.POSIX, "lseek", 0.0, 0.1, path="/f", fd=3,
                    args={"offset": 0, "whence": 0})
         with pytest.raises(TraceError, match="untracked fd"):
-            reconstruct_offsets(rec.build_trace().records)
-        assert reconstruct_offsets(rec.build_trace().records,
+            reconstruct_offsets(rec.build_trace())
+        assert reconstruct_offsets(rec.build_trace(),
                                    strict=False) == []

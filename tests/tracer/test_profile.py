@@ -30,7 +30,7 @@ class TestProfile:
     @pytest.fixture(scope="class")
     def profiled(self):
         trace = repro.run("NWChem", nranks=4, options={"steps": 20})
-        tables = group_by_path(reconstruct_offsets(trace.records))
+        tables = group_by_path(reconstruct_offsets(trace))
         return trace, profile_trace(trace, tables)
 
     def test_file_counters(self, profiled):
@@ -137,6 +137,20 @@ class TestProfileRegressions:
         ]
         profile = profile_trace(Trace(nranks=1, records=records))
         assert profile.wallclock == pytest.approx(0.7)
+
+    def test_wallclock_when_every_record_precedes_the_origin(self):
+        # records before the barrier-aligned origin have negative
+        # times; the span is [-3.0, -1.9], not [-3.0, 0.0]
+        from repro.tracer.trace import Trace
+
+        records = [
+            _rec(0, 0, "open", -3.0, -2.9, path="/f", fd=3),
+            _rec(1, 0, "pwrite", -2.5, -2.2, path="/f", fd=3,
+                 offset=0, count=8),
+            _rec(2, 0, "close", -2.0, -1.9, path="/f", fd=3),
+        ]
+        profile = profile_trace(Trace(nranks=1, records=records))
+        assert profile.wallclock == pytest.approx(1.1)
 
     def test_wallclock_empty_trace_is_zero(self):
         from repro.tracer.trace import Trace

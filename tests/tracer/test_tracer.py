@@ -10,11 +10,10 @@ from repro.tracer.events import (
     METADATA_OPS,
     Layer,
     OpClass,
-    TraceRecord,
     classify_posix_op,
 )
 from repro.tracer.recorder import Recorder
-from repro.tracer.trace import Trace, concat_traces
+from repro.tracer.trace import Trace
 
 
 class TestOpCatalog:
@@ -48,9 +47,9 @@ class TestRecorder:
         with rec.in_layer(0, Layer.HDF5):
             assert rec.issuer(0) is Layer.HDF5
             with rec.in_layer(0, Layer.MPIIO):
-                r = rec.record(0, Layer.POSIX, "pwrite", 0.0, 1.0)
-                assert r.issuer is Layer.MPIIO
+                rec.record(0, Layer.POSIX, "pwrite", 0.0, 1.0)
         assert rec.issuer(0) is Layer.APP
+        assert rec.build_trace().records[0].issuer is Layer.MPIIO
 
     def test_alignment_shifts_timestamps(self):
         rec = Recorder(2)
@@ -64,8 +63,9 @@ class TestRecorder:
 
     def test_record_ids_unique_and_global(self):
         rec = Recorder(2)
-        a = rec.record(0, Layer.POSIX, "open", 0, 1)
-        b = rec.record(1, Layer.POSIX, "open", 0, 1)
+        rec.record(0, Layer.POSIX, "open", 0, 1)
+        rec.record(1, Layer.POSIX, "open", 0, 1)
+        a, b = rec.build_trace().records
         assert a.rid != b.rid
 
 
@@ -94,8 +94,6 @@ class TestTrace:
         assert len(trace.posix_records) == 5
         assert len(trace.posix_data_records) == 2
         assert len(trace.layer_records(Layer.HDF5)) == 1
-        assert len(trace.records_for_rank(1)) == 1
-        assert trace.paths == ["/f"]
         assert trace.data_paths == ["/f"]
 
     def test_stats(self):
@@ -104,18 +102,19 @@ class TestTrace:
         assert (rd, wr) == (10, 10)
         counts = trace.function_counts(Layer.POSIX)
         assert counts["write"] == 1 and counts["stat"] == 1
-        assert trace.ranks_touching("/f") == {0, 1}
 
     def test_validate_catches_bad_rank(self):
-        trace = make_trace()
-        trace.records[0].rank = 9
+        records = list(make_trace().records)
+        records[0].rank = 9
+        trace = Trace(nranks=2, records=records)
         with pytest.raises(TraceError):
             trace.validate()
 
     def test_validate_catches_missing_count(self):
-        trace = make_trace()
-        bad = next(r for r in trace.records if r.func == "write")
+        records = list(make_trace().records)
+        bad = next(r for r in records if r.func == "write")
         bad.count = None
+        trace = Trace(nranks=2, records=records)
         with pytest.raises(TraceError):
             trace.validate()
 
@@ -149,18 +148,3 @@ class TestTrace:
         assert len(loaded.mpi_events) == len(trace.mpi_events)
         assert loaded.mpi_events[0].match_key == \
             trace.mpi_events[0].match_key
-
-    def test_concat(self):
-        a, b = make_trace(), make_trace()
-        merged = concat_traces([a, b])
-        assert len(merged) == len(a) + len(b)
-        with pytest.raises(TraceError):
-            concat_traces([])
-
-    def test_record_shift(self):
-        r = TraceRecord(rid=0, rank=0, layer=Layer.POSIX,
-                        issuer=Layer.APP, func="write", tstart=1.0,
-                        tend=2.0)
-        s = r.shifted(-1.0)
-        assert (s.tstart, s.tend) == (0.0, 1.0)
-        assert (r.tstart, r.tend) == (1.0, 2.0)  # original untouched

@@ -37,9 +37,12 @@ Rules enforced:
   (``.records``, ``.rid``, ``.offset``, …) one operation at a time —
   that is exactly the per-record scaling wall the columnar trace core
   removed; vectorize with numpy instead.  Deliberate object-path code
-  (e.g. the replay fallback) carries a
+  (rendering and serialization) carries a
   ``# lint: allow-per-op-loop (reason)`` annotation on or above the
-  loop line.
+  loop line.  Loops over ``.tolist()`` copies are not matched: that
+  explicit conversion is how the remaining row-at-a-time code (the
+  sequential offset replay, the masked metadata scans, the encoder)
+  is written, and it is reviewed rather than linted.
 
 Exit status: 0 clean, 1 violations found, 2 bad invocation.
 """

@@ -5,8 +5,11 @@ ways — serial, pooled, and cache-served — and writes the measured
 contract to ``benchmarks/output/BENCH_parallel_runner.json``, the
 baseline CI's ``bench-regression`` job gates against.
 
-Two contracts are asserted here, not just recorded:
+Three contracts are asserted here, not just recorded:
 
+* the cold cache run computes every cell of the matrix and the warm
+  rerun serves every cell from the cache — both counts are recorded
+  and equal ``len(all_variants())`` on every host;
 * a warm cache must serve the whole matrix in <10% of the cold time
   (this holds on any machine — a cache hit is a JSON read);
 * with 4+ CPUs, ``jobs=4`` must beat serial by >=2x.  Single- and
@@ -25,6 +28,7 @@ import time
 import pytest
 
 from benchmarks.conftest import save_artifact
+from repro.apps.registry import all_variants
 from repro.study.cache import ResultCache
 from repro.study.runner import matrix_json, study_cells
 
@@ -48,12 +52,12 @@ def _parallel(cache=None):
 
 def test_bench_study_matrix_serial(benchmark):
     run = benchmark.pedantic(_serial, rounds=3, iterations=1)
-    assert run.computed == len(run.outcomes) >= 25
+    assert run.computed == len(run.outcomes) == len(all_variants())
 
 
 def test_bench_study_matrix_parallel(benchmark):
     run = benchmark.pedantic(_parallel, rounds=3, iterations=1)
-    assert run.computed == len(run.outcomes) >= 25
+    assert run.computed == len(run.outcomes) == len(all_variants())
 
 
 def test_bench_study_matrix_warm_cache(benchmark, tmp_path):
@@ -63,7 +67,7 @@ def test_bench_study_matrix_warm_cache(benchmark, tmp_path):
         return _serial(cache=ResultCache(root=tmp_path))
 
     run = benchmark.pedantic(warm, rounds=3, iterations=1)
-    assert run.cached == len(run.outcomes) >= 25
+    assert run.cached == len(run.outcomes) == len(all_variants())
 
 
 def _best_of(fn, rounds=3):
@@ -90,10 +94,8 @@ def test_parallel_runner_contract(artifacts, tmp_path):
     cold_run, cold_cache_s = _best_of(
         lambda: _serial(cache=ResultCache(root=tmp_path / "cache")),
         rounds=1)
-    assert cold_run.computed == len(cold_run.outcomes)
     warm_run, warm_cache_s = _best_of(
         lambda: _serial(cache=ResultCache(root=tmp_path / "cache")))
-    assert warm_run.cached == len(warm_run.outcomes)
     assert matrix_json(warm_run.payloads, nranks=NRANKS, seed=SEED) == \
         matrix_json(serial_run.payloads, nranks=NRANKS, seed=SEED)
 
@@ -114,7 +116,9 @@ def test_parallel_runner_contract(artifacts, tmp_path):
         "parallel_s": round(parallel_s, 4),
         "speedup": round(speedup, 3),
         "cold_cache_s": round(cold_cache_s, 4),
+        "cold_computed": cold_run.computed,
         "warm_cache_s": round(warm_cache_s, 4),
+        "warm_cached": warm_run.cached,
         "warm_fraction": round(warm_fraction, 4),
         "contracts": {
             "warm_fraction_ceiling": WARM_FRACTION_CEILING,
@@ -129,11 +133,18 @@ def test_parallel_runner_contract(artifacts, tmp_path):
         f"serial      {serial_s:8.3f}s",
         f"jobs={JOBS}      {parallel_s:8.3f}s  (speedup {speedup:.2f}x,"
         f" {cpus} cpus)",
-        f"cold cache  {cold_cache_s:8.3f}s",
+        f"cold cache  {cold_cache_s:8.3f}s  "
+        f"({cold_run.computed} computed)",
         f"warm cache  {warm_cache_s:8.3f}s  "
-        f"(fraction {warm_fraction:.3f})",
+        f"({warm_run.cached} cached, fraction {warm_fraction:.3f})",
     ]))
 
+    cells = len(all_variants())
+    assert cold_run.computed == cells, (
+        f"cold run computed {cold_run.computed} of {cells} cells")
+    assert warm_run.cached == cells, (
+        f"warm rerun served {warm_run.cached} of {cells} cells "
+        f"from the cache")
     assert warm_fraction <= WARM_FRACTION_CEILING, (
         f"warm cache rerun took {warm_fraction:.1%} of cold "
         f"({warm_cache_s:.3f}s vs {cold_cache_s:.3f}s)")

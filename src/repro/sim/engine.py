@@ -79,6 +79,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.nranks < 1:
             raise SimulationError(f"nranks must be >= 1, got {self.nranks}")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
 
 
 class _RankState:

@@ -13,10 +13,6 @@ Usage::
     python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
-    python -m repro.study serve [--port 0] [--queue-limit N]
-                                [--workers N] [--ready-file FILE]
-    python -m repro.study request <endpoint> --port P [--param k=v]...
-    python -m repro.study loadtest --port P [--clients N] [--seed S]
     python -m repro.study cache <stats|prune> [--max-age-days D]
                                 [--max-bytes N]
 
@@ -34,11 +30,8 @@ symbolic I/O plans (:mod:`repro.staticcheck`) and cross-validates the
 static conflict predictions against the dynamic detector;
 ``roundtrip`` checks the ``.rtrc`` trace format is lossless;
 ``fingerprint`` prints the code fingerprint cache keys embed (CI keys
-its cache restore on it).
-``serve`` runs the asyncio analysis service (:mod:`repro.serve`),
-``request`` issues one query against it, ``loadtest`` drives the
-seeded closed-loop load generator, and ``cache`` inspects and prunes
-the content-addressed result store — see ``docs/serving.md``.
+its cache restore on it); ``cache`` inspects and prunes the
+content-addressed result store.
 
 Every matrix subcommand accepts ``--metrics FILE``: the run executes
 under a :mod:`repro.obs` registry (bypassing the result cache so the
@@ -53,7 +46,8 @@ Exit codes are uniform across every subcommand:
 * **1** — a real finding or failure (ERROR diagnostics, an unsound
   chaos cell, a cross-validation false negative);
 * **2** — usage error (unknown application/library/plan/rule, bad
-  flag combination).
+  flag combination, ``--nranks < 1`` or ``--seed < 0``, an ``--out``
+  that cannot be written).
 """
 
 from __future__ import annotations
@@ -159,24 +153,41 @@ def _selected_variants(args: argparse.Namespace):
                              all_flag=args.all)
 
 
-def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers ``>= minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # keeps argparse's "invalid int value" message
+    return parse
+
+
+def _add_run_args(parser: argparse.ArgumentParser, *, nranks: int,
+                  nranks_help: str | None = None) -> None:
+    """``--nranks`` and ``--seed``, rejected at parse time (exit 2)
+    unless ``nranks >= 1`` and ``seed >= 0``."""
+    parser.add_argument("--nranks", type=_int_at_least(1), default=nranks,
+                        help=nranks_help)
+    parser.add_argument("--seed", type=_int_at_least(0), default=7)
+
+
+def _add_matrix_args(parser: argparse.ArgumentParser, *,
+                     nranks: int = 8) -> None:
+    """Flags shared by every matrix-shaped subcommand."""
+    _add_run_args(parser, nranks=nranks)
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes for the matrix "
+                             "(default 1 = serial; 0 = one per CPU)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not update .repro-cache/")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         metavar="DIR",
                         help="result cache root (default "
                              ".repro-cache/ or $REPRO_CACHE_DIR)")
-
-
-def _add_matrix_args(parser: argparse.ArgumentParser, *,
-                     nranks: int = 8) -> None:
-    """Flags shared by every matrix-shaped subcommand."""
-    parser.add_argument("--nranks", type=int, default=nranks)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the matrix "
-                             "(default 1 = serial; 0 = one per CPU)")
-    _add_cache_args(parser)
     parser.add_argument("--metrics", type=Path, default=None,
                         metavar="FILE",
                         help="collect simulator metrics and write them "
@@ -237,12 +248,17 @@ def _emit(args: argparse.Namespace, text: str, *, ok: bool = True,
     A matrix ``run`` also reports cache-hit and timing stats — on
     stderr, never in the payload.  Keeping stdout pure is what lets the
     determinism tests (and CI artifact diffs) demand byte-identical
-    reports regardless of jobs count or cache temperature.
+    reports regardless of jobs count or cache temperature.  An ``--out``
+    that cannot be written is a usage error.
     """
     print(text)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text(text + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: "
+                              f"{exc.strerror or exc}")
     if run is not None:
         print(f"[{run.summary()}; cache: {cache.stats.summary()}]",
               file=sys.stderr)
@@ -278,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         "fingerprint": fingerprint_main,
         "roundtrip": roundtrip_main,
         "metrics": metrics_main,
-        "serve": serve_main,
-        "request": request_main,
-        "loadtest": loadtest_main,
         "cache": cache_main,
     }
     try:
@@ -299,10 +312,9 @@ def _tables_main(argv: list[str]) -> int:
         prog="python -m repro.study",
         description="Regenerate the paper's tables and figures from "
                     "fresh simulated traces.")
-    parser.add_argument("--nranks", type=int, default=8,
-                        help="MPI ranks per run (default 8; the paper "
-                             "used 64 and 1024)")
-    parser.add_argument("--seed", type=int, default=7)
+    _add_run_args(parser, nranks=8,
+                  nranks_help="MPI ranks per run (default 8; the paper "
+                              "used 64 and 1024)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for tracing the matrix "
                              "(default 1 = serial; 0 = one per CPU)")
@@ -490,8 +502,7 @@ def lint_main(argv: list[str] | None = None) -> int:
     _add_selection_args(parser, "lint",
                         app_help="application to lint (e.g. FLASH or "
                                  "LAMMPS/ADIOS); omit with --all")
-    parser.add_argument("--nranks", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
+    _add_run_args(parser, nranks=8)
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     parser.add_argument("--rules", default=None, metavar="R1,R2",
@@ -743,10 +754,9 @@ def metrics_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--collect", action="store_true",
                         help="run the study matrix now and report its "
                              "metrics (ignores the result cache)")
-    parser.add_argument("--nranks", type=int, default=4,
-                        help="ranks per configuration for --collect "
-                             "(default 4)")
-    parser.add_argument("--seed", type=int, default=7)
+    _add_run_args(parser, nranks=4,
+                  nranks_help="ranks per configuration for --collect "
+                              "(default 4)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for --collect "
                              "(default 1 = serial; 0 = one per CPU)")
@@ -834,8 +844,7 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
                     "study reports and conflict counts must be "
                     "byte-identical across a save/load round trip.")
     _add_selection_args(parser, "check")
-    parser.add_argument("--nranks", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
+    _add_run_args(parser, nranks=8)
     parser.add_argument("--keep-dir", type=Path, default=None,
                         metavar="DIR",
                         help="write the .rtrc files here instead of a "
@@ -902,252 +911,6 @@ def _roundtrip_check(files: list[Path]) -> int:
               file=sys.stderr)
         return EXIT_FINDINGS
     return EXIT_OK
-
-
-@_usage_guard
-def serve_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study serve`` — the analysis service.
-
-    Binds, prints one JSON ready line (``{"event": "ready", "host":
-    ..., "port": ...}``) on stdout, and serves until SIGINT/SIGTERM,
-    then drains admitted requests before exiting 0.  ``--ready-file``
-    additionally writes the ready document to a file for scripts that
-    cannot capture stdout (the CI smoke job).
-    """
-    import asyncio
-    import json
-    import os
-    import signal
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study serve",
-        description="Serve the consistency analyses over length-"
-                    "prefixed JSON TCP (see docs/serving.md).")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (default 0 = ephemeral; the "
-                             "ready line reports the bound port)")
-    parser.add_argument("--queue-limit", type=int, default=16,
-                        metavar="N",
-                        help="max admitted in-flight requests; beyond "
-                             "this arrivals get 'overloaded' "
-                             "(default 16)")
-    parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="analysis worker processes (default 2)")
-    parser.add_argument("--default-deadline", type=float, default=60.0,
-                        metavar="S",
-                        help="deadline budget for requests that set "
-                             "none (default 60)")
-    parser.add_argument("--drain", type=float, default=10.0,
-                        metavar="S",
-                        help="shutdown grace for in-flight requests "
-                             "(default 10)")
-    _add_cache_args(parser)
-    parser.add_argument("--debug", action="store_true",
-                        help="also serve debug endpoints (sleep)")
-    parser.add_argument("--ready-file", type=Path, default=None,
-                        metavar="FILE",
-                        help="write the ready JSON document here too")
-    args = parser.parse_args(argv)
-    if args.queue_limit < 1 or args.workers < 1:
-        raise _UsageError("--queue-limit and --workers must be >= 1")
-    if args.default_deadline <= 0 or args.drain < 0:
-        raise _UsageError("--default-deadline must be > 0 and "
-                          "--drain >= 0")
-
-    from repro.serve.server import AnalysisServer, ServeConfig
-    from repro.study.cache import ResultCache
-
-    async def run() -> int:
-        cache = ResultCache.from_options(cache_dir=args.cache_dir,
-                                         no_cache=args.no_cache)
-        server = AnalysisServer(
-            ServeConfig(host=args.host, port=args.port,
-                        queue_limit=args.queue_limit,
-                        workers=args.workers,
-                        default_deadline_s=args.default_deadline,
-                        drain_s=args.drain, debug=args.debug),
-            cache=cache)
-        await server.start()
-        ready = json.dumps({"event": "ready", "host": args.host,
-                            "port": server.port, "pid": os.getpid()},
-                           sort_keys=True)
-        print(ready, flush=True)
-        if args.ready_file is not None:
-            args.ready_file.parent.mkdir(parents=True, exist_ok=True)
-            args.ready_file.write_text(ready + "\n")
-
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-unix event loops: Ctrl-C still unwinds us
-        forever = asyncio.ensure_future(server.serve_forever())
-        try:
-            await stop.wait()
-        finally:
-            print("[serve: draining]", file=sys.stderr)
-            await server.stop()
-            forever.cancel()
-        return EXIT_OK
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return EXIT_OK
-    except OSError as exc:
-        raise _UsageError(f"cannot bind {args.host}:{args.port}: "
-                          f"{exc.strerror or exc}")
-
-
-def _parse_request_params(args: argparse.Namespace) -> dict:
-    import json
-
-    params: dict = {}
-    if args.json:
-        try:
-            doc = json.loads(args.json)
-        except ValueError as exc:
-            raise _UsageError(f"--json is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise _UsageError("--json must be a JSON object")
-        params.update(doc)
-    for entry in args.param or []:
-        key, sep, value = entry.partition("=")
-        if not sep or not key:
-            raise _UsageError(
-                f"--param takes KEY=VALUE, got {entry!r}")
-        try:
-            params[key] = json.loads(value)
-        except ValueError:
-            params[key] = value  # bare strings need no quoting
-    return params
-
-
-@_usage_guard
-def request_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study request`` — one query to the service.
-
-    Prints the full response document as JSON.  Exit codes: 0 the
-    request succeeded, 1 the server answered ``overloaded``/
-    ``deadline``/``internal`` or is unreachable, 2 the request itself
-    is bad (``bad_request``, malformed parameters, missing --port).
-    """
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study request",
-        description="Issue one request against a running analysis "
-                    "server and print the response.")
-    parser.add_argument("endpoint", nargs="?",
-                        help="endpoint name (healthz, fingerprint, "
-                             "metrics, cell, lint, advise, chaos, "
-                             "staticcheck)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--param", action="append", default=None,
-                        metavar="KEY=VALUE",
-                        help="request parameter (repeatable); VALUE "
-                             "parses as JSON, falling back to string")
-    parser.add_argument("--json", default=None, metavar="DOC",
-                        help="request parameters as one JSON object "
-                             "(--param entries override)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="S",
-                        help="per-request deadline budget in seconds")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="retry-jitter seed (default 0)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the response to this file")
-    args = parser.parse_args(argv)
-    if not args.endpoint:
-        raise _UsageError("an endpoint name is required")
-    if args.port is None:
-        raise _UsageError("--port is required (see the server's "
-                          "ready line)")
-    params = _parse_request_params(args)
-
-    from repro.serve.client import ServeConnectionError, request_sync
-    from repro.serve.protocol import ERR_BAD_REQUEST, response_error_code
-
-    try:
-        response = request_sync(args.host, args.port, args.endpoint,
-                                params, deadline_s=args.deadline,
-                                seed=args.seed)
-    except ServeConnectionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FINDINGS
-    _emit(args, json.dumps(response, indent=2, sort_keys=True))
-    code = response_error_code(response)
-    if code is None:
-        return EXIT_OK
-    print(f"{code}: {response['error']['message']}", file=sys.stderr)
-    return EXIT_USAGE if code == ERR_BAD_REQUEST else EXIT_FINDINGS
-
-
-@_usage_guard
-def loadtest_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study loadtest`` — the seeded load generator.
-
-    Exit codes: 0 every request succeeded, 1 any request failed (or
-    the server is unreachable), 2 usage.
-    """
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study loadtest",
-        description="Drive a seeded zipf-skewed closed-loop load "
-                    "against a running analysis server.")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--clients", type=int, default=4, metavar="N")
-    parser.add_argument("--requests", type=int, default=25,
-                        metavar="N", help="requests per client "
-                                          "(default 25)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--zipf", type=float, default=1.2,
-                        metavar="S", help="popularity skew exponent "
-                                          "(default 1.2)")
-    parser.add_argument("--nranks", type=int, default=2,
-                        help="ranks per requested cell (default 2)")
-    parser.add_argument("--deadline", type=float, default=60.0,
-                        metavar="S",
-                        help="per-request deadline budget "
-                             "(default 60)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the JSON report to this file")
-    args = parser.parse_args(argv)
-    if args.port is None:
-        raise _UsageError("--port is required (see the server's "
-                          "ready line)")
-
-    from repro.serve.client import ServeConnectionError
-    from repro.serve.loadgen import LoadSpec, report_text, run_load_sync
-
-    spec = LoadSpec(clients=args.clients,
-                    requests_per_client=args.requests,
-                    seed=args.seed, zipf_s=args.zipf,
-                    nranks=args.nranks, deadline_s=args.deadline)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    try:
-        report = run_load_sync(args.host, args.port, spec)
-    except ServeConnectionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FINDINGS
-
-    as_json = json.dumps(report, indent=2, sort_keys=True)
-    print(as_json if args.format == "json" else report_text(report))
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(as_json + "\n")
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
 
 
 @_usage_guard

@@ -75,9 +75,9 @@ def variant_cell(variant: RunVariant, nranks: int, seed: int,
 
     Keys on the variant's ``label`` and sorted ``options``, ``nranks``,
     ``seed`` and the cell kind's ``extras``; the worker task is
-    ``(variant, nranks, seed, *extras.values())``.  The batch matrix
-    subcommands and the serve endpoints all build their cells here, so
-    the same work always lands on the same cache entry.
+    ``(variant, nranks, seed, *extras.values())``.  Every matrix
+    subcommand builds its cells here, so the same work always lands on
+    the same cache entry.
     """
     return CellSpec(
         key_fields={"label": variant.label,
@@ -220,7 +220,7 @@ def run_matrix(kind: str, cells: Sequence[CellSpec], worker: CellWorker,
 
     run.outcomes = [o for o in outcomes if o is not None]
     run.wall_seconds = time.perf_counter() - t0
-    # the same numbers _print_matrix_stats reports on stderr, kept as
+    # the same numbers MatrixRun.summary() reports on stderr, kept as
     # durable metrics instead of ad-hoc one-shot strings
     reg.counter(f"study.{kind}.cells").inc(len(run.outcomes))
     reg.counter("study.cells_cached").inc(run.cached)

@@ -32,8 +32,13 @@ class TestRankClock:
 
 class TestSimConfig:
     def test_rejects_zero_ranks(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="nranks must be >= 1"):
             SimConfig(nranks=0)
+
+    def test_rejects_negative_seed(self):
+        # one-line diagnosis here, not numpy's SeedSequence error later
+        with pytest.raises(SimulationError, match="seed must be >= 0"):
+            SimConfig(seed=-1)
 
     def test_skew_draw_is_bounded_and_deterministic(self):
         a = SimEngine._draw_skews(SimConfig(nranks=16, seed=5,

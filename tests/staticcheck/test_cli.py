@@ -1,21 +1,9 @@
-"""The ``study staticcheck`` subcommand and the serve endpoint.
-
-Both front ends must key their cells identically ("staticcheck-cell"),
-so a cell computed by the batch CLI is a warm cache hit for the
-service and vice versa.
-"""
+"""The ``study staticcheck`` subcommand's exit codes and report shape."""
 
 import json
 
 import pytest
 
-from repro.serve.handlers import (
-    ENDPOINTS,
-    endpoint_catalog,
-    prepare_staticcheck,
-    request_key,
-)
-from repro.serve.protocol import BadRequest
 from repro.study.cache import ResultCache, cache_key
 from repro.study.cli import (
     EXIT_FINDINGS,
@@ -23,7 +11,6 @@ from repro.study.cli import (
     EXIT_USAGE,
     main as cli_main,
 )
-from repro.study.parallel import staticcheck_task
 
 
 class TestCliExitCodes:
@@ -88,43 +75,3 @@ class TestCliExitCodes:
                        "--out", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["ok"] is True
-
-
-class TestServeEndpoint:
-    def test_registered_and_advertised(self):
-        ep = ENDPOINTS["staticcheck"]
-        assert ep.prepare is prepare_staticcheck
-        assert not ep.inline and not ep.debug
-        names = {e["name"] for e in endpoint_catalog()}
-        assert "staticcheck" in names
-
-    def test_key_is_shared_with_the_batch_cli(self):
-        prepared = prepare_staticcheck(
-            {"app": "LAMMPS/ADIOS", "nranks": 2, "seed": 7})
-        variant = prepared.task[0]
-        assert prepared.kind == "staticcheck-cell"
-        assert prepared.key == cache_key(
-            "staticcheck-cell", label=variant.label,
-            options=dict(sorted(variant.options.items())),
-            nranks=2, seed=7)
-        assert prepared.worker is staticcheck_task
-        assert request_key("staticcheck",
-                           {"app": "LAMMPS/ADIOS", "nranks": 2,
-                            "seed": 7}) == prepared.key
-
-    def test_worker_round_trip(self):
-        prepared = prepare_staticcheck({"app": "GTC", "nranks": 2})
-        payload = prepared.worker(prepared.task)
-        assert payload["ok"] is True
-        assert payload["label"] == "GTC-POSIX"
-
-    @pytest.mark.parametrize("params,fragment", [
-        ({}, "'app'"),
-        ({"app": "NoSuchApp"}, "unknown application"),
-        ({"app": "FLASH/HDF5"}, "ambiguous"),
-        ({"app": "GTC", "nranks": 0}, "'nranks'"),
-        ({"app": "GTC", "nranks": 2, "bogus": 1}, "unknown parameter"),
-    ])
-    def test_bad_requests(self, params, fragment):
-        with pytest.raises(BadRequest, match=fragment):
-            prepare_staticcheck(params)

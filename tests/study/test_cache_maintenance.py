@@ -145,11 +145,11 @@ class TestPrune:
 
 # -- concurrent same-key writers ----------------------------------------------
 #
-# ``ResultCache.put`` promises atomicity via tempfile + os.replace.  The
-# serve coalescing layer narrows same-process duplicate writes, but a
-# service process and a batch ``study all`` can still race on one key.
-# Readers must only ever observe a complete payload from exactly one
-# writer — never a torn or interleaved document.
+# ``ResultCache.put`` promises atomicity via tempfile + os.replace.  Two
+# batch processes sharing one store (two ``study all`` runs started
+# side by side) can race on one key.  Readers must only ever observe a
+# complete payload from exactly one writer — never a torn or
+# interleaved document.
 
 
 def _hammer_writes(root, key, writer_id, rounds, barrier):

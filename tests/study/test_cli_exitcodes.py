@@ -19,6 +19,14 @@ from repro.study.cli import (
 )
 
 
+def _exit_code(argv: list[str]) -> int:
+    """The exit code, whether returned or raised by argparse."""
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestContractConstants:
     def test_values_are_pinned(self):
         assert (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE) == (0, 1, 2)
@@ -65,16 +73,43 @@ class TestUsageExits:
         ["crossvalidate", "NoSuchApp"],
         ["metrics"],
         ["metrics", "/no/such/metrics.json"],
+        ["cache"],
+        ["cache", "vacuum"],
+        ["cache", "prune"],
+        ["cache", "prune", "--max-age-days", "-1"],
+        ["cache", "prune", "--max-bytes", "-1"],
+        # rejected at parse time, not by the simulator mid-run
+        *([*cmd, flag, value]
+          for flag, value in (("--nranks", "0"), ("--seed", "-1"))
+          for cmd in (["all", "--no-cache"],
+                      ["lint", "GTC"],
+                      ["crossvalidate", "GTC", "--no-cache"],
+                      ["chaos", "--app", "GTC", "--no-cache"],
+                      ["staticcheck", "GTC", "--no-cache"],
+                      ["roundtrip", "GTC"],
+                      ["metrics", "--collect"],
+                      ["--app", "GTC"])),
+        # a report --out that is a directory
+        ["lint", "GTC", "--nranks", "2", "--out", "."],
+        ["chaos", "--app", "GTC", "--nranks", "2", "--no-cache",
+         "--out", "."],
+        ["staticcheck", "GTC", "--nranks", "2", "--no-cache",
+         "--out", "."],
     ], ids=lambda argv: " ".join(argv))
     def test_usage_errors_exit_2(self, capsys, argv):
-        assert cli_main(argv) == EXIT_USAGE
+        assert _exit_code(argv) == EXIT_USAGE
         assert capsys.readouterr().err.strip()
 
     @pytest.mark.parametrize("argv", [
         ["partition", "FLASH"],
         ["all", "--partitions", "2"],
+        ["serve", "--port", "0"],
+        ["request", "healthz", "--port", "1"],
+        ["loadtest", "--port", "1"],
     ], ids=lambda argv: " ".join(argv))
-    def test_no_partitioned_engine(self, capsys, argv):
+    def test_retired_subcommands_and_flags(self, capsys, argv):
+        """The partitioned engine and the analysis service are gone:
+        their words fall through to the default-mode parser."""
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == EXIT_USAGE
@@ -267,116 +302,6 @@ class TestMetricsDeterminism:
         with_metrics = capsys.readouterr().out
         assert with_metrics == without
         assert out.exists()
-
-
-@pytest.fixture(scope="module")
-def live_server(tmp_path_factory):
-    """A debug analysis server for the serve-facing subcommands."""
-    from repro.serve.server import ServeConfig, start_background
-    from repro.study.cache import ResultCache
-
-    cache = ResultCache(root=tmp_path_factory.mktemp("cli-serve"))
-    handle = start_background(
-        ServeConfig(workers=2, queue_limit=8, drain_s=2.0, debug=True),
-        cache=cache)
-    try:
-        yield handle
-    finally:
-        handle.stop()
-
-
-class TestServeSubcommandUsage:
-    @pytest.mark.parametrize("argv", [
-        ["request"],
-        ["request", "healthz"],
-        ["request", "healthz", "--port", "1", "--param", "noequals"],
-        ["request", "healthz", "--port", "1", "--json", "not json"],
-        ["request", "healthz", "--port", "1", "--json", "[1,2]"],
-        ["loadtest"],
-        ["loadtest", "--port", "1", "--clients", "0"],
-        ["loadtest", "--port", "1", "--requests", "0"],
-        ["loadtest", "--port", "1", "--zipf", "-1"],
-        ["serve", "--queue-limit", "0"],
-        ["serve", "--workers", "0"],
-        ["serve", "--default-deadline", "0"],
-        ["cache"],
-        ["cache", "vacuum"],
-        ["cache", "prune"],
-        ["cache", "prune", "--max-age-days", "-1"],
-        ["cache", "prune", "--max-bytes", "-1"],
-    ], ids=lambda argv: " ".join(argv))
-    def test_usage_errors_exit_2(self, capsys, argv):
-        assert cli_main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.strip()
-
-
-class TestRequestSubcommand:
-    def test_healthz_round_trip(self, capsys, live_server):
-        rc = cli_main(["request", "healthz",
-                       "--port", str(live_server.port)])
-        assert rc == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        assert doc["result"]["status"] == "ok"
-
-    def test_bad_request_exits_2(self, capsys, live_server):
-        rc = cli_main(["request", "divine",
-                       "--port", str(live_server.port)])
-        assert rc == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "bad_request" in captured.err
-        # the full response document still lands on stdout
-        assert json.loads(captured.out)["ok"] is False
-
-    def test_deadline_exits_1(self, capsys, live_server):
-        rc = cli_main(["request", "sleep",
-                       "--port", str(live_server.port),
-                       "--param", "seconds=3",
-                       "--param", "token=cli-deadline",
-                       "--deadline", "0.2"])
-        assert rc == EXIT_FINDINGS
-        assert "deadline" in capsys.readouterr().err
-
-    def test_unreachable_server_exits_1(self, capsys):
-        rc = cli_main(["request", "healthz", "--port", "1"])
-        assert rc == EXIT_FINDINGS
-        assert capsys.readouterr().err.strip()
-
-    def test_out_file_written(self, capsys, live_server, tmp_path):
-        out = tmp_path / "response.json"
-        rc = cli_main(["request", "fingerprint",
-                       "--port", str(live_server.port),
-                       "--out", str(out)])
-        assert rc == EXIT_OK
-        assert json.loads(out.read_text())["ok"] is True
-
-    def test_params_merge_json_then_param(self, capsys, live_server):
-        rc = cli_main(["request", "sleep",
-                       "--port", str(live_server.port),
-                       "--json", '{"seconds": 0, "token": "a"}',
-                       "--param", "token=b"])
-        assert rc == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["result"]["token"] == "b"
-
-
-class TestLoadtestSubcommand:
-    def test_small_run_exits_0(self, capsys, live_server, tmp_path):
-        out = tmp_path / "report.json"
-        rc = cli_main(["loadtest", "--port", str(live_server.port),
-                       "--clients", "2", "--requests", "3",
-                       "--nranks", "1", "--seed", "3",
-                       "--format", "json", "--out", str(out)])
-        assert rc == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        assert doc["schedule"]["requests"] == 6
-        assert json.loads(out.read_text()) == doc
-
-    def test_unreachable_server_exits_1(self, capsys):
-        rc = cli_main(["loadtest", "--port", "1",
-                       "--clients", "1", "--requests", "1"])
-        assert rc == EXIT_FINDINGS
 
 
 class TestCacheSubcommand:

@@ -22,9 +22,11 @@ canonical strategies over identical payloads:
   host-side durability) and flushed to immutable segment objects
   *asynchronously* by virtual-time callbacks
   (:meth:`~repro.sim.engine.SimEngine.schedule`).  The flush daemon is
-  modelled inside the rank: a scheduled callback marks a batch due, and
-  the rank drains due batches at its next step boundary.  Because the
-  ack races the flush, chaos replays can kill a server mid-flush;
+  modelled inside the rank: a scheduled callback marks a batch due and
+  notifies the wait key ``("wal", rank)``, and the rank drains due
+  batches at its next step boundary.  At shutdown the rank parks on
+  that key until every flush timer has fired.  Because the ack races
+  the flush, chaos replays can kill a server mid-flush;
   :mod:`repro.faults.walcheck` then audits acked-but-unflushed loss.
 
 The WAL layout is deliberately simple so the audit can reason about it:
@@ -176,6 +178,7 @@ def main_wal(ctx: RankContext, cfg: AppConfig) -> None:
 
             def fire(t: float, _b: int = batch) -> None:
                 due.append((_b, t))
+                ctx.engine.notify(("wal", ctx.rank))
 
             ctx.engine.schedule(ctx.clock.true_time + flush_delay, fire)
             scheduled += 1
@@ -185,7 +188,7 @@ def main_wal(ctx: RankContext, cfg: AppConfig) -> None:
     # synchronously flush any partial tail batch
     ctx.engine.wait_until(
         ctx.rank, lambda: flushed[0] + len(due) == scheduled,
-        "wal-flush-drain")
+        "wal-flush-drain", key=("wal", ctx.rank))
     drain()
     if pending:
         flush_segment(scheduled, pending)

@@ -29,8 +29,6 @@ from repro.errors import CollectiveMismatchError, MPIError
 from repro.sim.engine import RankContext, SimEngine
 from repro.tracer.recorder import Recorder
 
-ANY_SOURCE = -1
-
 
 class ReduceOp(Enum):
     """Reduction operators supported by reduce/allreduce."""
@@ -148,7 +146,7 @@ def collective_depth(size: int) -> int:
 
 
 def _mailbox_key(src: int, dest: int, tag: Any) -> tuple:
-    """Engine wait key of a specific-source receive."""
+    """Engine wait key of a receive by ``dest`` from ``src``."""
     return ("p2p", src, dest, tag)
 
 
@@ -162,10 +160,7 @@ class MPIWorld:
 
     Posting a message and completing a collective notify the engine
     under the wait key the receiver or the members parked on, so only
-    they are re-checked.  ``blocked_in`` tracks *why* each rank is
-    blocked inside the MPI layer (``("recv", src, tag)``,
-    ``("anyrecv", tag)`` or ``("coll", index)``); the deterministic
-    ANY_SOURCE matching rule below reads it.
+    they are re-checked.
     """
 
     def __init__(self, engine: SimEngine, recorder: Recorder | None = None):
@@ -175,7 +170,6 @@ class MPIWorld:
         self._mailboxes: dict[tuple[int, int, int], deque[_Message]] = {}
         self._p2p_seq: dict[tuple[int, int, int], int] = {}
         self._slots: dict[int, _CollectiveSlot] = {}
-        self.blocked_in: dict[int, tuple] = {}
 
     def mailbox(self, src: int, dest: int, tag: int) -> deque[_Message]:
         return self._mailboxes.setdefault((src, dest, tag), deque())
@@ -190,17 +184,19 @@ class MPIWorld:
         self.mailbox(src, dest, tag).append(msg)
         self.engine.notify(_mailbox_key(src, dest, tag))
 
-    def slot(self, index: int, kind: str, root: int | None,
+    def slot(self, index: int, rank: int, kind: str, root: int | None,
              op: str | None = None) -> _CollectiveSlot:
+        """Collective ``index`` as ``rank`` enters it; all must agree."""
         s = self._slots.get(index)
         if s is None:
             s = _CollectiveSlot(kind, root, op)
             self._slots[index] = s
-        else:
-            if s.kind != kind or s.root != root or s.op != op:
-                raise CollectiveMismatchError(
-                    f"collective #{index}: rank entered {kind}(root={root}) "
-                    f"but others entered {s.kind}(root={s.root})")
+        elif (s.kind, s.root, s.op) != (kind, root, op):
+            other = next(iter(s.arrivals))
+            raise CollectiveMismatchError(
+                f"collective #{index}: rank {rank} entered "
+                f"{kind}(root={root}, op={op}) but rank {other} entered "
+                f"{s.kind}(root={s.root}, op={s.op})")
         return s
 
     def complete_collective(self, index: int, slot: _CollectiveSlot) -> None:
@@ -219,108 +215,6 @@ class MPIWorld:
         s.results.pop(rank, None)
         if s.complete and not s.results:
             del self._slots[index]
-
-    # -- deterministic ANY_SOURCE matching --------------------------------------
-
-    def anysource_candidates(self, dest: int, tag: int) -> list[
-            tuple[float, int]]:
-        """Pending ``(send completion time, src)`` heads for an ANY recv."""
-        out = []
-        for s in range(self.nranks):
-            if s == dest:
-                continue
-            box = self._mailboxes.get((s, dest, tag))
-            if box:
-                out.append((box[0].send_done_true, s))
-        return out
-
-    def anysource_ready(self, dest: int, tag: int) -> bool:
-        """May ``dest``'s ANY_SOURCE recv match *now*?
-
-        True only when a candidate exists and no rank can still post a
-        send that would complete before the best candidate — which makes
-        the chosen match a function of program behaviour alone, not of
-        scheduling.
-        """
-        cands = self.anysource_candidates(dest, tag)
-        if not cands:
-            return False
-        return self.anysource_safe(dest, best_t=min(cands)[0])
-
-    def anysource_safe(self, dest: int, best_t: float) -> bool:
-        """No rank except ``dest`` can complete a send before ``best_t``.
-
-        Sound because a future send from rank ``q`` completes strictly
-        after ``q``'s current lower bound (net_latency > 0):
-
-        * done ranks and ranks parked in a world collective cannot send
-          at all before ``dest`` itself proceeds;
-        * a rank blocked on a *matchable* recv resumes no earlier than
-          the head message's completion time;
-        * a rank blocked on an *empty* mailbox can only be woken by some
-          other sender — and if every potential waker is itself at or
-          past ``best_t``, the wake (and any send after it) lands past
-          ``best_t`` too.
-        """
-        from repro.sim.engine import RANK_DONE, RANK_BLOCKED
-
-        for q in range(self.nranks):
-            if q == dest:
-                continue
-            status, t = self.engine.rank_status(q)
-            if status == RANK_DONE:
-                continue
-            blocked = self.blocked_in.get(q)
-            if blocked is not None and blocked[0] == "coll":
-                # A world collective needs dest too; q can't move first.
-                continue
-            parked_empty = False
-            if blocked is not None and blocked[0] == "recv":
-                box = self._mailboxes.get((blocked[1], q, blocked[2]))
-                if box:
-                    t = max(t, box[0].send_done_true)
-                else:
-                    parked_empty = True
-            elif blocked is not None and blocked[0] == "anyrecv":
-                cands = self.anysource_candidates(q, blocked[1])
-                if cands:
-                    t = max(t, min(cands)[0])
-                else:
-                    parked_empty = True
-            elif status != RANK_BLOCKED:
-                pass  # ready/running: bound is its own clock
-            if t >= best_t:
-                continue
-            if not parked_empty:
-                return False
-            # parked on an empty box below best_t: harmless unless some
-            # *other* rank below best_t could wake it — and that rank
-            # would already have returned False above.
-        return True
-
-    def take_anysource(self, dest: int, tag: int) -> _Message:
-        cands = self.anysource_candidates(dest, tag)
-        _, src = min(cands)
-        return self._mailboxes[(src, dest, tag)].popleft()
-
-
-class Request:
-    """Handle for a nonblocking operation; ``wait()`` completes it."""
-
-    def __init__(self, completer: Callable[[], Any]):
-        self._completer = completer
-        self._done = False
-        self._value: Any = None
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._completer()
-            self._done = True
-        return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        """Nonblocking completion check (always completes in this simulator)."""
-        return True, self.wait()
 
 
 class SubComm:
@@ -467,46 +361,22 @@ class Communicator:
         self._record("send", key, "sender", t0, self.ctx.clock.local_time)
         self._checkpoint()
 
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> Request:
-        self.send(dest, payload, tag)
-        return Request(lambda: None)
-
     def recv(self, source: int, tag: int = 0) -> Any:
-        """Blocking receive from a specific source (or ``ANY_SOURCE``).
+        """Blocking receive of the next message from ``source``.
 
-        ANY_SOURCE matches deterministically: the recv completes only
-        once no rank can still post an earlier-completing send (see
-        :meth:`MPIWorld.anysource_ready`), then takes the candidate with
-        the smallest ``(completion time, src)``.  The chosen sender is
-        therefore identical however the ranks are scheduled.  The wait
-        has no engine key: it reads every rank's state, so it is
-        re-checked at every dispatch.
+        The wait parks on the mailbox key ``("p2p", source, rank, tag)``,
+        which :meth:`MPIWorld.post_send` notifies, so messages on one
+        channel arrive in send order.
         """
+        self._check_rank(source, "source")
         world = self.world
-        if source == ANY_SOURCE:
-            t0 = self.ctx.clock.local_time
-            world.blocked_in[self.rank] = ("anyrecv", tag)
-            try:
-                world.engine.wait_until(
-                    self.rank,
-                    lambda: world.anysource_ready(self.rank, tag),
-                    f"recv(source=ANY_SOURCE, tag={tag})")
-            finally:
-                world.blocked_in.pop(self.rank, None)
-            msg = world.take_anysource(self.rank, tag)
-        else:
-            self._check_rank(source, "source")
-            t0 = self.ctx.clock.local_time
-            box = world.mailbox(source, self.rank, tag)
-            world.blocked_in[self.rank] = ("recv", source, tag)
-            try:
-                world.engine.wait_until(
-                    self.rank, lambda: bool(box),
-                    f"recv(source={source}, tag={tag})",
-                    key=_mailbox_key(source, self.rank, tag))
-            finally:
-                world.blocked_in.pop(self.rank, None)
-            msg = box.popleft()
+        t0 = self.ctx.clock.local_time
+        box = world.mailbox(source, self.rank, tag)
+        world.engine.wait_until(
+            self.rank, lambda: bool(box),
+            f"recv(source={source}, tag={tag})",
+            key=_mailbox_key(source, self.rank, tag))
+        msg = box.popleft()
         self.ctx.clock.sync_to(msg.send_done_true)
         self._charge(self._cfg.net_latency
                      + _sizeof(msg.payload) * self._cfg.net_byte_cost)
@@ -514,14 +384,6 @@ class Communicator:
                      t0, self.ctx.clock.local_time)
         self._checkpoint()
         return msg.payload
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        return Request(lambda: self.recv(source, tag))
-
-    def sendrecv(self, dest: int, payload: Any, source: int,
-                 tag: int = 0) -> Any:
-        self.send(dest, payload, tag)
-        return self.recv(source, tag)
 
     # -- communicator management ---------------------------------------------------
 
@@ -549,21 +411,16 @@ class Communicator:
         self._coll_seq += 1
         t0 = self.ctx.clock.local_time
         op_name = None if op is None else op.value
-        slot = self.world.slot(index, kind, root, op_name)
+        slot = self.world.slot(index, self.rank, kind, root, op_name)
         slot.arrivals[self.rank] = self.ctx.clock.true_time
         slot.payloads[self.rank] = copy.deepcopy(payload)
         if len(slot.arrivals) == self.size:
             self.world.complete_collective(index, slot)
         else:
-            self.world.blocked_in[self.rank] = ("coll", index)
-            try:
-                self.world.engine.wait_until(
-                    self.rank, lambda: slot.complete,
-                    f"{kind}#{index} "
-                    f"({len(slot.arrivals)}/{self.size} arrived)",
-                    key=_collective_key(index))
-            finally:
-                self.world.blocked_in.pop(self.rank, None)
+            self.world.engine.wait_until(
+                self.rank, lambda: slot.complete,
+                f"{kind}#{index} ({len(slot.arrivals)}/{self.size} arrived)",
+                key=_collective_key(index))
         self.ctx.clock.sync_to(slot.exit_true)
         result = slot.results.get(self.rank)
         self.world.release_slot(index, self.rank)

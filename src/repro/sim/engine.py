@@ -13,16 +13,14 @@ its own clock), so a switch costs O(log N).
 
 Blocking is predicate-based, and the predicate may read any shared state
 (only one rank runs at a time, so plain Python data structures are safe).
-A wait on state that one writer owns carries a *wait key*: the rank parks
-on that key's queue, the writer calls :meth:`SimEngine.notify` after
-changing the state, and the parked predicates are re-checked at the next
-dispatch.  The MPI layer keys a receive by its mailbox ``("p2p", src, dst,
-tag)`` and a collective by ``("coll", index)``.  A wait without a key is
-*polled*: its predicate is re-checked at every dispatch.  Two waits stay
-polled because no single writer owns what they read — an ``ANY_SOURCE``
-receive, whose matching rule scans every rank (O(N) per check), and the
-Ckpt-IO WAL drain, whose queue fills from :meth:`SimEngine.schedule`
-callbacks.  So a switch costs O(log N) plus one check per polled waiter.
+Every wait carries a *wait key*: the rank parks on that key's queue,
+whoever changes the state the predicate reads calls
+:meth:`SimEngine.notify` afterwards, and only the ranks parked on that key
+are re-checked at the next dispatch.  The MPI layer keys a receive by its
+mailbox ``("p2p", src, dst, tag)`` and a collective by ``("coll", index)``;
+the Ckpt-IO WAL drain parks on ``("wal", rank)``, which the
+:meth:`SimEngine.schedule` callback that queues a flush notifies.  So a
+switch costs O(log N) plus one check per notified waiter.
 
 A run deadlocks when no rank is runnable, no scheduled callback is
 pending, and some rank is still blocked; every rank is then woken and
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
@@ -41,17 +40,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs import registry as obs
 from repro.sim.clock import RankClock
 from repro.util.rng import make_rng
-
-_READY = "ready"
-_RUNNING = "running"
-_BLOCKED = "blocked"
-_DONE = "done"
-
-#: public names for :meth:`SimEngine.rank_status` values
-RANK_READY = _READY
-RANK_RUNNING = _RUNNING
-RANK_BLOCKED = _BLOCKED
-RANK_DONE = _DONE
 
 
 @dataclass
@@ -81,16 +69,19 @@ class SimConfig:
             raise SimulationError(f"nranks must be >= 1, got {self.nranks}")
         if self.seed < 0:
             raise SimulationError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.clock_skew_us)
+                and self.clock_skew_us >= 0):
+            raise SimulationError(f"clock_skew_us must be finite and >= 0, "
+                                  f"got {self.clock_skew_us}")
 
 
 class _RankState:
-    __slots__ = ("clock", "status", "reason", "predicate", "key", "event",
-                 "thread")
+    __slots__ = ("clock", "reason", "predicate", "key", "event", "thread")
 
     def __init__(self, clock: RankClock):
         self.clock = clock
-        self.status = _READY
         self.reason = ""
+        #: set while the rank waits in :meth:`SimEngine.wait_until`
         self.predicate: Callable[[], bool] | None = None
         self.key: Hashable | None = None
         self.event = threading.Event()
@@ -138,8 +129,6 @@ class SimEngine:
         self._parked: dict[Hashable, list[_RankState]] = {}
         #: keyed waits notified since the last dispatch
         self._notified: list[_RankState] = []
-        #: waits without a key, re-checked at every dispatch
-        self._polled: list[_RankState] = []
         #: virtual-time callbacks, fired by the dispatcher in (t, FIFO)
         #: order before any rank whose clock has passed them runs
         self._scheduled: list[
@@ -174,11 +163,6 @@ class SimEngine:
     def clock(self, rank: int) -> RankClock:
         return self._ranks[rank].clock
 
-    def rank_status(self, rank: int) -> tuple[str, float]:
-        """(status, true_time) of a rank, for matching/safety rules."""
-        state = self._ranks[rank]
-        return state.status, state.clock.true_time
-
     def run(self, program: Callable[[RankContext], Any],
             services_factory: Callable[[RankContext], dict[str, Any]] | None = None,
             ) -> list[Any]:
@@ -207,7 +191,7 @@ class SimEngine:
             state = self._ranks[rank]
             state.event.wait()  # wait to be scheduled the first time
             if self._failure is not None:
-                self._finish_rank(rank)
+                self._dispatch_next()
                 return
             try:
                 results[rank] = program(contexts[rank])
@@ -215,7 +199,7 @@ class SimEngine:
                 if self._failure is None:
                     self._failure = exc
             finally:
-                self._finish_rank(rank)
+                self._dispatch_next()
 
         started = 0
         try:
@@ -259,17 +243,16 @@ class SimEngine:
         self._raise_if_failed()
 
     def wait_until(self, rank: int, predicate: Callable[[], bool],
-                   reason: str, key: Hashable | None = None) -> None:
+                   reason: str, key: Hashable) -> None:
         """Block this rank until ``predicate()`` is true.
 
         The predicate is evaluated under the engine's one-runner-at-a-time
         discipline, so it may read any shared state without extra locking.
-        With a ``key`` it is re-checked only after :meth:`notify` of that
-        key; without one it is re-checked at every dispatch.
+        It is re-checked only after :meth:`notify` of ``key``, so whatever
+        changes the state it reads must notify that key.
         """
         state = self._ranks[rank]
         while not predicate():
-            state.status = _BLOCKED
             state.reason = reason
             state.predicate = predicate
             state.event.clear()
@@ -280,13 +263,12 @@ class SimEngine:
             self._raise_if_failed()
         state.predicate = None
         state.reason = ""
-        state.status = _RUNNING
 
     def notify(self, key: Hashable) -> None:
         """Re-check, at the next dispatch, the ranks waiting on ``key``.
 
         Called by whoever changed the state those waits read (a message
-        posted to a mailbox, a collective completed).
+        posted to a mailbox, a collective completed, a flush queued).
         """
         parked = self._parked.pop(key, None)
         if parked is not None:
@@ -313,32 +295,23 @@ class SimEngine:
     # -- internals -----------------------------------------------------------------
 
     def _make_ready(self, state: _RankState) -> None:
-        state.status = _READY
         heapq.heappush(self._ready,
                        (state.clock.true_time, state.clock.rank))
 
-    def _park(self, state: _RankState, key: Hashable | None) -> None:
+    def _park(self, state: _RankState, key: Hashable) -> None:
         state.key = key
-        if key is None:
-            self._polled.append(state)
-        else:
-            self._parked.setdefault(key, []).append(state)
+        self._parked.setdefault(key, []).append(state)
 
     def _wake_satisfied(self) -> None:
-        """Move notified and polled waits whose predicate holds to ready."""
-        if not (self._notified or self._polled):
+        """Move notified waits whose predicate holds to ready."""
+        if not self._notified:
             return
-        waiting = self._notified + self._polled
-        self._notified, self._polled = [], []
-        for state in waiting:
+        notified, self._notified = self._notified, []
+        for state in notified:
             if state.predicate():
                 self._make_ready(state)
             else:
                 self._park(state, state.key)
-
-    def _finish_rank(self, rank: int) -> None:
-        self._ranks[rank].status = _DONE
-        self._dispatch_next()
 
     def _raise_if_failed(self) -> None:
         if self._failure is not None:
@@ -376,16 +349,14 @@ class SimEngine:
         if ready:
             t, nxt = heapq.heappop(ready)
             self._obs_vtime.set_max(t)
-            state = self._ranks[nxt]
-            state.status = _RUNNING
-            state.event.set()
+            self._ranks[nxt].event.set()
             return
         self._finish_or_deadlock()
 
     def _finish_or_deadlock(self) -> None:
         """Nothing is runnable or scheduled: the run is over either way."""
         blocked = {s.clock.rank: s.reason
-                   for s in self._ranks if s.status == _BLOCKED}
+                   for s in self._ranks if s.predicate is not None}
         if blocked:
             self._failure = DeadlockError(
                 f"deadlock: {len(blocked)} rank(s) blocked, none runnable",

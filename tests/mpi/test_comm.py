@@ -93,21 +93,6 @@ class TestPointToPoint:
 
         h.run(program, align=False)
 
-    def test_isend_irecv(self, harness):
-        h = harness(nranks=2)
-
-        def program(ctx):
-            if ctx.rank == 0:
-                req = ctx.comm.isend(1, 42)
-                req.wait()
-                return None
-            req = ctx.comm.irecv(0)
-            done, value = req.test()
-            assert done
-            return value
-
-        assert h.run(program, align=False)[1] == 42
-
 
 class TestCollectives:
     def test_barrier_aligns_clocks(self, harness):
@@ -195,17 +180,31 @@ class TestCollectives:
 
         h.run(program, align=False)
 
-    def test_collective_mismatch_detected(self, harness):
+    @pytest.mark.parametrize("first, second, rank0_sig, rank1_sig", [
+        (lambda c: c.barrier(), lambda c: c.allreduce(1),
+         "barrier(root=None, op=None)", "allreduce(root=None, op=sum)"),
+        (lambda c: c.bcast(1, root=0), lambda c: c.bcast(1, root=1),
+         "bcast(root=0, op=None)", "bcast(root=1, op=None)"),
+        (lambda c: c.allreduce(1, ReduceOp.SUM),
+         lambda c: c.allreduce(1, ReduceOp.MAX),
+         "allreduce(root=None, op=sum)", "allreduce(root=None, op=max)"),
+    ], ids=["kind", "root", "op"])
+    def test_collective_mismatch_detected(self, harness, first, second,
+                                          rank0_sig, rank1_sig):
         h = harness(nranks=2)
 
         def program(ctx):
             if ctx.rank == 0:
-                ctx.comm.barrier()
+                first(ctx.comm)
             else:
-                ctx.comm.allreduce(1)
+                ctx.clock.advance(1e-3)  # rank 0 is already in the slot
+                second(ctx.comm)
 
-        with pytest.raises(CollectiveMismatchError):
+        with pytest.raises(CollectiveMismatchError) as exc:
             h.run(program, align=False)
+        assert str(exc.value) == (
+            f"collective #0: rank 1 entered {rank1_sig} "
+            f"but rank 0 entered {rank0_sig}")
 
     def test_events_recorded_with_shared_match_keys(self, harness):
         h = harness(nranks=2)

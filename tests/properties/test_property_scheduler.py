@@ -7,6 +7,11 @@ blocked predicate at each dispatch.  A wakeup the keyed engine missed
 or delivered late would reorder ranks, so both runs must resume ranks
 in the same order and produce the same trace: records, MPI events, and
 conflict counts under every model.
+
+Every registry configuration runs through both engines too.  That
+covers waits the generator never builds: the ``schedule()``-driven
+Ckpt-IO WAL drain, the ADIOS sub-communicator gather, and the Silo and
+VASP point-to-point chains.
 """
 
 from unittest import mock
@@ -17,15 +22,19 @@ from hypothesis import strategies as st
 
 from repro.apps import base
 from repro.apps.base import AppConfig, run_application
+from repro.apps.registry import all_variants
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.sim.engine import SimEngine
 from tests.sim.reference import ReferenceEngine
 from tests.synthetic import make_program, scripts, setup
 
+VARIANTS = {v.label: v for v in all_variants()}
 
-def _run(engine_cls, cfg, script):
-    """The trace and the order in which ranks resumed from the engine."""
+
+def _run(engine_cls, execute):
+    """The trace ``execute()`` returns on ``engine_cls``, and the order
+    in which ranks resumed from the engine."""
     resumed: list[int] = []
     checkpoint, wait_until = SimEngine.checkpoint, SimEngine.wait_until
 
@@ -40,7 +49,7 @@ def _run(engine_cls, cfg, script):
     with mock.patch.object(base, "SimEngine", engine_cls), \
             mock.patch.object(SimEngine, "checkpoint", logged_checkpoint), \
             mock.patch.object(SimEngine, "wait_until", logged_wait_until):
-        trace = run_application(cfg, make_program(script), setup=setup)
+        trace = execute()
     return trace, resumed
 
 
@@ -50,8 +59,12 @@ def _run(engine_cls, cfg, script):
 def test_keyed_engine_matches_reference(nranks, script, seed):
     cfg = AppConfig(application="synthetic", nranks=nranks, seed=seed,
                     clock_skew_us=10.0)
-    keyed, keyed_order = _run(SimEngine, cfg, script)
-    reference, reference_order = _run(ReferenceEngine, cfg, script)
+
+    def execute():
+        return run_application(cfg, make_program(script), setup=setup)
+
+    keyed, keyed_order = _run(SimEngine, execute)
+    reference, reference_order = _run(ReferenceEngine, execute)
     assert keyed_order == reference_order
     assert keyed.records == reference.records
     assert keyed.mpi_events == reference.mpi_events
@@ -61,3 +74,16 @@ def test_keyed_engine_matches_reference(nranks, script, seed):
     for semantics in Semantics:
         assert len(keyed_report.conflicts(semantics)) == \
             len(reference_report.conflicts(semantics))
+
+
+@pytest.mark.parametrize("label", sorted(VARIANTS))
+def test_every_configuration_matches_reference(label):
+    variant = VARIANTS[label]
+
+    def execute():
+        return variant.run(nranks=8, seed=7)
+
+    keyed, keyed_order = _run(SimEngine, execute)
+    reference, reference_order = _run(ReferenceEngine, execute)
+    assert keyed_order == reference_order
+    assert keyed.columnar.columns_equal(reference.columnar)

@@ -12,17 +12,23 @@ from __future__ import annotations
 
 import heapq
 
-from repro.sim.engine import RANK_BLOCKED, RANK_READY, RANK_RUNNING, SimEngine
+from repro.sim.engine import SimEngine
 
 
 class ReferenceEngine(SimEngine):
     """SimEngine with the keyed ready heap and wait queues switched off."""
 
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        #: ranks that may be dispatched; a rank waiting in ``wait_until``
+        #: and not in this set is blocked
+        self._runnable: set[int] = set()
+
     def notify(self, key) -> None:
         pass
 
     def _make_ready(self, state) -> None:
-        state.status = RANK_READY
+        self._runnable.add(state.clock.rank)
 
     def _park(self, state, key) -> None:
         pass
@@ -31,9 +37,11 @@ class ReferenceEngine(SimEngine):
         if self._failure is not None:
             self._wake_everyone()
             return
+        runnable = self._runnable
         while True:
             for state in self._ranks:
-                if state.status == RANK_BLOCKED:
+                rank = state.clock.rank
+                if state.predicate is not None and rank not in runnable:
                     try:
                         ready = state.predicate()
                     except BaseException as exc:
@@ -41,9 +49,9 @@ class ReferenceEngine(SimEngine):
                         self._wake_everyone()
                         return
                     if ready:
-                        state.status = RANK_READY
-            candidates = [(s.clock.true_time, s.clock.rank)
-                          for s in self._ranks if s.status == RANK_READY]
+                        runnable.add(rank)
+            candidates = [(self._ranks[r].clock.true_time, r)
+                          for r in runnable]
             if self._scheduled and (
                     not candidates
                     or self._scheduled[0][0] <= min(candidates)[0]):
@@ -60,8 +68,7 @@ class ReferenceEngine(SimEngine):
         if candidates:
             t, nxt = min(candidates)
             self._obs_vtime.set_max(t)
-            state = self._ranks[nxt]
-            state.status = RANK_RUNNING
-            state.event.set()
+            runnable.discard(nxt)
+            self._ranks[nxt].event.set()
             return
         self._finish_or_deadlock()

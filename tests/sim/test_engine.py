@@ -52,6 +52,14 @@ class TestSimConfig:
         skews = SimEngine._draw_skews(SimConfig(nranks=4))
         assert skews == [0.0] * 4
 
+    @pytest.mark.parametrize("skew", [-5, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_skew(self, skew):
+        # one-line diagnosis here, not a silent zero skew or numpy's
+        # OverflowError from the skew draw
+        with pytest.raises(SimulationError,
+                           match="clock_skew_us must be finite and >= 0"):
+            SimConfig(clock_skew_us=skew)
+
 
 class TestSimEngine:
     def test_runs_all_ranks_and_collects_results(self):
@@ -92,7 +100,8 @@ class TestSimEngine:
 
         def program(ctx):
             # both ranks wait for a condition nobody ever makes true
-            ctx.engine.wait_until(ctx.rank, lambda: False, "never")
+            ctx.engine.wait_until(ctx.rank, lambda: False, "never",
+                                  key="never")
 
         with pytest.raises(DeadlockError) as exc:
             engine.run(program)
@@ -108,9 +117,11 @@ class TestSimEngine:
                 ctx.engine.advance(0, 1e-3)
                 ctx.engine.checkpoint(0)
                 box.append(99)
+                ctx.engine.notify("box")
                 ctx.engine.checkpoint(0)
             else:
-                ctx.engine.wait_until(1, lambda: bool(box), "waiting")
+                ctx.engine.wait_until(1, lambda: bool(box), "waiting",
+                                      key="box")
                 return box[0]
 
         results = engine.run(program)
@@ -173,11 +184,16 @@ class TestSimEngine:
     def test_scheduled_callback_can_unblock_a_rank(self):
         engine = SimEngine(SimConfig(nranks=1))
         box: list[int] = []
-        engine.schedule(1e-6, lambda t: box.append(7))
+
+        def fire(t):
+            box.append(7)
+            engine.notify("box")
+
+        engine.schedule(1e-6, fire)
 
         def program(ctx):
             ctx.engine.advance(0, 2e-6)
-            ctx.engine.wait_until(0, lambda: bool(box), "box")
+            ctx.engine.wait_until(0, lambda: bool(box), "box", key="box")
             return box[0]
 
         assert engine.run(program) == [7]
@@ -269,21 +285,6 @@ class TestKeyedWaits:
         with pytest.raises(DeadlockError) as exc:
             engine.run(program)
         assert exc.value.states == {1: "mail"}
-
-    def test_polled_wait_rechecked_at_every_dispatch(self):
-        engine = SimEngine(SimConfig(nranks=2))
-        box: list[int] = []
-
-        def program(ctx):
-            if ctx.rank == 0:
-                ctx.engine.checkpoint(0)
-                box.append(1)  # no notify: the poll must see it
-                ctx.engine.checkpoint(0)
-            else:
-                ctx.engine.wait_until(1, lambda: bool(box), "polled")
-                return box[0]
-
-        assert engine.run(program) == [None, 1]
 
 
 class TestThreadExhaustion:

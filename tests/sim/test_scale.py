@@ -8,15 +8,23 @@ a block costs about three checks (the failed check, the re-check after
 the notify, the passing check on resume) at any rank count.  A polling
 dispatcher re-checks every blocked rank at every switch instead, which
 is already 131 checks per block at 256 ranks.
+
+The Ckpt-IO WAL proxy at 256 ranks is the second input: its shutdown
+drain waits on flush timers fired by ``schedule()`` callbacks, which
+notify the drain's key like any other writer.
 """
 
 from collections import Counter
 
+import pytest
+
 from repro.apps.base import AppConfig, run_application
+from repro.apps.registry import find_variant
 from repro.obs import registry as obs
 from repro.sim.engine import SimEngine
 
 NRANKS = 1024
+WAL_NRANKS = 256
 SEED = 11
 MAX_CHECKS_PER_BLOCK = 4
 
@@ -37,27 +45,56 @@ def _setup(fs, cfg):
     fs.makedirs("/bench/out")
 
 
-def test_1024_ranks_in_one_process(monkeypatch):
-    checks = [0]
+@pytest.fixture
+def counted_run(monkeypatch):
+    """Run a thunk with every wait predicate counted.
+
+    Returns the thunk's result, the predicate checks per wait reason, and
+    the number of blocks.
+    """
+    checks: Counter = Counter()
     real_wait_until = SimEngine.wait_until
 
-    def counting_wait_until(self, rank, predicate, *args, **kwargs):
+    def counting_wait_until(self, rank, predicate, reason, *args, **kwargs):
         def counted():
-            checks[0] += 1
+            checks[reason] += 1
             return predicate()
 
-        return real_wait_until(self, rank, counted, *args, **kwargs)
+        return real_wait_until(self, rank, counted, reason, *args, **kwargs)
 
     monkeypatch.setattr(SimEngine, "wait_until", counting_wait_until)
+
+    def run(execute):
+        with obs.collecting() as reg:
+            result = execute()
+            blocks = reg.snapshot()["sim.blocks"]["value"]
+        return result, checks, blocks
+
+    return run
+
+
+def test_1024_ranks_in_one_process(counted_run):
     cfg = AppConfig(application="scale", nranks=NRANKS, seed=SEED,
                     clock_skew_us=10.0)
-    with obs.collecting() as reg:
-        trace = run_application(cfg, _program, setup=_setup)
-        blocks = reg.snapshot()["sim.blocks"]["value"]
+    trace, checks, blocks = counted_run(
+        lambda: run_application(cfg, _program, setup=_setup))
 
     per_rank = Counter(r.rank for r in trace.records)
     assert sorted(per_rank) == list(range(NRANKS))
     assert set(per_rank.values()) == {4}
     assert blocks >= NRANKS
-    assert checks[0] / blocks <= MAX_CHECKS_PER_BLOCK, (
-        f"{checks[0]} predicate checks for {blocks} blocks")
+    total = sum(checks.values())
+    assert total / blocks <= MAX_CHECKS_PER_BLOCK, (
+        f"{total} predicate checks for {blocks} blocks")
+
+
+def test_wal_drain_is_keyed_at_256_ranks(counted_run):
+    variant = find_variant("Ckpt-IO", "POSIX", "wal")
+    _, checks, blocks = counted_run(
+        lambda: variant.run(nranks=WAL_NRANKS, seed=SEED))
+
+    # some drains really blocked: an unblocked drain is checked once
+    assert checks["wal-flush-drain"] > WAL_NRANKS
+    total = sum(checks.values())
+    assert total / blocks <= MAX_CHECKS_PER_BLOCK, (
+        f"{total} predicate checks for {blocks} blocks")

@@ -3,16 +3,16 @@
 A *script* is a list of op codes, one per slot; every rank runs the same
 script, so each op either involves all ranks symmetrically or pairs rank
 ``2k`` with rank ``2k+1``.  The ops mix file I/O, racing ``O_CREAT``
-opens, point-to-point sends, ``ANY_SOURCE`` fan-in, rooted collectives
-and barriers, and a barrier closes every slot, so any script is
-deadlock-free at an even rank count of at least 4.
+opens, point-to-point sends, a specific-source fan-in, rooted
+collectives and barriers, and a barrier closes every slot, so any script
+is deadlock-free at an even rank count of at least 4.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.mpi.comm import ANY_SOURCE, ReduceOp
+from repro.mpi.comm import ReduceOp
 
 O_CREAT_RDWR = 64 | 2
 
@@ -43,10 +43,10 @@ def make_program(script):
                     comm.send(rank + 1, {"slot": slot, "from": rank})
                 else:
                     comm.recv(rank - 1)
-            elif op == 3:  # fan-in to rank 0 via ANY_SOURCE
+            elif op == 3:  # fan-in to rank 0, highest rank first
                 if rank == 0:
-                    for _ in range(cfg.nranks - 1):
-                        comm.recv(ANY_SOURCE, tag=slot)
+                    for src in range(cfg.nranks - 1, 0, -1):
+                        comm.recv(src, tag=slot)
                 else:
                     comm.send(0, bytes([rank % 256]), tag=slot)
             elif op == 4:  # rooted collective (rotating root)

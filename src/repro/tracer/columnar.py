@@ -390,7 +390,9 @@ class ColumnarTrace:
         outside their tables) raises :class:`AnalysisError`; then the
         first bad record raises :class:`TraceError`: a rank outside
         ``[0, nranks)``, an end before its start, or a POSIX data
-        record without a byte count."""
+        record without a byte count; then the first bad MPI event: a
+        rank outside ``[0, nranks)``, a non-finite time, or an end
+        before its start."""
         n = self.nrecords
         for name, _ in RECORD_COLUMNS:
             if self.columns[name].shape[0] != n:
@@ -436,6 +438,20 @@ class ColumnarTrace:
             raise TraceError(
                 f"data record {rid} ({self.funcs[c['func_id'][i]]}) "
                 f"lacks a byte count")
+        ev_bad_rank = (c["ev_rank"] < 0) | (c["ev_rank"] >= self.nranks)
+        nonfinite = ~(np.isfinite(c["ev_tstart"])
+                      & np.isfinite(c["ev_tend"]))
+        ev_backwards = c["ev_tend"] < c["ev_tstart"]
+        bad = np.flatnonzero(ev_bad_rank | nonfinite | ev_backwards)
+        if bad.size:
+            i = int(bad[0])
+            eid = int(c["ev_eid"][i])
+            if ev_bad_rank[i]:
+                raise TraceError(
+                    f"MPI event {eid} has bad rank {int(c['ev_rank'][i])}")
+            if nonfinite[i]:
+                raise TraceError(f"MPI event {eid} has a non-finite time")
+            raise TraceError(f"MPI event {eid} ends before it starts")
 
     def columns_equal(self, other: "ColumnarTrace") -> bool:
         """Exact column-level equality (tests and round-trip checks)."""

@@ -18,15 +18,19 @@ two on random inputs:
   (:func:`local_pattern_mix`, :func:`global_pattern_mix`,
   :func:`classify_sharing` and their helpers), which bucket and sort
   :class:`~repro.core.records.AccessRecord` lists instead of reading
-  table columns.
+  table columns;
+* :class:`ReferenceHappensBefore` — the §5.2 happens-before graph of
+  entry/exit nodes, ordered with :mod:`graphlib` and answered by one
+  nranks-wide vector clock per node.
 """
 
 from __future__ import annotations
 
 import posixpath
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -36,13 +40,14 @@ from repro.core.conflicts import (
     ConflictScope,
     VisibilityIndex,
 )
-from repro.errors import TraceError
+from repro.errors import AnalysisError, TraceError
 from repro.posix import flags as F
 from repro.tracer.events import (
     CLOSE_OPS,
     COMMIT_OPS,
     DATA_OPS,
     Layer,
+    MPIEvent,
     OPEN_OPS,
     READ_OPS,
     SEEK_OPS,
@@ -57,6 +62,7 @@ from repro.core.patterns import (
 )
 from repro.core.records import AccessRecord, AccessTable
 from repro.core.semantics import Semantics
+from repro.tracer.trace import Trace
 
 # -- §5.1 offset replay over record objects ----------------------------------
 
@@ -452,3 +458,142 @@ def _files_per_phase(data_recs: list[AccessRecord],
     if len(distinct) == 1 and len(sets) >= 1:
         return 1  # a series of same-pattern files (e.g. checkpoints)
     return len(paths)
+
+
+# -- happens-before as an explicit graph ---------------------------------------
+
+#: collectives where the root's entry precedes everyone's exit
+_ROOT_TO_ALL = {"bcast", "scatter"}
+#: collectives where everyone's entry precedes the root's exit
+_ALL_TO_ROOT = {"gather", "reduce"}
+
+_IN, _OUT = 0, 1
+
+
+class ReferenceHappensBefore:
+    """Vector-clock index over a run's communication partial order."""
+
+    def __init__(self, trace: Trace):
+        self.nranks = trace.nranks
+        self.events_by_rank: list[list[MPIEvent]] = [
+            [] for _ in range(trace.nranks)]
+        for ev in sorted(trace.mpi_events,
+                         key=lambda e: (e.rank, e.tstart, e.eid)):
+            self.events_by_rank[ev.rank].append(ev)
+        self._starts: list[list[float]] = [
+            [e.tstart for e in evs] for evs in self.events_by_rank]
+        self._ends: list[list[float]] = [
+            [e.tend for e in evs] for evs in self.events_by_rank]
+        # node position along its rank's program order: entry=2i, exit=2i+1
+        self._pos: dict[tuple, int] = {}
+        self._rank_of: dict[tuple, int] = {}
+        for rank, evs in enumerate(self.events_by_rank):
+            for i, ev in enumerate(evs):
+                self._pos[(ev.eid, _IN)] = 2 * i
+                self._pos[(ev.eid, _OUT)] = 2 * i + 1
+                self._rank_of[(ev.eid, _IN)] = rank
+                self._rank_of[(ev.eid, _OUT)] = rank
+        #: node -> its predecessors in the partial order
+        self.graph = self._build_graph()
+        self._clocks = self._compute_vector_clocks()
+
+    # -- construction ---------------------------------------------------------
+
+    def _build_graph(self) -> dict[tuple, list[tuple]]:
+        preds: dict[tuple, list[tuple]] = {}
+
+        def edge(u: tuple, v: tuple) -> None:
+            preds.setdefault(v, []).append(u)
+
+        for evs in self.events_by_rank:
+            for i, ev in enumerate(evs):
+                edge((ev.eid, _IN), (ev.eid, _OUT))
+                if i > 0:
+                    edge((evs[i - 1].eid, _OUT), (ev.eid, _IN))
+        by_match: dict[tuple, list[MPIEvent]] = {}
+        for evs in self.events_by_rank:
+            for ev in evs:
+                by_match.setdefault(ev.match_key, []).append(ev)
+        for key, match in by_match.items():
+            kind = match[0].kind
+            if kind in ("send", "recv"):
+                for s in (e for e in match if e.role == "sender"):
+                    for r in (e for e in match if e.role == "receiver"):
+                        edge((s.eid, _IN), (r.eid, _OUT))
+            elif kind in _ROOT_TO_ALL:
+                for root in (e for e in match if e.role == "root"):
+                    for e in match:
+                        edge((root.eid, _IN), (e.eid, _OUT))
+            elif kind in _ALL_TO_ROOT:
+                for root in (e for e in match if e.role == "root"):
+                    for e in match:
+                        edge((e.eid, _IN), (root.eid, _OUT))
+            else:  # fully synchronizing
+                hub = ("hub", key)
+                for e in match:
+                    edge((e.eid, _IN), hub)
+                    edge(hub, (e.eid, _OUT))
+        return preds
+
+    def _compute_vector_clocks(self) -> dict[tuple, np.ndarray]:
+        try:
+            order = list(TopologicalSorter(self.graph).static_order())
+        except CycleError as exc:
+            raise self._cycle_error(exc.args[1]) from None
+        clocks: dict[tuple, np.ndarray] = {}
+        for node in order:
+            vc = np.zeros(self.nranks, dtype=np.int64)
+            for pred in self.graph.get(node, ()):
+                np.maximum(vc, clocks[pred], out=vc)
+            rank = self._rank_of.get(node)
+            if rank is not None:
+                vc[rank] = max(vc[rank], self._pos[node] + 1)
+            clocks[node] = vc
+        return clocks
+
+    def _cycle_error(self, cycle: list[tuple]) -> AnalysisError:
+        """One-line diagnosis naming an MPI event on ``cycle``."""
+        eid = next(node[0] for node in cycle if node[0] != "hub")
+        ev = next(e for evs in self.events_by_rank for e in evs
+                  if e.eid == eid)
+        return AnalysisError(
+            f"MPI events contradict program order: happens-before "
+            f"cycle through rank {ev.rank} {ev.kind} (eid {ev.eid})")
+
+    # -- queries -----------------------------------------------------------------
+
+    def node_ordered(self, x: tuple, y: tuple) -> bool:
+        """Does graph node ``x`` precede node ``y`` in the partial order?"""
+        rank = self._rank_of[x]
+        return bool(self._clocks[y][rank] >= self._pos[x] + 1) and x != y
+
+    def event_ordered(self, ea: MPIEvent, eb: MPIEvent) -> bool:
+        """entry(ea) precedes exit(eb) — the relation access ordering needs."""
+        return self.node_ordered((ea.eid, _IN), (eb.eid, _OUT)) \
+            or (ea.eid == eb.eid)
+
+    def _first_event_at_or_after(self, rank: int,
+                                 t: float) -> MPIEvent | None:
+        i = bisect_left(self._starts[rank], t)
+        evs = self.events_by_rank[rank]
+        return evs[i] if i < len(evs) else None
+
+    def _last_event_ending_by(self, rank: int, t: float) -> MPIEvent | None:
+        i = bisect_right(self._ends[rank], t) - 1
+        evs = self.events_by_rank[rank]
+        return evs[i] if i >= 0 else None
+
+    def access_ordered(self, a: AccessRecord, b: AccessRecord) -> bool:
+        """Does access ``a`` happen before access ``b``?
+
+        Same rank: program order (local timestamps are exact).  Different
+        ranks: there must be a communication chain from an event after
+        ``a`` on ``a``'s rank to an event before ``b`` on ``b``'s rank.
+        """
+        if a.rank == b.rank:
+            return a.tstart <= b.tstart
+        ea = self._first_event_at_or_after(a.rank, a.tend)
+        eb = self._last_event_ending_by(b.rank, b.tstart)
+        if ea is None or eb is None:
+            return False
+        return self.event_ordered(ea, eb)

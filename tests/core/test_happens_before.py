@@ -87,6 +87,21 @@ class TestEventOrdering:
         assert hb.event_ordered(first, last)
         assert not hb.event_ordered(last, first)
 
+    def test_chain_through_a_rank_reached_twice(self):
+        # rank 0's sends reach rank 1 at its last recv and, through
+        # rank 2, at its first; the send between the two recvs carries
+        # the chain on to rank 3
+        b = EventBuilder(nranks=4)
+        b.send(0, 2, 0.0).send(0, 1, 1.0)
+        b.recv(2, 0, 0.0).send(2, 1, 1.0)
+        b.recv(1, 2, 0.0).send(1, 3, 1.0).recv(1, 0, 2.0)
+        b.recv(3, 1, 0.0)
+        hb = HappensBefore(b.trace())
+        first = hb.events_by_rank[0][0]
+        last = hb.events_by_rank[3][0]
+        assert hb.event_ordered(first, last)
+        assert not hb.event_ordered(last, first)
+
     def test_bcast_root_directed(self):
         trace = EventBuilder().bcast([1.0, 1.2], root=0).trace()
         hb = HappensBefore(trace)
@@ -200,6 +215,38 @@ class TestDegenerateCommunication:
         with pytest.raises(AnalysisError):
             validate_race_freedom(trace, [(access(0, 0.5),
                                            access(1, 3.0))])
+
+    def test_overlapping_events_on_one_rank_are_a_one_line_analysis_error(
+            self):
+        # rank 0's send starts inside its barrier: per-rank queries
+        # bisect event end times, which needs a rank's events in sequence
+        b = EventBuilder(nranks=2).barrier([1.0, 1.0])
+        b.send(0, 1, 1.05).recv(1, 0, 2.0)
+        trace = b.trace()
+        with pytest.raises(AnalysisError) as excinfo:
+            HappensBefore(trace)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "overlap on rank 0" in message
+        for ev in trace.mpi_events:
+            if ev.rank == 0:
+                assert f"eid {ev.eid}" in message
+        with pytest.raises(AnalysisError):
+            validate_race_freedom(trace, [(access(0, 0.5),
+                                           access(1, 3.0))])
+
+    def test_touching_events_are_legal(self):
+        # one event may start exactly when the previous one ends (a
+        # barrier ending at 0.0 and a bcast starting at 0.0)
+        b = EventBuilder(nranks=2).barrier([1.0, 1.0])
+        b.send(0, 1, 1.1).recv(1, 0, 2.0)
+        hb = HappensBefore(b.trace())
+        barrier, send = hb.events_by_rank[0]
+        recv = hb.events_by_rank[1][1]
+        assert barrier.tend == send.tstart
+        assert hb.event_ordered(barrier, send)
+        assert hb.event_ordered(send, recv)
+        assert not hb.event_ordered(recv, send)
 
 
 class TestAccessOrdering:

@@ -12,14 +12,23 @@ is already 131 checks per block at 256 ranks.
 The Ckpt-IO WAL proxy at 256 ranks is the second input: its shutdown
 drain waits on flush timers fired by ``schedule()`` callbacks, which
 notify the drain's key like any other writer.
+
+The §5.2 validation keeps up at the same scale: the scale program plus a
+neighbor send/recv, a reduce and a bcast, and overlapping writes to one
+shared file around a barrier, validated in one process with the
+happens-before index's memory bounded.
 """
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from repro.apps.base import AppConfig, run_application
 from repro.apps.registry import find_variant
+from repro.core.happens_before import validate_race_freedom
+from repro.core.report import analyze
+from repro.core.semantics import Semantics
 from repro.obs import registry as obs
 from repro.sim.engine import SimEngine
 
@@ -27,6 +36,8 @@ NRANKS = 1024
 WAL_NRANKS = 256
 SEED = 11
 MAX_CHECKS_PER_BLOCK = 4
+#: tracemalloc peak of the happens-before build plus its queries
+MAX_HB_PEAK_BYTES = 16 * 2 ** 20
 
 O_CREAT_RDWR = 64 | 2
 
@@ -43,6 +54,28 @@ def _program(ctx, cfg):
 
 def _setup(fs, cfg):
     fs.makedirs("/bench/out")
+
+
+def _validated_program(ctx, cfg):
+    """The scale program, then a neighbor send/recv, a reduce and a
+    bcast rooted at 0, and one shared file that ranks 0-1 write before a
+    barrier and ranks 2-3 write after it, all at the same bytes."""
+    _program(ctx, cfg)
+    px, comm, rank = ctx.posix, ctx.comm, ctx.rank
+    if rank % 2 == 0:
+        comm.send(rank + 1, rank)
+    else:
+        comm.recv(rank - 1)
+    comm.bcast(comm.reduce(rank, root=0), root=0)
+    if rank < 4:
+        fd = px.open("/bench/shared.dat", O_CREAT_RDWR)
+    if rank < 2:
+        px.pwrite(fd, b"s" * 512, 0)
+    comm.barrier()
+    if rank < 4:
+        if rank >= 2:
+            px.pwrite(fd, b"s" * 512, 0)
+        px.close(fd)
 
 
 @pytest.fixture
@@ -98,3 +131,27 @@ def test_wal_drain_is_keyed_at_256_ranks(counted_run):
     total = sum(checks.values())
     assert total / blocks <= MAX_CHECKS_PER_BLOCK, (
         f"{total} predicate checks for {blocks} blocks")
+
+
+def test_race_validation_at_1024_ranks_in_one_process():
+    cfg = AppConfig(application="scale", nranks=NRANKS, seed=SEED,
+                    clock_skew_us=10.0)
+    trace = run_application(cfg, _validated_program, setup=_setup)
+    assert trace.columnar.nevents == 8 * NRANKS
+    pairs = [(c.first, c.second)
+             for c in analyze(trace).conflicts(Semantics.SESSION)]
+
+    tracemalloc.start()
+    try:
+        race = validate_race_freedom(trace, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert peak <= MAX_HB_PEAK_BYTES, f"{peak / 2 ** 20:.1f} MB"
+    # the barrier orders each early writer before each late one; the
+    # writers on one side of it share no synchronization
+    assert race.checked_pairs == 6
+    assert sorted((a.rank, b.rank) for a, b in race.unsynchronized) == \
+        [(0, 1), (2, 3)]
+    assert race.timestamp_disagreements == []

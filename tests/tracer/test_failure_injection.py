@@ -13,7 +13,8 @@ import repro
 from repro.core.offsets import reconstruct_offsets
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
-from repro.errors import TraceError
+from repro.errors import AnalysisError, TraceError
+from repro.tracer.columnar import read_rtrc, write_rtrc
 from repro.tracer.trace import Trace
 
 
@@ -92,6 +93,29 @@ class TestPartialTraces:
                     meta=sample_trace.meta)
         with pytest.raises(TraceError, match="ends before it starts"):
             bad.validate()
+
+    @pytest.mark.parametrize("field, damaged, message", [
+        ("rank", lambda e: 5, "has bad rank 5"),
+        ("rank", lambda e: -1, "has bad rank -1"),
+        ("tend", lambda e: e.tstart - 1.0, "ends before it starts"),
+        ("tstart", lambda e: float("nan"), "has a non-finite time"),
+    ], ids=["rank-past-end", "negative-rank", "ends-before-start",
+            "nan-start"])
+    def test_validate_rejects_bad_mpi_event(self, sample_trace, tmp_path,
+                                            field, damaged, message):
+        events = list(sample_trace.mpi_events)
+        setattr(events[0], field, damaged(events[0]))
+        bad = Trace(nranks=sample_trace.nranks,
+                    records=sample_trace.records, mpi_events=events,
+                    meta=sample_trace.meta)
+        expected = f"MPI event {events[0].eid} {message}"
+        with pytest.raises(TraceError, match=expected):
+            bad.validate()
+        with pytest.raises(TraceError, match=expected):
+            analyze(bad)
+        write_rtrc(bad.columnar, tmp_path / "bad.rtrc")
+        with pytest.raises(AnalysisError, match=expected):
+            read_rtrc(tmp_path / "bad.rtrc")
 
 
 class TestAnalyzerRobustness:

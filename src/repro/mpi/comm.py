@@ -7,7 +7,12 @@ Design notes
   safe without locks.
 * Timing: a matched receive synchronizes the receiver's clock to the
   sender's completion time plus network latency; collectives synchronize
-  every participant to ``max(entry times) + cost * ceil(log2 p)``.
+  every participant to ``max(entry times) + cost * ceil(log2 p)``.  The
+  costs are this module's constants (:data:`NET_LATENCY`,
+  :data:`NET_BYTE_COST`, :data:`BARRIER_COST`).  The rank that completes
+  a collective moves every member's clock to the exit time before it
+  wakes them: they are all parked, so no ready key changes, and each
+  woken member resumes at the key its next step really has.
 * Every matched operation is reported to the tracer (when attached) with a
   ``match_key`` shared by all events of the match, from which
   :mod:`repro.core.happens_before` rebuilds the partial order:
@@ -28,6 +33,13 @@ import numpy as np
 from repro.errors import CollectiveMismatchError, MPIError
 from repro.sim.engine import RankContext, SimEngine
 from repro.tracer.recorder import Recorder
+
+#: virtual seconds charged per message, on each side
+NET_LATENCY = 2e-6
+#: virtual seconds charged per payload byte, on each side
+NET_BYTE_COST = 1e-9
+#: virtual seconds a collective costs per tree level
+BARRIER_COST = 5e-6
 
 
 class ReduceOp(Enum):
@@ -90,7 +102,7 @@ class _Message:
 
 class _CollectiveSlot:
     __slots__ = ("kind", "root", "op", "arrivals", "payloads", "complete",
-                 "exit_true", "results")
+                 "results")
 
     def __init__(self, kind: str, root: int | None, op: str | None = None):
         self.kind = kind
@@ -99,7 +111,6 @@ class _CollectiveSlot:
         self.arrivals: dict[int, float] = {}
         self.payloads: dict[int, Any] = {}
         self.complete = False
-        self.exit_true = 0.0
         self.results: dict[int, Any] = {}
 
     def finish(self, size: int) -> None:
@@ -200,11 +211,18 @@ class MPIWorld:
         return s
 
     def complete_collective(self, index: int, slot: _CollectiveSlot) -> None:
-        """Finish a fully-arrived collective and wake its members."""
-        cfg = self.engine.config
-        slot.exit_true = (max(slot.arrivals.values())
-                          + cfg.barrier_cost * collective_depth(self.nranks))
+        """Finish a fully-arrived collective and wake its members.
+
+        Every member's clock, the caller's included, moves to the exit
+        time here.  The other members are parked, not in the ready heap,
+        so no ready key changes; each one wakes at ``(exit time, rank)``,
+        the key of its next step, and runs on without a second switch.
+        """
+        exit_true = (max(slot.arrivals.values())
+                     + BARRIER_COST * collective_depth(self.nranks))
         slot.finish(self.nranks)
+        for rank in slot.arrivals:
+            self.engine.clock(rank).sync_to(exit_true)
         slot.complete = True
         self.engine.notify(_collective_key(index))
 
@@ -325,10 +343,6 @@ class Communicator:
 
     # -- helpers ---------------------------------------------------------------
 
-    @property
-    def _cfg(self):
-        return self.world.engine.config
-
     def _charge(self, dt: float) -> None:
         self.ctx.clock.advance(dt)
 
@@ -354,7 +368,7 @@ class Communicator:
             raise MPIError("send to self would deadlock a blocking recv")
         t0 = self.ctx.clock.local_time
         nbytes = _sizeof(payload)
-        self._charge(self._cfg.net_latency + nbytes * self._cfg.net_byte_cost)
+        self._charge(NET_LATENCY + nbytes * NET_BYTE_COST)
         key = self.world.next_p2p_key(self.rank, dest, tag)
         msg = _Message(copy.deepcopy(payload), self.ctx.clock.true_time, key)
         self.world.post_send(self.rank, dest, tag, msg)
@@ -378,8 +392,7 @@ class Communicator:
             key=_mailbox_key(source, self.rank, tag))
         msg = box.popleft()
         self.ctx.clock.sync_to(msg.send_done_true)
-        self._charge(self._cfg.net_latency
-                     + _sizeof(msg.payload) * self._cfg.net_byte_cost)
+        self._charge(NET_LATENCY + _sizeof(msg.payload) * NET_BYTE_COST)
         self._record("recv", msg.match_key, "receiver",
                      t0, self.ctx.clock.local_time)
         self._checkpoint()
@@ -421,7 +434,6 @@ class Communicator:
                 self.rank, lambda: slot.complete,
                 f"{kind}#{index} ({len(slot.arrivals)}/{self.size} arrived)",
                 key=_collective_key(index))
-        self.ctx.clock.sync_to(slot.exit_true)
         result = slot.results.get(self.rank)
         self.world.release_slot(index, self.rank)
         self._record(kind, ("coll", index, kind), role,

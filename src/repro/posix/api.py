@@ -29,6 +29,11 @@ from repro.sim.engine import RankContext
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
 
+#: virtual seconds every traced call costs
+IO_META_COST = 50e-6
+#: virtual seconds per byte a data call moves, on top of the call cost
+IO_BYTE_COST = 5e-9
+
 
 class PosixAPI:
     """POSIX file API bound to one rank of a simulated run."""
@@ -45,10 +50,6 @@ class PosixAPI:
 
     # -- plumbing ---------------------------------------------------------------
 
-    @property
-    def _cfg(self):
-        return self.ctx.engine.config
-
     def _resolve(self, path: str) -> str:
         if not path.startswith("/"):
             base = self.cwd.rstrip("/")
@@ -63,7 +64,7 @@ class PosixAPI:
                count: int | None = None, args: dict[str, Any] | None = None,
                result: Any = None, gt_offset: int | None = None,
                nbytes: int = 0) -> None:
-        cost = self._cfg.io_meta_cost + nbytes * self._cfg.io_byte_cost
+        cost = IO_META_COST + nbytes * IO_BYTE_COST
         self.ctx.clock.advance(cost)
         if self.recorder is not None:
             self.recorder.record(

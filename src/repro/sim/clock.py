@@ -18,6 +18,8 @@ than the inter-operation gap.
 
 from __future__ import annotations
 
+from math import inf
+
 
 class RankClock:
     """Virtual clock of one rank.
@@ -45,9 +47,10 @@ class RankClock:
         return self._true + self.skew
 
     def advance(self, dt: float) -> float:
-        """Move forward by ``dt`` (>= 0) seconds of virtual time."""
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative dt {dt}")
+        """Move forward by ``dt`` (finite, >= 0) seconds of virtual time."""
+        if not 0 <= dt < inf:  # also false for NaN
+            raise ValueError(f"cannot advance clock by dt {dt}: it must be "
+                             f"finite and >= 0")
         self._true += dt
         return self._true
 

@@ -8,8 +8,18 @@ seeded RNGs this makes entire application runs — including every trace
 timestamp — bit-reproducible, regardless of OS scheduling.
 
 Runnable ranks wait in a *ready heap* keyed on ``(true_time, rank)``.  A
-rank's key cannot change while it sits there (only the running rank moves
-its own clock), so a switch costs O(log N).
+rank's key cannot change while it sits there, so a switch costs O(log N).
+Only two things move a clock: the running rank moves its own, and the
+rank that completes a collective moves its parked members' clocks to the
+exit time.  Parked ranks are not in the heap, so each member wakes at
+the key its next step really has.
+
+Control passes by *run permits*: each rank owns a raw lock that is held
+whenever the rank may not run.  The dispatcher releases the next rank's
+permit, and a rank that gives up control waits by acquiring its own;
+the driving thread waits on a permit of its own until the run is over.
+On an abort every held permit is released once, and a rank that calls
+back into the engine after that raises at once instead of waiting.
 
 Blocking is predicate-based, and the predicate may read any shared state
 (only one rank runs at a time, so plain Python data structures are safe).
@@ -48,21 +58,15 @@ class SimConfig:
 
     ``clock_skew_us`` draws a fixed per-rank skew uniformly from
     ``[-clock_skew_us, +clock_skew_us]`` microseconds (the paper observed
-    < 20 us on Quartz).  The cost fields are the virtual-time charges that
-    the POSIX/MPI layers apply per operation; absolute values are
-    arbitrary, only their ratios shape the traces.
+    < 20 us on Quartz).  The virtual-time cost of each operation is a
+    constant of the layer that charges it (:mod:`repro.posix.api`,
+    :mod:`repro.mpi.comm`); absolute values are arbitrary, only their
+    ratios shape the traces.
     """
 
     nranks: int = 8
     seed: int = 7
     clock_skew_us: float = 0.0
-    # virtual-time costs (seconds)
-    cpu_op_cost: float = 1e-7
-    io_meta_cost: float = 50e-6
-    io_byte_cost: float = 5e-9
-    net_latency: float = 2e-6
-    net_byte_cost: float = 1e-9
-    barrier_cost: float = 5e-6
 
     def __post_init__(self) -> None:
         if self.nranks < 1:
@@ -75,8 +79,27 @@ class SimConfig:
                                   f"got {self.clock_skew_us}")
 
 
+def _held_lock() -> threading.Lock:
+    """A raw lock, already acquired: a run permit nobody has granted."""
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
 class _RankState:
-    __slots__ = ("clock", "reason", "predicate", "key", "event", "thread")
+    """One rank's clock, wait state, thread and run permit.
+
+    The clock is moved by the rank itself while it runs, or, while it is
+    parked in a collective, by the rank that completes that collective.
+
+    The permit is a raw ``_thread`` lock (what ``threading.Lock()``
+    returns; an Event would add a ``Condition`` and a Python-level waiter
+    list to every handoff) that is held whenever the rank may not run.
+    Dispatching the rank releases it; the rank waits for its turn by
+    acquiring it again.
+    """
+
+    __slots__ = ("clock", "reason", "predicate", "key", "permit", "thread")
 
     def __init__(self, clock: RankClock):
         self.clock = clock
@@ -84,7 +107,7 @@ class _RankState:
         #: set while the rank waits in :meth:`SimEngine.wait_until`
         self.predicate: Callable[[], bool] | None = None
         self.key: Hashable | None = None
-        self.event = threading.Event()
+        self.permit = _held_lock()
         self.thread: threading.Thread | None = None
 
 
@@ -121,7 +144,11 @@ class SimEngine:
         self._ranks = [_RankState(RankClock(r, skews[r]))
                        for r in range(config.nranks)]
         self._failure: BaseException | None = None
-        self._main_event = threading.Event()
+        #: the driving thread's permit, released when the run is over
+        self._main_permit = _held_lock()
+        #: taken by the first abort and never released, so teardown
+        #: runs once even when several threads abort at the same time
+        self._teardown = threading.Lock()
         self._started = False
         #: runnable ranks as ``(true_time, rank)``
         self._ready: list[tuple[float, int]] = []
@@ -188,8 +215,7 @@ class SimEngine:
                 ctx.services.update(services_factory(ctx))
 
         def runner(rank: int) -> None:
-            state = self._ranks[rank]
-            state.event.wait()  # wait to be scheduled the first time
+            self._ranks[rank].permit.acquire()  # wait to be scheduled
             if self._failure is not None:
                 self._dispatch_next()
                 return
@@ -222,7 +248,7 @@ class SimEngine:
         for state in self._ranks:
             self._make_ready(state)
         self._dispatch_next()
-        self._main_event.wait()
+        self._main_permit.acquire()
         for state in self._ranks:
             assert state.thread is not None
             state.thread.join()
@@ -235,12 +261,10 @@ class SimEngine:
     def checkpoint(self, rank: int) -> None:
         """Offer the scheduler a chance to switch to an earlier-time rank."""
         state = self._ranks[rank]
-        state.event.clear()
         self._obs_checkpoints.inc()
         self._make_ready(state)
         self._dispatch_next()
-        state.event.wait()
-        self._raise_if_failed()
+        self._await_permit(state)
 
     def wait_until(self, rank: int, predicate: Callable[[], bool],
                    reason: str, key: Hashable) -> None:
@@ -255,12 +279,10 @@ class SimEngine:
         while not predicate():
             state.reason = reason
             state.predicate = predicate
-            state.event.clear()
             self._obs_blocks.inc()
             self._park(state, key)
             self._dispatch_next()
-            state.event.wait()
-            self._raise_if_failed()
+            self._await_permit(state)
         state.predicate = None
         state.reason = ""
 
@@ -313,7 +335,14 @@ class SimEngine:
             else:
                 self._park(state, state.key)
 
-    def _raise_if_failed(self) -> None:
+    def _await_permit(self, state: _RankState) -> None:
+        """Wait until ``state``'s rank is dispatched, or the run aborts.
+
+        After an abort the permit is never granted again, so a rank that
+        catches the abort and calls back into the engine must not wait.
+        """
+        if self._failure is None:
+            state.permit.acquire()
         if self._failure is not None:
             # Re-raised inside a rank thread to unwind it; the original
             # exception object still reaches the driving thread.
@@ -349,7 +378,7 @@ class SimEngine:
         if ready:
             t, nxt = heapq.heappop(ready)
             self._obs_vtime.set_max(t)
-            self._ranks[nxt].event.set()
+            self._ranks[nxt].permit.release()
             return
         self._finish_or_deadlock()
 
@@ -364,9 +393,18 @@ class SimEngine:
             self._wake_everyone()
             return
         # Everyone done.
-        self._main_event.set()
+        self._main_permit.release()
 
     def _wake_everyone(self) -> None:
+        """Abort: release every held permit, once per run.
+
+        Every rank thread calls this as it unwinds, and releasing a raw
+        lock that is not held raises, so only the caller that takes the
+        teardown latch releases anything.
+        """
+        if not self._teardown.acquire(blocking=False):
+            return
         for state in self._ranks:
-            state.event.set()
-        self._main_event.set()
+            if state.permit.locked():
+                state.permit.release()
+        self._main_permit.release()

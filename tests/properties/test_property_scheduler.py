@@ -14,43 +14,19 @@ Ckpt-IO WAL drain, the ADIOS sub-communicator gather, and the Silo and
 VASP point-to-point chains.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import base
 from repro.apps.base import AppConfig, run_application
 from repro.apps.registry import all_variants
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.sim.engine import SimEngine
-from tests.sim.reference import ReferenceEngine
+from tests.sim.reference import ReferenceEngine, resume_order
 from tests.synthetic import make_program, scripts, setup
 
 VARIANTS = {v.label: v for v in all_variants()}
-
-
-def _run(engine_cls, execute):
-    """The trace ``execute()`` returns on ``engine_cls``, and the order
-    in which ranks resumed from the engine."""
-    resumed: list[int] = []
-    checkpoint, wait_until = SimEngine.checkpoint, SimEngine.wait_until
-
-    def logged_checkpoint(self, rank):
-        checkpoint(self, rank)
-        resumed.append(rank)
-
-    def logged_wait_until(self, rank, *args, **kwargs):
-        wait_until(self, rank, *args, **kwargs)
-        resumed.append(rank)
-
-    with mock.patch.object(base, "SimEngine", engine_cls), \
-            mock.patch.object(SimEngine, "checkpoint", logged_checkpoint), \
-            mock.patch.object(SimEngine, "wait_until", logged_wait_until):
-        trace = execute()
-    return trace, resumed
 
 
 @pytest.mark.parametrize("nranks", [8, 64])
@@ -63,8 +39,8 @@ def test_keyed_engine_matches_reference(nranks, script, seed):
     def execute():
         return run_application(cfg, make_program(script), setup=setup)
 
-    keyed, keyed_order = _run(SimEngine, execute)
-    reference, reference_order = _run(ReferenceEngine, execute)
+    keyed, keyed_order = resume_order(SimEngine, execute)
+    reference, reference_order = resume_order(ReferenceEngine, execute)
     assert keyed_order == reference_order
     assert keyed.records == reference.records
     assert keyed.mpi_events == reference.mpi_events
@@ -83,7 +59,7 @@ def test_every_configuration_matches_reference(label):
     def execute():
         return variant.run(nranks=8, seed=7)
 
-    keyed, keyed_order = _run(SimEngine, execute)
-    reference, reference_order = _run(ReferenceEngine, execute)
+    keyed, keyed_order = resume_order(SimEngine, execute)
+    reference, reference_order = resume_order(ReferenceEngine, execute)
     assert keyed_order == reference_order
     assert keyed.columnar.columns_equal(reference.columnar)

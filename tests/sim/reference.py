@@ -5,13 +5,16 @@ dispatch and ignores wait keys and notifications, then resumes the
 runnable rank with the smallest ``(true_time, rank)``.  That costs O(N)
 per switch but cannot miss a wakeup.  ``schedule()`` callbacks and the
 deadlock rule are shared with :class:`SimEngine`, so any program must
-produce the same trace on both engines.
+produce the same trace on both engines.  :func:`resume_order` runs a
+program on either engine and logs the order in which ranks resumed.
 """
 
 from __future__ import annotations
 
 import heapq
+from unittest import mock
 
+from repro.apps import base
 from repro.sim.engine import SimEngine
 
 
@@ -69,6 +72,27 @@ class ReferenceEngine(SimEngine):
             t, nxt = min(candidates)
             self._obs_vtime.set_max(t)
             runnable.discard(nxt)
-            self._ranks[nxt].event.set()
+            self._ranks[nxt].permit.release()
             return
         self._finish_or_deadlock()
+
+
+def resume_order(engine_cls, execute):
+    """What ``execute()`` returns with ``engine_cls`` as the application
+    harness's engine, and the order in which ranks resumed from it."""
+    resumed: list[int] = []
+    checkpoint, wait_until = SimEngine.checkpoint, SimEngine.wait_until
+
+    def logged_checkpoint(self, rank):
+        checkpoint(self, rank)
+        resumed.append(rank)
+
+    def logged_wait_until(self, rank, *args, **kwargs):
+        wait_until(self, rank, *args, **kwargs)
+        resumed.append(rank)
+
+    with mock.patch.object(base, "SimEngine", engine_cls), \
+            mock.patch.object(SimEngine, "checkpoint", logged_checkpoint), \
+            mock.patch.object(SimEngine, "wait_until", logged_wait_until):
+        result = execute()
+    return result, resumed

@@ -5,9 +5,12 @@ import threading
 
 import pytest
 
+from repro.apps.base import AppConfig, run_application
 from repro.errors import DeadlockError, SimulationError
+from repro.obs import registry as obs
 from repro.sim.clock import RankClock
 from repro.sim.engine import SimConfig, SimEngine
+from tests.sim.reference import resume_order
 
 
 class TestRankClock:
@@ -20,6 +23,15 @@ class TestRankClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             RankClock(0).advance(-1)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_advance_rejected(self, dt):
+        # NaN passes a plain ``dt < 0`` check and would poison the ready
+        # heap's keys; inf would freeze the rank past every other
+        c = RankClock(0)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            c.advance(dt)
+        assert c.true_time == 0.0
 
     def test_sync_never_moves_backward(self):
         c = RankClock(0)
@@ -310,3 +322,90 @@ class TestThreadExhaustion:
             if thread.name.startswith("simrank-"):
                 thread.join(timeout=10)
                 assert not thread.is_alive(), thread.name
+
+
+class TestCollectiveWakeups:
+    """A woken collective member resumes once.
+
+    The rank that completes a collective moves every member's clock to
+    the exit time, so each member wakes at the key its next step has.
+    At a world barrier the completing rank hands control to the lowest
+    member, which runs on until its next step, and so on: p switches per
+    barrier.  A member woken at its stale arrival time would resume,
+    find it is no longer first, and hand control straight back: 2p - 1.
+    """
+
+    BARRIERS = 50
+
+    @pytest.mark.parametrize(("nranks", "switches", "checkpoints", "blocks"),
+                             [(16, 831, 832, 780),
+                              (64, 3327, 3328, 3276)])
+    def test_barrier_member_resumes_once(self, nranks, switches,
+                                         checkpoints, blocks):
+        def program(ctx, cfg):
+            for _ in range(self.BARRIERS):
+                ctx.comm.barrier()
+
+        cfg = AppConfig(application="barriers", nranks=nranks, seed=7)
+        with obs.collecting() as reg:
+            _, resumed = resume_order(
+                SimEngine, lambda: run_application(cfg, program))
+            snapshot = reg.snapshot()
+        # a switch is two consecutive resumes by different ranks: 52
+        # barriers with the harness's start and end barrier, p switches
+        # each, less the first dispatch (from the driving thread)
+        assert sum(a != b for a, b in zip(resumed, resumed[1:])) == switches
+        # the work is the same as with stale wakeups: one checkpoint per
+        # barrier per rank, and a block for each member that waited
+        assert snapshot["sim.checkpoints"]["value"] == checkpoints
+        assert snapshot["sim.blocks"]["value"] == blocks
+
+
+class TestAbortTeardown:
+    """An abort releases every parked rank exactly once.
+
+    A rank permit is a raw lock: releasing one that is not held raises,
+    and a rank that waits on its permit after the abort waits forever.
+    So every rank here re-enters the engine after the abort, and the run
+    must still end with the original error and no rank thread left.
+    """
+
+    @pytest.mark.parametrize("nranks", [8, 64])
+    def test_abort_with_reentry_ends_the_run(self, monkeypatch, nranks):
+        thread_errors: list[BaseException] = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: thread_errors.append(args.exc_value))
+
+        def program(ctx, cfg):
+            if ctx.rank == 3:
+                ctx.posix.mkdir("/failing")
+                raise RuntimeError("rank 3 failed")
+            try:
+                if ctx.rank % 2:
+                    ctx.comm.recv(ctx.rank - 1)  # nobody sends
+                else:
+                    ctx.comm.barrier()  # rank 3 never arrives
+            except SimulationError:
+                ctx.comm.barrier()
+                raise
+
+        outcome: list[BaseException] = []
+
+        def drive():
+            try:
+                run_application(AppConfig(application="abort",
+                                          nranks=nranks, seed=7), program)
+            except Exception as exc:
+                outcome.append(exc)
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        driver.join(timeout=10)
+        assert not driver.is_alive(), "the aborted run did not end"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RuntimeError)
+        assert str(outcome[0]) == "rank 3 failed"
+        assert thread_errors == []
+        alive = [t.name for t in threading.enumerate()
+                 if t.name.startswith("simrank-") and t.is_alive()]
+        assert alive == []

@@ -187,23 +187,21 @@ class H5File:
                                  self._now(), path=self.path, count=count,
                                  args=args)
 
-    @property
-    def _meta_writers(self) -> list[int]:
-        """Ranks that perform metadata I/O.
+    def _meta_owner(self, slot_index: int) -> int:
+        """The rank that writes metadata piece ``slot_index``, in O(1).
 
         Real parallel HDF5 flushes dirty metadata-cache entries from
         whichever processes own them; the paper observes roughly half of
         the 64 ranks participating.  We model the owners as the
-        even-numbered ranks (or rank 0 alone in collective-metadata
-        mode).
+        even-numbered ranks, taking pieces round-robin (or rank 0 alone
+        in collective-metadata mode, or the one rank without a
+        communicator).
         """
-        if self.comm is None or self.collective_metadata:
-            return [self.rank if self.comm is None else 0]
-        return [r for r in range(self.nranks) if r % 2 == 0]
-
-    def _meta_owner(self, slot_index: int) -> int:
-        writers = self._meta_writers
-        return writers[slot_index % len(writers)]
+        if self.comm is None:
+            return self.rank
+        if self.collective_metadata:
+            return 0
+        return 2 * (slot_index % ((self.nranks + 1) // 2))
 
     def _write_meta(self, offset: int, nbytes: int, slot_index: int) -> None:
         """Write one metadata piece; only its owner touches the file."""
@@ -447,9 +445,8 @@ class H5File:
         self._record("H5Fflush", t0)
 
     def _write_root_and_eoa(self, root_idx: int) -> None:
-        writers = self._meta_writers
-        root_owner = writers[root_idx % len(writers)]
-        eoa_owner = writers[(1 + self._flush_count) % len(writers)]
+        root_owner = self._meta_owner(root_idx)
+        eoa_owner = self._meta_owner(1 + self._flush_count)
         if self.comm is None:
             self.posix.pwrite(self.fd, ROOT_ENTRY[1], ROOT_ENTRY[0])
             self.posix.pwrite(self.fd, EOA_ENTRY[1], EOA_ENTRY[0])

@@ -13,6 +13,11 @@ Design notes
   a collective moves every member's clock to the exit time before it
   wakes them: they are all parked, so no ready key changes, and each
   woken member resumes at the key its next step really has.
+* A payload is captured when it is sent or contributed: a deep copy when
+  it is mutable, the object itself when it is immutable (``None``,
+  numbers, strings, bytes, and tuples of those).  A rank never receives
+  a mutable object that another rank also holds: each member of a
+  collective takes its own copy of anything mutable in its result.
 * Every matched operation is reported to the tracer (when attached) with a
   ``match_key`` shared by all events of the match, from which
   :mod:`repro.core.happens_before` rebuilds the partial order:
@@ -100,55 +105,130 @@ class _Message:
         self.match_key = match_key
 
 
-class _CollectiveSlot:
-    __slots__ = ("kind", "root", "op", "arrivals", "payloads", "complete",
-                 "results")
+#: payload types that are immutable all the way down (a tuple is, when
+#: its items are); nothing else is safe to share between ranks
+_ATOMIC = frozenset({type(None), bool, int, float, complex, str, bytes})
 
-    def __init__(self, kind: str, root: int | None, op: str | None = None):
+
+def _shareable(value: Any) -> bool:
+    """True when ``value`` cannot change: several ranks may hold it."""
+    kind = type(value)
+    if kind in _ATOMIC:
+        return True
+    if kind is not tuple:
+        return False
+    for item in value:
+        if type(item) not in _ATOMIC and not _shareable(item):
+            return False
+    return True
+
+
+def _isolated(value: Any) -> Any:
+    """``value`` itself when it is immutable, else a deep copy of it."""
+    return value if _shareable(value) else copy.deepcopy(value)
+
+
+#: collectives whose result reads every member's payload; the others
+#: (barrier, bcast, scatter) read the root's at most
+_PER_RANK = frozenset({"gather", "allgather", "reduce", "allreduce",
+                       "alltoall"})
+
+
+class _CollectiveSlot:
+    """The shared state of one collective while its members pass it.
+
+    Arrivals are listed in order, with the latest arrival time kept as
+    they come.  The payloads a result needs are kept, each copied on
+    entry only when it is mutable.  Completing the slot computes a
+    reduction once, and each member takes its own result on the way out
+    (:meth:`result`), copying only what is mutable in it.
+    """
+
+    __slots__ = ("kind", "root", "op", "index", "size", "wait_key",
+                 "match_key", "members", "latest", "payloads", "complete",
+                 "value", "mutable", "departed")
+
+    def __init__(self, index: int, kind: str, root: int | None,
+                 op: ReduceOp | None, size: int):
         self.kind = kind
         self.root = root
         self.op = op
-        self.arrivals: dict[int, float] = {}
-        self.payloads: dict[int, Any] = {}
+        self.index = index
+        self.size = size
+        self.wait_key = _collective_key(index)
+        self.match_key = ("coll", index, kind)
+        #: ranks in arrival order
+        self.members: list[int] = []
+        #: the latest arrival's true time
+        self.latest = -math.inf
+        #: rank -> its (isolated) payload for the kinds in _PER_RANK;
+        #: the others keep the root's only
+        self.payloads: list[Any] = ([None] * size if kind in _PER_RANK
+                                    else [None])
         self.complete = False
-        self.results: dict[int, Any] = {}
+        #: a reduction's value, computed once by :meth:`finish`
+        self.value: Any = None
+        #: ranks whose contribution is mutable (a deep copy is kept)
+        self.mutable: list[int] = []
+        self.departed = 0
 
-    def finish(self, size: int) -> None:
-        """Compute every rank's result once all ``size`` ranks arrived."""
+    def arrive(self, rank: int, true_time: float, payload: Any) -> None:
+        self.members.append(rank)
+        if true_time > self.latest:
+            self.latest = true_time
+        if self.kind in _PER_RANK:
+            if not _shareable(payload):
+                payload = copy.deepcopy(payload)
+                self.mutable.append(rank)
+            self.payloads[rank] = payload
+        elif rank == self.root:
+            self.payloads[0] = _isolated(payload)
+
+    def is_complete(self) -> bool:
+        return self.complete
+
+    def waiting(self, rank: int) -> str:
+        """Why ``rank`` waits here, as it stood when the rank arrived."""
+        arrived = self.members.index(rank) + 1
+        return f"{self.kind}#{self.index} ({arrived}/{self.size} arrived)"
+
+    def finish(self) -> None:
+        """Compute what the members' results are made from, once every
+        rank arrived."""
         kind, payloads = self.kind, self.payloads
-        if kind == "barrier":
-            self.results = {r: None for r in range(size)}
-        elif kind == "bcast":
-            value = payloads[self.root]
-            self.results = {r: copy.deepcopy(value) for r in range(size)}
-        elif kind == "scatter":
-            chunks = payloads[self.root]
-            if chunks is None or len(chunks) != size:
+        if kind == "scatter":
+            chunks = payloads[0]
+            if chunks is None or len(chunks) != self.size:
                 raise MPIError(
-                    f"scatter root must supply a list of {size} items")
-            self.results = {r: chunks[r] for r in range(size)}
-        elif kind == "gather":
-            gathered = [payloads[r] for r in range(size)]
-            self.results = {r: (gathered if r == self.root else None)
-                            for r in range(size)}
-        elif kind == "allgather":
-            gathered = [payloads[r] for r in range(size)]
-            self.results = {r: list(gathered) for r in range(size)}
-        elif kind == "reduce":
-            value = ReduceOp(self.op).apply(
-                [payloads[r] for r in range(size)])
-            self.results = {r: (value if r == self.root else None)
-                            for r in range(size)}
-        elif kind == "allreduce":
-            value = ReduceOp(self.op).apply(
-                [payloads[r] for r in range(size)])
-            self.results = {r: copy.deepcopy(value) for r in range(size)}
-        elif kind == "alltoall":
-            self.results = {
-                r: [payloads[s][r] for s in range(size)]
-                for r in range(size)}
-        else:  # pragma: no cover - new kinds must be added here
-            raise MPIError(f"unknown collective kind {kind!r}")
+                    f"scatter root must supply a list of {self.size} items")
+        elif kind in ("reduce", "allreduce"):
+            self.value = self.op.apply(payloads)
+
+    def result(self, rank: int) -> Any:
+        """``rank``'s result, its own copy of anything mutable in it."""
+        kind = self.kind
+        if kind == "barrier":
+            return None
+        if kind == "bcast":
+            return _isolated(self.payloads[0])
+        if kind == "allreduce":
+            return _isolated(self.value)
+        if kind == "allgather":
+            gathered = list(self.payloads)
+            for r in self.mutable:
+                gathered[r] = copy.deepcopy(gathered[r])
+            return gathered
+        if kind == "scatter":
+            return _isolated(self.payloads[0][rank])
+        if kind == "alltoall":
+            return [_isolated(chunks[rank]) for chunks in self.payloads]
+        if rank != self.root:  # gather, reduce
+            return None
+        return self.value if kind == "reduce" else self.payloads
+
+
+def _op_name(op: ReduceOp | None) -> str | None:
+    return None if op is None else op.value
 
 
 def collective_depth(size: int) -> int:
@@ -181,6 +261,8 @@ class MPIWorld:
         self._mailboxes: dict[tuple[int, int, int], deque[_Message]] = {}
         self._p2p_seq: dict[tuple[int, int, int], int] = {}
         self._slots: dict[int, _CollectiveSlot] = {}
+        #: what a collective adds to its latest arrival's time
+        self._exit_cost = BARRIER_COST * collective_depth(self.nranks)
 
     def mailbox(self, src: int, dest: int, tag: int) -> deque[_Message]:
         return self._mailboxes.setdefault((src, dest, tag), deque())
@@ -196,21 +278,21 @@ class MPIWorld:
         self.engine.notify(_mailbox_key(src, dest, tag))
 
     def slot(self, index: int, rank: int, kind: str, root: int | None,
-             op: str | None = None) -> _CollectiveSlot:
+             op: ReduceOp | None = None) -> _CollectiveSlot:
         """Collective ``index`` as ``rank`` enters it; all must agree."""
         s = self._slots.get(index)
         if s is None:
-            s = _CollectiveSlot(kind, root, op)
-            self._slots[index] = s
-        elif (s.kind, s.root, s.op) != (kind, root, op):
-            other = next(iter(s.arrivals))
+            s = self._slots[index] = _CollectiveSlot(index, kind, root, op,
+                                                     self.nranks)
+        elif s.kind != kind or s.root != root or s.op is not op:
             raise CollectiveMismatchError(
                 f"collective #{index}: rank {rank} entered "
-                f"{kind}(root={root}, op={op}) but rank {other} entered "
-                f"{s.kind}(root={s.root}, op={s.op})")
+                f"{kind}(root={root}, op={_op_name(op)}) but rank "
+                f"{s.members[0]} entered {s.kind}(root={s.root}, "
+                f"op={_op_name(s.op)})")
         return s
 
-    def complete_collective(self, index: int, slot: _CollectiveSlot) -> None:
+    def complete_collective(self, slot: _CollectiveSlot) -> None:
         """Finish a fully-arrived collective and wake its members.
 
         Every member's clock, the caller's included, moves to the exit
@@ -218,21 +300,19 @@ class MPIWorld:
         so no ready key changes; each one wakes at ``(exit time, rank)``,
         the key of its next step, and runs on without a second switch.
         """
-        exit_true = (max(slot.arrivals.values())
-                     + BARRIER_COST * collective_depth(self.nranks))
-        slot.finish(self.nranks)
-        for rank in slot.arrivals:
-            self.engine.clock(rank).sync_to(exit_true)
+        exit_true = slot.latest + self._exit_cost
+        slot.finish()
+        clock = self.engine.clock
+        for rank in slot.members:
+            clock(rank).sync_to(exit_true)
         slot.complete = True
-        self.engine.notify(_collective_key(index))
+        self.engine.notify(slot.wait_key)
 
-    def release_slot(self, index: int, rank: int) -> None:
-        s = self._slots.get(index)
-        if s is None:
-            return
-        s.results.pop(rank, None)
-        if s.complete and not s.results:
-            del self._slots[index]
+    def release_slot(self, slot: _CollectiveSlot) -> None:
+        """One member has taken its result; the last one frees the slot."""
+        slot.departed += 1
+        if slot.departed == self.nranks:
+            del self._slots[slot.index]
 
 
 class SubComm:
@@ -370,7 +450,7 @@ class Communicator:
         nbytes = _sizeof(payload)
         self._charge(NET_LATENCY + nbytes * NET_BYTE_COST)
         key = self.world.next_p2p_key(self.rank, dest, tag)
-        msg = _Message(copy.deepcopy(payload), self.ctx.clock.true_time, key)
+        msg = _Message(_isolated(payload), self.ctx.clock.true_time, key)
         self.world.post_send(self.rank, dest, tag, msg)
         self._record("send", key, "sender", t0, self.ctx.clock.local_time)
         self._checkpoint()
@@ -422,22 +502,18 @@ class Communicator:
                     role: str, op: ReduceOp | None = None) -> Any:
         index = self._coll_seq
         self._coll_seq += 1
-        t0 = self.ctx.clock.local_time
-        op_name = None if op is None else op.value
-        slot = self.world.slot(index, self.rank, kind, root, op_name)
-        slot.arrivals[self.rank] = self.ctx.clock.true_time
-        slot.payloads[self.rank] = copy.deepcopy(payload)
-        if len(slot.arrivals) == self.size:
-            self.world.complete_collective(index, slot)
+        world, clock = self.world, self.ctx.clock
+        t0 = clock.local_time
+        slot = world.slot(index, self.rank, kind, root, op)
+        slot.arrive(self.rank, clock.true_time, payload)
+        if len(slot.members) == self.size:
+            world.complete_collective(slot)
         else:
-            self.world.engine.wait_until(
-                self.rank, lambda: slot.complete,
-                f"{kind}#{index} ({len(slot.arrivals)}/{self.size} arrived)",
-                key=_collective_key(index))
-        result = slot.results.get(self.rank)
-        self.world.release_slot(index, self.rank)
-        self._record(kind, ("coll", index, kind), role,
-                     t0, self.ctx.clock.local_time)
+            world.engine.wait_until(self.rank, slot.is_complete,
+                                    slot.waiting, key=slot.wait_key)
+        result = slot.result(self.rank)
+        world.release_slot(slot)
+        self._record(kind, slot.match_key, role, t0, clock.local_time)
         self._checkpoint()
         return result
 

@@ -105,6 +105,20 @@ class MPIFile:
         n_agg = self.hints.resolved_cb_nodes(self.nranks)
         return [round(i * self.nranks / n_agg) for i in range(n_agg)]
 
+    def _aggregator_index(self) -> tuple[int | None, int]:
+        """This rank's position in :attr:`aggregator_ranks` (``None``
+        when it is not an aggregator) and the aggregator count, in O(1).
+
+        Aggregator ``i`` sits at ``round(i * nranks / n_agg)``, more
+        than one rank from the next, so only an ``i`` within one of
+        ``rank * n_agg / nranks`` can sit at this rank."""
+        n_agg = self.hints.resolved_cb_nodes(self.nranks)
+        guess = round(self.rank * n_agg / self.nranks)
+        for i in (guess - 1, guess, guess + 1):
+            if 0 <= i < n_agg and round(i * self.nranks / n_agg) == self.rank:
+                return i, n_agg
+        return None, n_agg
+
     # -- independent operations ------------------------------------------------
 
     def write_at(self, offset: int, data: "bytes | int") -> int:
@@ -178,13 +192,10 @@ class MPIFile:
         extents = []
         cursor = 0
         for off, n in runs:
-            extents.append((off, data[cursor:cursor + n]))
+            extents.append((int(off), data[cursor:cursor + n]))
             cursor += n
         self._view_pointer += len(data)
-        gathered: list[list[tuple[int, bytes]]] = self.comm.allgather(
-            [(int(o), bytes(d)) for o, d in extents])
-        flat = [part for parts in gathered for part in parts]
-        self._exchange_and_write(flat)
+        self._exchange_and_write(self.comm.allgather(tuple(extents)))
         self.comm.barrier()
         self._record("MPI_File_write_all", t0, count=len(data))
         return len(data)
@@ -203,9 +214,8 @@ class MPIFile:
         t0 = self._now()
         if isinstance(data, int):
             data = self.posix.payload(data)
-        contribution = (int(offset), bytes(data))
-        all_parts: list[tuple[int, bytes]] = self.comm.allgather(contribution)
-        self._exchange_and_write(all_parts)
+        self._exchange_and_write(
+            self.comm.allgather(((int(offset), bytes(data)),)))
         self.comm.barrier()
         self._record("MPI_File_write_at_all", t0, offset=offset,
                      count=len(data))
@@ -224,15 +234,18 @@ class MPIFile:
                 data = self.posix.payload(data)
             mine.append((int(off), bytes(data)))
             total += len(data)
-        gathered: list[list[tuple[int, bytes]]] = self.comm.allgather(mine)
-        flat = [part for parts in gathered for part in parts]
-        self._exchange_and_write(flat)
+        self._exchange_and_write(self.comm.allgather(tuple(mine)))
         self.comm.barrier()
         self._record("MPI_File_write_at_all", t0, count=total)
         return total
 
-    def _exchange_and_write(self, parts: list[tuple[int, bytes]]) -> None:
+    def _exchange_and_write(
+            self, gathered: list[tuple[tuple[int, bytes], ...]]) -> None:
         """Phase two of two-phase I/O, with ROMIO-style file domains.
+
+        ``gathered`` holds every rank's contributed ``(offset, data)``
+        extents.  A rank that is not an aggregator has nothing to write
+        and returns before it looks at them.
 
         The global extent ``[lo, hi)`` is striped round-robin over the
         aggregators in units of ``cb_buffer_size``: in exchange round
@@ -244,17 +257,14 @@ class MPIFile:
         collective-I/O applications (Table 3) — or a single write when
         one round suffices.
         """
-        parts = [(o, d) for o, d in parts if d]
+        my_index, n_agg = self._aggregator_index()
+        if my_index is None:
+            return  # not an aggregator: nothing to write in phase two
+        parts = [(o, d) for extents in gathered for o, d in extents if d]
         if not parts:
             return
         lo = min(o for o, _ in parts)
         hi = max(o + len(d) for o, d in parts)
-        aggs = self.aggregator_ranks
-        n_agg = len(aggs)
-        try:
-            my_index = aggs.index(self.rank)
-        except ValueError:
-            return  # not an aggregator: nothing to write in phase two
         cb = self.hints.cb_buffer_size
         parts.sort(key=lambda p: p[0])
         with self._as_layer():
@@ -296,19 +306,17 @@ class MPIFile:
         t0 = self._now()
         wants: list[tuple[int, int]] = self.comm.allgather(
             (int(offset), int(count)))
-        live = [(o, c) for o, c in wants if c > 0]
+        i, n_agg = self._aggregator_index()
+        live = ([(o, c) for o, c in wants if c > 0] if i is not None
+                else None)
         if live:
             lo = min(o for o, _ in live)
             hi = max(o + c for o, c in live)
-            aggs = self.aggregator_ranks
-            n_agg = len(aggs)
-            bounds = [lo + ((hi - lo) * i) // n_agg for i in range(n_agg + 1)]
-            if self.rank in aggs:
-                i = aggs.index(self.rank)
-                dom_lo, dom_hi = bounds[i], bounds[i + 1]
-                if dom_hi > dom_lo:
-                    with self._as_layer():
-                        self.posix.pread(self.fd, dom_hi - dom_lo, dom_lo)
+            dom_lo = lo + ((hi - lo) * i) // n_agg
+            dom_hi = lo + ((hi - lo) * (i + 1)) // n_agg
+            if dom_hi > dom_lo:
+                with self._as_layer():
+                    self.posix.pread(self.fd, dom_hi - dom_lo, dom_lo)
         self.comm.barrier()
         # Aggregator exchange is modelled by the barrier; every rank then
         # has its bytes — serve them from the shared VFS for correctness.

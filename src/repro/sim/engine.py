@@ -30,7 +30,9 @@ are re-checked at the next dispatch.  The MPI layer keys a receive by its
 mailbox ``("p2p", src, dst, tag)`` and a collective by ``("coll", index)``;
 the Ckpt-IO WAL drain parks on ``("wal", rank)``, which the
 :meth:`SimEngine.schedule` callback that queues a flush notifies.  So a
-switch costs O(log N) plus one check per notified waiter.
+switch costs O(log N) plus one check per notified waiter.  A checkpoint
+that would dispatch its own rank again at once (nothing notified, the
+ready heap's head later, no callback due) costs neither: the rank runs on.
 
 A run deadlocks when no rank is runnable, no scheduled callback is
 pending, and some rank is still blocked; every rank is then woken and
@@ -117,7 +119,8 @@ class RankContext:
 
     The application harness (:mod:`repro.apps.base`) attaches the MPI
     communicator, the traced POSIX API, and the I/O libraries as extra
-    attributes in ``services``.
+    attributes, listed in ``services`` (:meth:`SimEngine.run` sets them
+    before any rank starts; a service cannot shadow a field).
     """
 
     rank: int
@@ -126,13 +129,6 @@ class RankContext:
     clock: RankClock
     rng: Any
     services: dict[str, Any] = field(default_factory=dict)
-
-    def __getattr__(self, name: str) -> Any:
-        services = object.__getattribute__(self, "services")
-        try:
-            return services[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 class SimEngine:
@@ -213,6 +209,8 @@ class SimEngine:
         if services_factory is not None:
             for ctx in contexts:
                 ctx.services.update(services_factory(ctx))
+                for name, service in ctx.services.items():
+                    vars(ctx).setdefault(name, service)
 
         def runner(rank: int) -> None:
             self._ranks[rank].permit.acquire()  # wait to be scheduled
@@ -259,21 +257,37 @@ class SimEngine:
     # -- checkpoints called from inside rank threads ------------------------------
 
     def checkpoint(self, rank: int) -> None:
-        """Offer the scheduler a chance to switch to an earlier-time rank."""
+        """Offer the scheduler a chance to switch to an earlier-time rank.
+
+        When the dispatch would pick this rank again at once — no wait
+        was notified, the ready heap's head comes later, and no
+        scheduled callback is due — the rank resumes without touching
+        the heap or its permit.
+        """
         state = self._ranks[rank]
         self._obs_checkpoints.inc()
+        t = state.clock.true_time
+        ready, scheduled = self._ready, self._scheduled
+        if (self._failure is None and not self._notified
+                and (not ready or (t, rank) < ready[0])
+                and (not scheduled or t < scheduled[0][0])):
+            self._obs_vtime.set_max(t)
+            return
         self._make_ready(state)
         self._dispatch_next()
         self._await_permit(state)
 
     def wait_until(self, rank: int, predicate: Callable[[], bool],
-                   reason: str, key: Hashable) -> None:
+                   reason: str | Callable[[int], str],
+                   key: Hashable) -> None:
         """Block this rank until ``predicate()`` is true.
 
         The predicate is evaluated under the engine's one-runner-at-a-time
         discipline, so it may read any shared state without extra locking.
         It is re-checked only after :meth:`notify` of ``key``, so whatever
-        changes the state it reads must notify that key.
+        changes the state it reads must notify that key.  ``reason`` says
+        what the rank waits for if the run deadlocks; it may be a function
+        of the rank, formatted only then.
         """
         state = self._ranks[rank]
         while not predicate():
@@ -326,8 +340,6 @@ class SimEngine:
 
     def _wake_satisfied(self) -> None:
         """Move notified waits whose predicate holds to ready."""
-        if not self._notified:
-            return
         notified, self._notified = self._notified, []
         for state in notified:
             if state.predicate():
@@ -354,12 +366,13 @@ class SimEngine:
             return
         ready = self._ready
         while True:
-            try:
-                self._wake_satisfied()
-            except BaseException as exc:
-                self._failure = exc
-                self._wake_everyone()
-                return
+            if self._notified:
+                try:
+                    self._wake_satisfied()
+                except BaseException as exc:
+                    self._failure = exc
+                    self._wake_everyone()
+                    return
             # Fire scheduled virtual-time callbacks that come before the
             # next runnable rank (or any time no rank is runnable — a
             # callback may be exactly what unblocks one).
@@ -384,7 +397,8 @@ class SimEngine:
 
     def _finish_or_deadlock(self) -> None:
         """Nothing is runnable or scheduled: the run is over either way."""
-        blocked = {s.clock.rank: s.reason
+        blocked = {s.clock.rank: s.reason if isinstance(s.reason, str)
+                   else s.reason(s.clock.rank)
                    for s in self._ranks if s.predicate is not None}
         if blocked:
             self._failure = DeadlockError(

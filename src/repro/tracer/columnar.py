@@ -47,8 +47,10 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
 from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -182,52 +184,112 @@ def _opt_column(values, rids, name: str) -> np.ndarray:
         f"sentinel or exceeds the int64 range)")
 
 
+def _result_column(values: list) -> tuple[np.ndarray, dict[int, Any]]:
+    """The ``result_i`` column and the ``results`` side table: an ``int``
+    the column can carry goes in the column, any other non-``None``
+    value in the table under its row."""
+    rows: list[int] = []
+    ints: list[int] = []
+    table: dict[int, Any] = {}
+    for i in compress(range(len(values)), map(is_not, values, repeat(None))):
+        value = values[i]
+        if type(value) is int and _column_representable(value):
+            rows.append(i)
+            ints.append(value)
+        else:
+            table[i] = value
+    column = np.full(len(values), I64_NONE, np.int64)
+    column[rows] = ints
+    return column, table
+
+
+def _fields(names: tuple[str, ...], rows: list[tuple],
+            shift: np.ndarray | None) -> dict[str, Sequence]:
+    """Field name -> column of ``rows``.
+
+    With ``shift`` (per rank, added to both times) the rows are aligned:
+    times moved, rows sorted by ``(tstart, rank, id)`` with one
+    ``np.lexsort``, and ids renumbered to their position.  Every column
+    is read with one ``itemgetter`` pass (``zip(*rows)`` would make an
+    iterator per row for the cyclic garbage collector to count), and the
+    sort moves row references, not rows."""
+    n = len(rows)
+    if shift is None or not n:
+        return {name: list(map(itemgetter(i), rows))
+                for i, name in enumerate(names)}
+
+    def key(name: str, dtype) -> np.ndarray:
+        return np.fromiter(map(itemgetter(names.index(name)), rows), dtype, n)
+
+    rank = key("rank", np.int64)
+    tstart = key("tstart", np.float64) + shift[rank]
+    order = np.lexsort((key(names[0], np.int64), rank, tstart))
+    columns = _fields(names, itemgetter(*order.tolist())(rows) if n > 1
+                      else rows, None)
+    rank = rank[order]
+    columns.update({
+        names[0]: np.arange(n, dtype=np.int64), "rank": rank,
+        "tstart": tstart[order],
+        "tend": np.array(columns["tend"], dtype=np.float64) + shift[rank]})
+    return columns
+
+
 def encode(nranks: int, records: Iterable[tuple],
            events: Iterable[tuple] = (),
-           meta: dict[str, Any] | None = None) -> "ColumnarTrace":
-    """Columns from record and event tuples, in the given row order.
+           meta: dict[str, Any] | None = None, *,
+           origins: Sequence[float | None] | None = None,
+           ) -> "ColumnarTrace":
+    """Columns from record and event tuples.
 
     Tuples follow :data:`RECORD_FIELDS` and :data:`EVENT_FIELDS`; string
     tables, promoted ``args`` and side tables are as the format
-    describes."""
+    describes.  Rows keep the given order, unless ``origins`` gives each
+    rank's time origin (``None`` for none): then every row's times move
+    back by its rank's origin, rows are sorted by ``(tstart, rank, id)``
+    and ids are renumbered to their position — the alignment
+    :meth:`~repro.tracer.recorder.Recorder.build_trace` asks for."""
+    shift = (None if origins is None
+             else -np.array([o or 0.0 for o in origins], dtype=np.float64))
     records, events = list(records), list(events)
-    r = dict(zip(RECORD_FIELDS, zip(*records) if records
-                 else ((),) * len(RECORD_FIELDS)))
-    e = dict(zip(EVENT_FIELDS, zip(*events) if events
-                 else ((),) * len(EVENT_FIELDS)))
+    n = len(records)
+    r = _fields(RECORD_FIELDS, records, shift)
+    e = _fields(EVENT_FIELDS, events, shift)
     funcs, func_id = interned(r["func"])
     paths, path_id = interned(r["path"])
     kinds, kind_id = interned(e["kind"])
     roles, role_id = interned(e["role"])
+    layer_index = _LAYER_INDEX.__getitem__
     cols = {"rid": r["rid"], "rank": r["rank"], "func_id": func_id,
-            "layer_id": [_LAYER_INDEX[x] for x in r["layer"]],
-            "issuer_id": [_LAYER_INDEX[x] for x in r["issuer"]],
+            "layer_id": np.fromiter(map(layer_index, r["layer"]),
+                                    np.int16, n),
+            "issuer_id": np.fromiter(map(layer_index, r["issuer"]),
+                                     np.int16, n),
             "tstart": r["tstart"], "tend": r["tend"], "path_id": path_id,
             "ev_eid": e["eid"], "ev_rank": e["rank"],
             "ev_kind_id": kind_id, "ev_role_id": role_id,
             "ev_tstart": e["tstart"], "ev_tend": e["tend"]}
     for name in ("fd", "offset", "count", "gt_offset"):
         cols[name] = _opt_column(r[name], r["rid"], name)
-    promoted = {key: [I64_NONE] * len(records) for key in PROMOTED_ARGS}
+    # promoted args as (rows, values) per key, scattered into columns
+    promoted: dict[str, tuple[list[int], list[int]]] = {
+        key: ([], []) for key in PROMOTED_ARGS}
     extras: dict[int, dict[str, Any]] = {}
-    for i, args in enumerate(r["args"]):
+    all_args = r["args"]
+    for i in compress(range(n), all_args):
         # sentinel-valued / out-of-range ints escape-encode through the
         # extras side table instead of silently round-tripping to absent
-        for key, value in (args or {}).items():
+        for key, value in all_args[i].items():
             if (key in promoted and type(value) is int
                     and _column_representable(value)):
-                promoted[key][i] = value
+                rows, values = promoted[key]
+                rows.append(i)
+                values.append(value)
             else:
                 extras.setdefault(i, {})[key] = value
-    for key, values in promoted.items():
-        cols[_ARG_COLUMN[key]] = values
-    cols["result_i"] = [I64_NONE] * len(records)
-    results: dict[int, Any] = {}
-    for i, value in enumerate(r["result"]):
-        if type(value) is int and _column_representable(value):
-            cols["result_i"][i] = value
-        elif value is not None:
-            results[i] = value
+    for key, (rows, values) in promoted.items():
+        cols[_ARG_COLUMN[key]] = column = np.full(n, I64_NONE, np.int64)
+        column[rows] = values
+    cols["result_i"], results = _result_column(r["result"])
     return ColumnarTrace(
         nranks=int(nranks), meta=dict(meta or {}),
         columns={name: np.array(cols[name], dtype=dtype)

@@ -5,43 +5,52 @@ One :class:`Recorder` instance is shared by all ranks of a simulated run
 library layers call :meth:`record` around each operation; MPI communication
 calls :meth:`record_mpi`.  Layer attribution works with a per-rank stack:
 entering a library pushes its layer, so any nested call knows who issued it.
-Each call appends one tuple to its rank's buffer; :meth:`build_trace`
-encodes the buffers into columns once.
+Each call appends one tuple to the run's buffer, in call order (every
+tuple carries its rank); :meth:`build_trace` aligns, sorts and encodes
+the buffer into columns once.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.tracer.columnar import encode
 from repro.tracer.events import Layer
 from repro.tracer.trace import Trace
 
 
+class _InLayer:
+    """The context of :meth:`Recorder.in_layer`: ``layer`` is on top of
+    the rank's stack inside the ``with`` block."""
+
+    __slots__ = ("stack", "layer")
+
+    def __init__(self, stack: list[Layer], layer: Layer):
+        self.stack = stack
+        self.layer = layer
+
+    def __enter__(self) -> None:
+        self.stack.append(self.layer)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stack.pop()
+
+
 class Recorder:
-    """Collects record and MPI-event tuples for a run, per rank."""
+    """Collects record and MPI-event tuples for a run, in call order."""
 
     def __init__(self, nranks: int):
         self.nranks = int(nranks)
-        self._records: list[list[tuple]] = [[] for _ in range(nranks)]
-        self._mpi_events: list[list[tuple]] = [[] for _ in range(nranks)]
+        self._records: list[tuple] = []
+        self._mpi_events: list[tuple] = []
         self._stacks: list[list[Layer]] = [[Layer.APP] for _ in range(nranks)]
         self._origins: list[float | None] = [None] * nranks
-        self._next_rid = 0
-        self._next_eid = 0
 
     # -- layer attribution -------------------------------------------------------
 
-    @contextmanager
-    def in_layer(self, rank: int, layer: Layer) -> Iterator[None]:
+    def in_layer(self, rank: int, layer: Layer) -> "_InLayer":
         """Mark that ``rank`` is executing inside ``layer`` (re-entrant)."""
-        stack = self._stacks[rank]
-        stack.append(layer)
-        try:
-            yield
-        finally:
-            stack.pop()
+        return _InLayer(self._stacks[rank], layer)
 
     def issuer(self, rank: int) -> Layer:
         """The layer currently executing on ``rank`` (who issues new calls)."""
@@ -57,17 +66,17 @@ class Recorder:
                gt_offset: int | None = None) -> None:
         """Buffer one call, in :data:`~repro.tracer.columnar.RECORD_FIELDS`
         order; the provisional id is the global call number."""
-        self._records[rank].append((
-            self._next_rid, rank, layer, self._stacks[rank][-1], func,
+        records = self._records
+        records.append((
+            len(records), rank, layer, self._stacks[rank][-1], func,
             tstart, tend, path, fd, offset, count,
             dict(args) if args else None, result, gt_offset))
-        self._next_rid += 1
 
     def record_mpi(self, rank: int, kind: str, match_key: tuple, role: str,
                    tstart: float, tend: float) -> None:
-        self._mpi_events[rank].append(
-            (self._next_eid, rank, kind, match_key, role, tstart, tend))
-        self._next_eid += 1
+        events = self._mpi_events
+        events.append(
+            (len(events), rank, kind, match_key, role, tstart, tend))
 
     # -- barrier-based timestamp alignment ------------------------------------------
 
@@ -83,19 +92,13 @@ class Recorder:
 
     # -- finalization ---------------------------------------------------------------
 
-    def _aligned(self, buffers: list[list[tuple]]) -> list[tuple]:
-        """Every rank's tuples, timestamps (fields 5 and 6) moved by the
-        rank's origin, sorted by ``(tstart, rank, id)`` and renumbered to
-        their position: ingestion order within a rank is kept, so ids
-        become a function of the trace *content*, not of interleaving."""
-        shift = [-(origin or 0.0) for origin in self._origins]
-        rows = sorted(((*row[:5], row[5] + shift[row[1]],
-                        row[6] + shift[row[1]], *row[7:])
-                       for buffer in buffers for row in buffer),
-                      key=lambda row: (row[5], row[1], row[0]))
-        return [(i, *row[1:]) for i, row in enumerate(rows)]
-
     def build_trace(self, *, meta: dict[str, Any] | None = None) -> Trace:
-        """Produce the immutable aligned trace for analysis."""
-        return encode(self.nranks, self._aligned(self._records),
-                      self._aligned(self._mpi_events), meta).to_trace()
+        """Produce the immutable aligned trace for analysis.
+
+        Each row's times move back by its rank's origin, and all rows are
+        sorted by ``(tstart, rank, id)`` in one vectorized sort, then
+        renumbered to their position: ingestion order within a rank is
+        kept, so ids become a function of the trace *content*, not of
+        interleaving."""
+        return encode(self.nranks, self._records, self._mpi_events, meta,
+                      origins=self._origins).to_trace()

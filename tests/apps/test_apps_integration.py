@@ -7,6 +7,7 @@ import pytest
 from repro.apps.registry import all_variants
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
+from tests.apps.expectations import assert_matches_paper
 
 VARIANTS = {v.label: v for v in all_variants()}
 
@@ -15,26 +16,13 @@ VARIANTS = {v.label: v for v in all_variants()}
 def test_variant_matches_paper(study8, label):
     """Per-configuration: session conflicts, commit behaviour, X-Y cell,
     and Table 3 pattern column all match the paper."""
-    run = study8.find(label)
-    variant = run.variant
-    report = run.report
+    assert_matches_paper(study8, label)
 
-    session = report.conflicts(Semantics.SESSION)
-    got = {k for k, f in session.flags.items() if f}
-    assert got == set(variant.expected_conflicts), \
-        f"{label}: session conflicts {got}"
 
-    commit = report.conflicts(Semantics.COMMIT)
-    commit_got = {k for k, f in commit.flags.items() if f}
-    if variant.commit_clean:
-        assert not commit_got, f"{label}: expected commit-clean"
-    else:
-        assert commit_got == set(variant.expected_conflicts), \
-            f"{label}: commit conflicts changed"
-
-    primary = report.sharing[0]
-    assert primary.xy(study8.nranks) == variant.expected_xy, label
-    assert str(primary.pattern) == variant.expected_pattern, label
+@pytest.mark.parametrize("label", sorted(VARIANTS))
+def test_variant_matches_paper_at_64_ranks(study64, label):
+    """The same at 64 ranks, the smallest scale the paper traced."""
+    assert_matches_paper(study64, label)
 
 
 def test_all_but_flash_tolerate_weak_semantics(study8):

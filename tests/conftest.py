@@ -75,6 +75,12 @@ def study8() -> StudyResults:
 
 
 @pytest.fixture(scope="session")
+def study64() -> StudyResults:
+    """The study at 64 ranks, the smallest scale the paper traced."""
+    return run_study(nranks=64, seed=7)
+
+
+@pytest.fixture(scope="session")
 def variant_by_label():
     return {v.label: v for v in all_variants()}
 

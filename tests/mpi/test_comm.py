@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import CollectiveMismatchError, MPIError
+from repro.errors import CollectiveMismatchError, DeadlockError, MPIError
 from repro.mpi.comm import ReduceOp
 
 
@@ -134,6 +134,52 @@ class TestCollectives:
                         align=False)
         assert results == [[0, 1, 4]] * 3
 
+    def test_allgather_members_hold_their_own_copies(self, harness):
+        """Rank 0 changes a mutable element of its result; rank 1, which
+        took its result first, must not see the change."""
+        h = harness(nranks=2)
+
+        def program(ctx):
+            gathered = ctx.comm.allgather([ctx.rank])
+            if ctx.rank == 0:
+                gathered[1].append("changed by rank 0")
+            ctx.comm.barrier()
+            return gathered
+
+        results = h.run(program, align=False)
+        assert results[0] == [[0], [1, "changed by rank 0"]]
+        assert results[1] == [[0], [1]]
+
+    def test_scatter_and_alltoall_members_hold_their_own_copies(self, harness):
+        """One list object sent to both ranks reaches each as its own."""
+        h = harness(nranks=2)
+
+        def program(ctx):
+            shared: list[str] = []
+            chunk = ctx.comm.scatter(
+                [shared, shared] if ctx.rank == 0 else None)
+            row = ctx.comm.alltoall([shared, shared])
+            if ctx.rank == 0:
+                chunk.append("scatter")
+                row[1].append("alltoall")
+            ctx.comm.barrier()
+            return chunk, row
+
+        results = h.run(program, align=False)
+        assert results[0] == (["scatter"], [[], ["alltoall"]])
+        assert results[1] == ([], [[], []])
+
+    def test_immutable_contributions_are_shared_not_copied(self, harness):
+        h = harness(nranks=3)
+        part = (7, b"bytes", ("nested", 1.5, None))
+
+        def program(ctx):
+            return ctx.comm.allgather(part), ctx.comm.bcast(part)
+
+        for gathered, value in h.run(program, align=False):
+            assert all(item is part for item in gathered)
+            assert value is part
+
     def test_allreduce_ops(self, harness):
         h = harness(nranks=4)
 
@@ -205,6 +251,22 @@ class TestCollectives:
         assert str(exc.value) == (
             f"collective #0: rank 1 entered {rank1_sig} "
             f"but rank 0 entered {rank0_sig}")
+
+    def test_deadlock_names_each_wait_as_it_began(self, harness):
+        """A collective member's reason counts the arrivals up to its
+        own, though the text is only formatted once the run deadlocks."""
+        h = harness(nranks=4)
+
+        def program(ctx):
+            if ctx.rank == 3:
+                ctx.comm.recv(0, tag=5)  # nobody sends
+            ctx.comm.barrier()
+
+        with pytest.raises(DeadlockError) as exc:
+            h.run(program, align=False)
+        assert exc.value.states == {
+            0: "barrier#0 (1/4 arrived)", 1: "barrier#0 (2/4 arrived)",
+            2: "barrier#0 (3/4 arrived)", 3: "recv(source=0, tag=5)"}
 
     def test_events_recorded_with_shared_match_keys(self, harness):
         h = harness(nranks=2)

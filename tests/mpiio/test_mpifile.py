@@ -1,5 +1,7 @@
 """Tests for the miniature MPI-IO layer (two-phase collective I/O)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import MPIError
@@ -21,6 +23,21 @@ class TestHints:
         assert MPIIOHints().resolved_cb_nodes(64) == 8
         assert MPIIOHints().resolved_cb_nodes(4) == 1
         assert MPIIOHints(cb_nodes=6).resolved_cb_nodes(4) == 4
+
+    @pytest.mark.parametrize("nranks", [*range(1, 41), 64, 100, 255, 1024])
+    def test_aggregator_index_is_the_position_in_aggregator_ranks(
+            self, nranks):
+        """The O(1) index a collective write checks agrees with the
+        aggregator list, for every rank and aggregator count."""
+        for cb_nodes in {0, 1, 2, 3, 7, nranks // 3, nranks - 1, nranks}:
+            handle = SimpleNamespace(hints=MPIIOHints(cb_nodes=cb_nodes),
+                                     nranks=nranks)
+            aggs = MPIFile.aggregator_ranks.fget(handle)
+            for rank in range(nranks):
+                handle.rank = rank
+                expected = aggs.index(rank) if rank in aggs else None
+                assert MPIFile._aggregator_index(handle) == (
+                    expected, len(aggs))
 
 
 class TestIndependent:

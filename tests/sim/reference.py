@@ -19,13 +19,22 @@ from repro.sim.engine import SimEngine
 
 
 class ReferenceEngine(SimEngine):
-    """SimEngine with the keyed ready heap and wait queues switched off."""
+    """SimEngine with the keyed ready heap, the wait queues and the
+    self-resume switched off."""
 
     def __init__(self, config) -> None:
         super().__init__(config)
         #: ranks that may be dispatched; a rank waiting in ``wait_until``
         #: and not in this set is blocked
         self._runnable: set[int] = set()
+
+    def checkpoint(self, rank) -> None:
+        """Dispatch at every checkpoint: the oracle has no self-resume."""
+        state = self._ranks[rank]
+        self._obs_checkpoints.inc()
+        self._make_ready(state)
+        self._dispatch_next()
+        self._await_permit(state)
 
     def notify(self, key) -> None:
         pass
@@ -81,7 +90,7 @@ def resume_order(engine_cls, execute):
     """What ``execute()`` returns with ``engine_cls`` as the application
     harness's engine, and the order in which ranks resumed from it."""
     resumed: list[int] = []
-    checkpoint, wait_until = SimEngine.checkpoint, SimEngine.wait_until
+    checkpoint, wait_until = engine_cls.checkpoint, engine_cls.wait_until
 
     def logged_checkpoint(self, rank):
         checkpoint(self, rank)
@@ -92,7 +101,7 @@ def resume_order(engine_cls, execute):
         resumed.append(rank)
 
     with mock.patch.object(base, "SimEngine", engine_cls), \
-            mock.patch.object(SimEngine, "checkpoint", logged_checkpoint), \
-            mock.patch.object(SimEngine, "wait_until", logged_wait_until):
+            mock.patch.object(engine_cls, "checkpoint", logged_checkpoint), \
+            mock.patch.object(engine_cls, "wait_until", logged_wait_until):
         result = execute()
     return result, resumed

@@ -30,8 +30,8 @@ class _SelfComm:
     def barrier(self) -> None:
         return None
 
-    def allgather(self, payload: Any) -> list[Any]:
-        return [payload]
+    def allgather(self, payload: Any, combine=None) -> Any:
+        return [payload] if combine is None else combine([payload])
 
 
 def main(ctx: RankContext, cfg: AppConfig) -> None:

@@ -5,8 +5,10 @@
     points, or the designer of a parallel I/O library can insert commit
     operations automatically."
 
-This module turns a :class:`~repro.core.conflicts.ConflictSet` into a
-deduplicated list of insertion points:
+This module turns conflicts found under one model (a
+:class:`~repro.core.conflicts.ConflictSet` or any group of its
+:class:`~repro.core.conflicts.Conflict` pairs) into a deduplicated list
+of insertion points:
 
 * for a **commit**-semantics conflict: insert a commit (``fsync``) on the
   writer's descriptor right after the first access of the pair;
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.conflicts import Conflict, ConflictSet
 from repro.core.semantics import Semantics
@@ -96,8 +99,9 @@ def _suggestion_for(conflict: Conflict, semantics: Semantics
                          library_side=library_side, reader_rank=reader)
 
 
-def suggest_fixes(conflicts: ConflictSet) -> list[FixSuggestion]:
-    """Deduplicated repair points for a conflict set.
+def suggest_fixes(conflicts: Iterable[Conflict],
+                  semantics: Semantics) -> list[FixSuggestion]:
+    """Deduplicated repair points for conflicts under ``semantics``.
 
     Suggestions are keyed by (path, writer, kind): committing after the
     *first* conflicting write of a file/writer pair resolves every later
@@ -107,7 +111,7 @@ def suggest_fixes(conflicts: ConflictSet) -> list[FixSuggestion]:
     buckets: Counter = Counter()
     exemplar: dict[tuple, FixSuggestion] = {}
     for conflict in conflicts:
-        s = _suggestion_for(conflict, conflicts.semantics)
+        s = _suggestion_for(conflict, semantics)
         key = (s.path, s.writer_rank, s.kind, s.reader_rank)
         buckets[key] += 1
         if key not in exemplar or s.after_time < exemplar[key].after_time:
@@ -126,7 +130,7 @@ def suggest_fixes(conflicts: ConflictSet) -> list[FixSuggestion]:
 
 def advice_text(conflicts: ConflictSet) -> str:
     """Human-readable repair plan for one conflict set."""
-    fixes = suggest_fixes(conflicts)
+    fixes = suggest_fixes(conflicts, conflicts.semantics)
     if not fixes:
         return (f"No conflicts under {conflicts.semantics.name.lower()} "
                 f"semantics; nothing to fix.")

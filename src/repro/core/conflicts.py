@@ -32,7 +32,8 @@ pair, and object clearing implies session clearing), which is why
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,51 +75,112 @@ class Conflict:
         return f"{self.kind.value}-{self.scope.value}"
 
 
-@dataclass
-class ConflictSet:
-    """All conflicts of a run under one semantics model."""
+#: the Table 4 cells in flag order; a pair's cell index is
+#: ``2 * (not WAW) + (not same-process)``
+LABELS = ("WAW-S", "WAW-D", "RAW-S", "RAW-D")
+_KINDS = (ConflictKind.RAW, ConflictKind.WAW)
+_SCOPES = (ConflictScope.DIFFERENT, ConflictScope.SAME)
 
-    semantics: Semantics
-    conflicts: list[Conflict] = field(default_factory=list)
+
+class FileConflicts(NamedTuple):
+    """One file's conflicting pairs, in report order.
+
+    ``first`` and ``second`` are row indices into ``table`` (the
+    earlier access, always a write, and the later one); ``waw`` and
+    ``same`` are the WAW-vs-RAW kind and same-process scope masks.
+    """
+
+    table: AccessTable
+    first: np.ndarray
+    second: np.ndarray
+    waw: np.ndarray
+    same: np.ndarray
+
+    def select(self, keep) -> "FileConflicts":
+        """The pairs that ``keep`` (a mask, an index array or a slice)
+        selects."""
+        return FileConflicts(self.table, self.first[keep],
+                             self.second[keep], self.waw[keep],
+                             self.same[keep])
+
+    def conflicts(self) -> Iterator[Conflict]:
+        """The pairs as :class:`Conflict` objects; each row becomes one
+        :class:`AccessRecord`, shared by the pairs it is in."""
+        n = len(self.first)
+        rows, index = np.unique(np.r_[self.first, self.second],
+                                return_inverse=True)
+        records = self.table.records_at(rows)
+        path = self.table.path
+        for i, j, w, s in zip(index[:n].tolist(), index[n:].tolist(),
+                              self.waw.tolist(), self.same.tolist()):
+            yield Conflict(path=path, kind=_KINDS[w], scope=_SCOPES[s],
+                           first=records[i], second=records[j])
+
+
+class ConflictSet:
+    """All conflicts of a run under one semantics model, as arrays.
+
+    ``files`` holds one :class:`FileConflicts` per conflicted file, in
+    path order.  Counts, flags, paths and the verdicts of
+    :mod:`repro.core.semantics` read the arrays; :class:`Conflict` and
+    :class:`AccessRecord` objects are built only when the set is
+    iterated.
+    """
+
+    def __init__(self, semantics: Semantics,
+                 files: Iterable[FileConflicts] = ()):
+        self.semantics = semantics
+        self.files = [f for f in files if len(f.first)]
+        counts = np.zeros(len(LABELS), dtype=np.int64)
+        for f in self.files:
+            counts += np.bincount(2 * ~f.waw + ~f.same,
+                                  minlength=len(LABELS))
+        self._counts = tuple(counts.tolist())
 
     def __len__(self) -> int:
-        return len(self.conflicts)
+        return sum(self._counts)
 
-    def __iter__(self):
-        return iter(self.conflicts)
+    def __iter__(self) -> Iterator[Conflict]:
+        for f in self.files:
+            yield from f.conflicts()
 
     def __bool__(self) -> bool:
-        return bool(self.conflicts)
+        return bool(self.files)
+
+    def __repr__(self) -> str:
+        return (f"ConflictSet({self.semantics.name}, {len(self)} "
+                f"conflicts in {len(self.files)} files)")
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Pairs per Table 4 cell: ``{"WAW-S": n, "WAW-D": n, ...}``."""
+        return dict(zip(LABELS, self._counts))
 
     def has(self, kind: ConflictKind, scope: ConflictScope) -> bool:
-        return any(c.kind == kind and c.scope == scope for c in self.conflicts)
+        return self.counts[f"{kind.value}-{scope.value}"] > 0
 
     @property
     def flags(self) -> dict[str, bool]:
         """Table 4 cell flags: ``{"WAW-S": ..., "WAW-D": ..., ...}``."""
-        return {
-            f"{kind.value}-{scope.value}": self.has(kind, scope)
-            for kind in (ConflictKind.WAW, ConflictKind.RAW)
-            for scope in (ConflictScope.SAME, ConflictScope.DIFFERENT)
-        }
+        return {label: n > 0 for label, n in zip(LABELS, self._counts)}
+
+    @property
+    def cross_process_count(self) -> int:
+        """Pairs whose two accesses come from different ranks."""
+        counts = self.counts
+        return counts["WAW-D"] + counts["RAW-D"]
 
     @property
     def paths(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for c in self.conflicts:
-            seen.setdefault(c.path, None)
-        return list(seen)
+        return [f.table.path for f in self.files]
 
     def by_path(self) -> dict[str, list[Conflict]]:
-        out: dict[str, list[Conflict]] = {}
-        for c in self.conflicts:
-            out.setdefault(c.path, []).append(c)
-        return out
+        return {f.table.path: list(f.conflicts()) for f in self.files}
 
     @property
     def cross_process_only(self) -> "ConflictSet":
-        return ConflictSet(self.semantics, [
-            c for c in self.conflicts if c.scope == ConflictScope.DIFFERENT])
+        return ConflictSet(self.semantics,
+                           (f.select(~f.same) for f in self.files))
 
 
 #: the event families of the §5.2 visibility conditions; close is a
@@ -263,26 +325,23 @@ def _object_conflict_pairs(table: AccessTable, vis: VisibilityIndex):
     return first_row[o], second_row[o], waw[o], same[o]
 
 
-def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
-                          vis: VisibilityIndex,
+def _actual_conflict_mask(table: AccessTable, first: np.ndarray,
+                          second: np.ndarray, vis: VisibilityIndex,
                           semantics: Semantics) -> np.ndarray:
-    """Vectorized §5.2 conditions 3/4 over a batch of candidate pairs.
+    """Vectorized §5.2 conditions 3/4 (``COMMIT``/``SESSION``) over a
+    batch of candidate pairs, given as row arrays.
 
     Pairs are grouped by the ranks involved so each group's condition is
     one or two ``searchsorted`` calls over the rank's event timeline —
     the array-at-a-time formulation of the paper's binary-search idea.
     """
-    n = len(pairs)
-    if semantics is Semantics.STRONG:
-        return np.zeros(n, dtype=bool)
-    if semantics is Semantics.EVENTUAL:
-        return np.ones(n, dtype=bool)
+    n = len(first)
     t = table.tstart
     rank = table.rank
-    t1 = t[pairs[:, 0]]
-    t2 = t[pairs[:, 1]]
-    r1 = rank[pairs[:, 0]]
-    r2 = rank[pairs[:, 1]]
+    t1 = t[first]
+    t2 = t[second]
+    r1 = rank[first]
+    r2 = rank[second]
     conflict = np.ones(n, dtype=bool)
     if semantics is Semantics.COMMIT:
         for writer in np.unique(r1):
@@ -324,31 +383,85 @@ def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
     return conflict
 
 
-def classify_conflicts(table: AccessTable, vis: VisibilityIndex,
-                       semantics: Semantics):
-    """Every actual conflict of one file under ``semantics``, as arrays.
+#: the models whose conflicts are overlapping byte pairs
+_PAIRWISE = (Semantics.COMMIT, Semantics.SESSION, Semantics.EVENTUAL)
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_FLAGS = np.empty(0, dtype=bool)
 
-    Returns ``(first_row, second_row, waw, same)``: row indices into
-    ``table`` of the earlier access (always a write) and the later one,
-    and the WAW-vs-RAW kind and same-process scope masks, ordered by
-    the two accesses' start times.  Under ``OBJECT`` semantics pairing
-    is whole-object (session granularity) and the rows are exemplars.
+
+def candidate_pairs(table: AccessTable) -> FileConflicts:
+    """One file's potential conflicts, from one overlap sweep.
+
+    These are the overlapping pairs whose earlier access is a write.
+    Each pair is ordered by start time, and a tie keeps the lower
+    offset (then the earlier row) first.  The pairs come in report
+    order: by the first access's start time, then the second's.  Every
+    byte-level model filters these same pairs.
     """
-    if semantics is Semantics.OBJECT:
-        return _object_conflict_pairs(table, vis)
     pairs = find_overlaps(table)
-    # order each pair by entry timestamp (t1 < t2)
     t = table.tstart
     swap = t[pairs[:, 0]] > t[pairs[:, 1]]
     pairs[swap] = pairs[swap][:, ::-1]
-    # only pairs whose first op is a write can conflict
     pairs = pairs[table.is_write[pairs[:, 0]]]
-    pairs = pairs[_actual_conflict_mask(table, pairs, vis, semantics)]
-    # deterministic report order: by first access time, then second
+    # a stable sort, so filtering the sorted pairs later keeps the
+    # order a sort after filtering would give
     pairs = pairs[np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]]))]
-    first, second = pairs[:, 0], pairs[:, 1]
-    return (first, second, table.is_write[second],
-            table.rank[first] == table.rank[second])
+    first, second = pairs.T.copy()
+    return FileConflicts(table, first, second, table.is_write[second],
+                         table.rank[first] == table.rank[second])
+
+
+def classify_conflicts(table: AccessTable, vis: VisibilityIndex,
+                       semantics: Semantics,
+                       candidates: FileConflicts | None = None,
+                       ) -> FileConflicts:
+    """Every actual conflict of one file under ``semantics``.
+
+    A byte-level model keeps the :func:`candidate_pairs` its condition
+    does not clear; pass ``candidates`` to reuse one sweep.  A file
+    without candidates skips the timeline searches.  Under ``OBJECT``
+    pairing is whole-object (session granularity) and the rows are
+    exemplars.
+    """
+    if semantics is Semantics.OBJECT:
+        return FileConflicts(table, *_object_conflict_pairs(table, vis))
+    if semantics is Semantics.STRONG:
+        return FileConflicts(table, _NO_ROWS, _NO_ROWS, _NO_FLAGS,
+                             _NO_FLAGS)
+    if candidates is None:
+        candidates = candidate_pairs(table)
+    if semantics is Semantics.EVENTUAL or not len(candidates.first):
+        return candidates
+    return candidates.select(_actual_conflict_mask(
+        table, candidates.first, candidates.second, vis, semantics))
+
+
+def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
+                     semantics: Semantics,
+                     max_conflicts_per_file: int | None = None, *,
+                     candidates: dict[str, FileConflicts] | None = None,
+                     ) -> ConflictSet:
+    """Run conflict detection over every file of a trace.
+
+    Keeps at most ``max_conflicts_per_file`` conflicts per file, the
+    earliest first.  ``candidates`` holds each file's
+    :func:`candidate_pairs` by path and is filled on first use, so the
+    byte-level models given one dict share one sweep per file.
+    """
+    if candidates is None:
+        candidates = {}
+    keep = slice(max_conflicts_per_file)
+    files = []
+    for path in sorted(tables):
+        table = tables[path]
+        found = None
+        if semantics in _PAIRWISE:
+            found = candidates.get(path)
+            if found is None:
+                found = candidates[path] = candidate_pairs(table)
+        files.append(classify_conflicts(table, vis, semantics,
+                                        found).select(keep))
+    return ConflictSet(semantics, files)
 
 
 def count_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
@@ -357,14 +470,7 @@ def count_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
 
     Returns ``{"WAW-S": n, "WAW-D": n, "RAW-S": n, "RAW-D": n}``.
     """
-    total = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
-    for path in sorted(tables):
-        _, _, waw, same = classify_conflicts(tables[path], vis, semantics)
-        total["WAW-S"] += int(np.sum(waw & same))
-        total["WAW-D"] += int(np.sum(waw & ~same))
-        total["RAW-S"] += int(np.sum(~waw & same))
-        total["RAW-D"] += int(np.sum(~waw & ~same))
-    return total
+    return detect_conflicts(vis, tables, semantics).counts
 
 
 def count_conflicts_columnar(ct, semantics: Semantics,
@@ -382,35 +488,3 @@ def count_conflicts_columnar(ct, semantics: Semantics,
         tables = reconstruct_tables_columnar(ct)
     return count_conflicts(VisibilityIndex(ct.to_trace()), tables,
                            semantics)
-
-
-def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
-                     semantics: Semantics,
-                     max_conflicts_per_file: int | None = None,
-                     ) -> ConflictSet:
-    """Run conflict detection over every file of a trace.
-
-    Keeps at most ``max_conflicts_per_file`` conflicts per file, the
-    earliest first.  Only the reported rows become
-    :class:`AccessRecord` objects.
-    """
-    cs = ConflictSet(semantics)
-    keep = slice(max_conflicts_per_file)
-    for path in sorted(tables):
-        table = tables[path]
-        first, second, waw, same = (
-            a[keep] for a in classify_conflicts(table, vis, semantics))
-        if not len(first):
-            continue
-        rows, index = np.unique(np.r_[first, second], return_inverse=True)
-        records = table.records_at(rows)
-        cs.conflicts.extend(
-            Conflict(path=path,
-                     kind=ConflictKind.WAW if w else ConflictKind.RAW,
-                     scope=(ConflictScope.SAME if s
-                            else ConflictScope.DIFFERENT),
-                     first=records[i], second=records[j])
-            for i, j, w, s in zip(index[:len(first)].tolist(),
-                                  index[len(first):].tolist(),
-                                  waw.tolist(), same.tolist()))
-    return cs

@@ -46,8 +46,10 @@ def reconstruct_offsets(trace: Trace, *, strict: bool = True
     The accesses come back in trace order as an :class:`AccessList`.
     Only POSIX rows are consumed, in row order, so the shared size model
     sees operations in global order.  With ``strict`` a data op or seek
-    on an untracked descriptor raises :class:`TraceError`; otherwise it
-    is skipped (useful for partial traces).
+    on an untracked descriptor raises :class:`TraceError`, and so does a
+    ``pwrite``/``pread`` on an fd that no open of its rank returned
+    when the rank has an open record; otherwise the op is skipped
+    (useful for partial traces).
     """
     return _solve(trace.columnar, strict)
 
@@ -183,6 +185,10 @@ def _reconstruct_vectorized(ct):
             or bool(np.any(is_trunc_op & (length == I64_NONE)))
             or bool(np.any(is_data & (count_eff < 0)))):
         raise _ColumnarFallback
+    # an explicit-offset op names an fd an open of its rank returned;
+    # when one does not, the strict replay names the record
+    if not _opened_by_rank(rank, fd, is_open, explicit & (fd != I64_NONE)):
+        raise _ColumnarFallback
 
     # -- descriptor streams: group rows per (rank, fd), time-ordered --
     s = np.flatnonzero(is_open | is_close | is_seek | implicit)
@@ -261,6 +267,40 @@ def _reconstruct_vectorized(ct):
     rows = np.concatenate([so[im], np.flatnonzero(ex)])
     return (idx[rows], np.concatenate([impl_off[im], offset[ex]]),
             np.concatenate([stream_path[im], path_id[ex]]))
+
+
+#: the largest (rank, fd) table :func:`_opened_by_rank` builds
+_FD_TABLE_MAX = 1 << 22
+
+
+def _opened_by_rank(rank: np.ndarray, fd: np.ndarray, is_open: np.ndarray,
+                    used: np.ndarray) -> bool:
+    """Does each ``used`` row name an fd that an open of its rank
+    returned, whenever its rank has an open record?
+
+    One whole-column lookup in a (rank, fd) table: a rank without an
+    open record (a partial trace) passes whatever its fd, an fd outside
+    the opened range fails unless so.  Opened fds spread too widely for
+    a table answer ``False``, which leaves the question to the replay.
+    """
+    if not used.any() or not is_open.any():
+        return True
+    nranks = int(rank[is_open].max()) + 1
+    named = is_open & (fd != I64_NONE)
+    ofd = fd[named]
+    lo = int(ofd.min()) if ofd.size else 0
+    span = int(ofd.max()) - lo + 1 if ofd.size else 0
+    if (nranks + 1) * (span + 1) > _FD_TABLE_MAX:
+        return False
+    # row nranks stands for every higher rank, column span for every
+    # fd outside [lo, lo + span)
+    table = np.ones((nranks + 1, span + 1), dtype=bool)
+    table[rank[is_open]] = False
+    table[rank[named], ofd - lo] = True
+    key_fd = fd - lo
+    key_fd = np.where((key_fd >= 0) & (key_fd < span), key_fd, span)
+    cell = np.minimum(rank, nranks) * (span + 1) + key_fd
+    return not bool(np.any(used & ~table.ravel()[cell]))
 
 
 def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,
@@ -345,6 +385,11 @@ def _replay(ct: ColumnarTrace, strict: bool):
                              f"lacks {what}")
         return values[k]
 
+    # the (rank, fd) pairs some open (or dup) of the rank returned, and
+    # the ranks with an open record
+    named = {(rank[k], fd[k] if kind == _OPEN else newfd[k])
+             for k, kind in enumerate(kinds) if kind in (_OPEN, _DUP)}
+    openers = {rank[k] for k, kind in enumerate(kinds) if kind == _OPEN}
     ofds: dict[tuple, list] = {}
     sizes: dict[int, int] = {}
     out: list[tuple[int, int, int]] = []
@@ -389,6 +434,12 @@ def _replay(ct: ColumnarTrace, strict: bool):
             n = 0 if count[k] == I64_NONE else count[k]
             writes = kind == _WR
             if offset[k] != I64_NONE:  # pread/pwrite carry their offset
+                if (strict and fd[k] is not None and key not in named
+                        and rank[k] in openers):
+                    raise TraceError(
+                        f"record {rid[k]} ({ct.funcs[func_id[k]]}) uses "
+                        f"fd {fd[k]}, which no open of rank {rank[k]} "
+                        f"returned")
                 start = offset[k]
                 p = need(path, k, "a path")
             else:

@@ -1,15 +1,15 @@
 """Per-run analysis report: the one-stop result object.
 
 :func:`analyze` runs the full pipeline on a trace; :class:`RunReport`
-memoizes each analysis and renders the per-application report the paper
-published alongside its data (function counters, I/O sizes, per-file
-conflicts, pattern mixes, metadata usage, semantics verdict).
+computes each analysis once per trace and renders the per-application
+report the paper published alongside its data (function counters, I/O
+sizes, per-file conflicts, pattern mixes, metadata usage, semantics
+verdict).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.core.advisor import FixSuggestion, suggest_fixes
 from repro.core.conflicts import (
@@ -39,76 +39,112 @@ from repro.core.semantics import (
     weakest_sufficient_semantics,
 )
 from repro.core.happens_before import RaceReport, validate_race_freedom
+from repro.obs import registry as obs
 from repro.tracer.profile import TraceProfile, profile_trace
 from repro.tracer.trace import Trace
 from repro.util.formatting import human_bytes, percentage
 from repro.util.tables import AsciiTable
 
 
+def _stage(timer: str, *inputs: str):
+    """Make a :class:`RunReport` method a stage computed once per trace.
+
+    The method gets the stages named in ``inputs``, computed first, and
+    runs under the repro.obs timer ``timer``, which so times this stage
+    alone.  Its result is kept in the trace's
+    :attr:`~repro.tracer.columnar.ColumnarTrace.memo`, which every
+    report of the trace shares.  Stage results hold arrays, never the
+    trace, so the memo forms no reference cycle.
+    """
+    def wrap(build):
+        name = build.__name__
+
+        def get(self):
+            memo = self.trace.columnar.memo
+            if name not in memo:
+                args = [getattr(self, stage) for stage in inputs]
+                with obs.current().timer(timer).time():
+                    memo[name] = build(self, *args)
+            return memo[name]
+
+        get.__doc__ = build.__doc__
+        return property(get)
+    return wrap
+
+
 @dataclass
 class RunReport:
-    """Lazy bundle of every analysis for one traced run."""
+    """Lazy bundle of every analysis for one traced run.
+
+    Every report of one trace shares each stage's result (see
+    :func:`_stage`).
+    """
 
     trace: Trace
 
-    # -- pipeline stages (memoized) ------------------------------------------
+    # -- pipeline stages (computed once per trace) ----------------------------
 
-    @cached_property
+    @_stage("core.offsets_seconds")
     def accesses(self) -> AccessList:
         """Offset-resolved POSIX data accesses (§5.1), in trace order."""
         return reconstruct_offsets(self.trace)
 
-    @cached_property
-    def tables(self) -> dict[str, AccessTable]:
+    @_stage("core.tables_seconds", "accesses")
+    def tables(self, accesses: AccessList) -> dict[str, AccessTable]:
         """Per-file access tables, rows in ``(tstart, rid)`` order.
 
         Every later stage reads these columns.
         """
-        return group_by_path(self.accesses)
+        return group_by_path(accesses)
 
-    @cached_property
+    @_stage("core.visibility_seconds")
     def visibility(self) -> VisibilityIndex:
         """Open/close/commit timelines, shared by every model."""
         return VisibilityIndex(self.trace)
 
     def conflicts(self, semantics: Semantics,
                   max_per_file: int | None = 10_000) -> ConflictSet:
-        cache = self.__dict__.setdefault("_conflict_cache", {})
-        key = (semantics, max_per_file)
-        if key not in cache:
-            cache[key] = detect_conflicts(
-                self.visibility, self.tables, semantics,
-                max_conflicts_per_file=max_per_file)
-        return cache[key]
+        """The conflicts under one model, at most ``max_per_file`` per
+        file.  The byte-level models share one overlap sweep per file."""
+        memo = self.trace.columnar.memo
+        key = ("conflicts", semantics, max_per_file)
+        if key not in memo:
+            vis, tables = self.visibility, self.tables
+            timer = f"core.conflicts.{semantics.name.lower()}_seconds"
+            with obs.current().timer(timer).time():
+                memo[key] = detect_conflicts(
+                    vis, tables, semantics, max_per_file,
+                    candidates=memo.setdefault("candidates", {}))
+        return memo[key]
 
-    @cached_property
+    @property
     def conflicts_by_model(self) -> dict[Semantics, ConflictSet]:
         return {s: self.conflicts(s)
                 for s in (Semantics.SESSION, Semantics.COMMIT,
                           Semantics.EVENTUAL, Semantics.OBJECT)}
 
-    @cached_property
-    def sharing(self) -> list[SharingPattern]:
-        return classify_sharing(self.tables, self.trace.nranks)
+    @_stage("core.sharing_seconds", "tables")
+    def sharing(self, tables) -> list[SharingPattern]:
+        return classify_sharing(tables, self.trace.nranks)
 
-    @cached_property
-    def local_mix(self) -> TransitionMix:
-        return local_pattern_mix(self.tables)
+    @_stage("core.local_mix_seconds", "tables")
+    def local_mix(self, tables) -> TransitionMix:
+        return local_pattern_mix(tables)
 
-    @cached_property
-    def global_mix(self) -> TransitionMix:
-        return global_pattern_mix(self.tables)
+    @_stage("core.global_mix_seconds", "tables")
+    def global_mix(self, tables) -> TransitionMix:
+        return global_pattern_mix(tables)
 
-    @cached_property
+    @_stage("core.metadata_seconds")
     def metadata(self) -> MetadataUsage:
         return metadata_usage(self.trace)
 
-    @cached_property
-    def profile(self) -> TraceProfile:
+    @_stage("core.profile_seconds", "tables")
+    def profile(self, tables) -> TraceProfile:
         """Darshan-style per-file counters for this run."""
-        return profile_trace(self.trace, self.tables)
+        return profile_trace(self.trace, tables)
 
-    @cached_property
+    @_stage("core.metadata_conflicts_seconds")
     def metadata_conflicts(self) -> MetadataConflictSet:
         """Namespace produce/consume pairs (the paper's future work;
         relevant for relaxed-*metadata* systems like GekkoFS/BatchFS)."""
@@ -136,7 +172,7 @@ class RunReport:
     def suggested_fixes(self, semantics: Semantics = Semantics.SESSION
                         ) -> list[FixSuggestion]:
         """§4.1 repair advice for this run's conflicts under a model."""
-        return suggest_fixes(self.conflicts(semantics))
+        return suggest_fixes(self.conflicts(semantics), semantics)
 
     def overlap_matrix(self, path: str):
         """The paper's rank-pair overlap table ``P[r_i, r_j]`` for one
@@ -146,9 +182,11 @@ class RunReport:
     def validate(self, semantics: Semantics = Semantics.SESSION,
                  *, raise_on_race: bool = False) -> RaceReport:
         """§5.2 validation: conflicting pairs must be synchronized."""
-        pairs = [(c.first, c.second) for c in self.conflicts(semantics)]
-        return validate_race_freedom(self.trace, pairs,
-                                     raise_on_race=raise_on_race)
+        cs = self.conflicts(semantics)
+        with obs.current().timer("core.hb_seconds").time():
+            return validate_race_freedom(
+                self.trace, [(c.first, c.second) for c in cs],
+                raise_on_race=raise_on_race)
 
     # -- presentation ---------------------------------------------------------------
 
@@ -222,6 +260,12 @@ class RunReport:
 
 
 def analyze(trace: Trace) -> RunReport:
-    """Run the paper's full analysis pipeline on one trace."""
-    trace.validate()
+    """Run the paper's full analysis pipeline on one trace.
+
+    The trace is validated once (a check by
+    :func:`~repro.tracer.columnar.read_rtrc` counts), and reports of one
+    trace share every stage, so analyzing it again computes nothing.
+    """
+    if not trace.columnar.memo.get("valid"):
+        trace.validate()
     return RunReport(trace)

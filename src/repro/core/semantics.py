@@ -186,9 +186,9 @@ def conflicts_matter(conflicts: "ConflictSet", *,
     With ``same_process_ordering`` (the common case), S conflicts are
     resolved by the file system itself and only D conflicts matter.
     """
-    effective = (conflicts.cross_process_only if same_process_ordering
-                 else conflicts)
-    return bool(effective)
+    if same_process_ordering:
+        return conflicts.cross_process_count > 0
+    return bool(conflicts)
 
 
 def weakest_sufficient_semantics(

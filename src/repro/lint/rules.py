@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.core.advisor import suggest_fixes
-from repro.core.conflicts import Conflict, ConflictKind, ConflictSet
+from repro.core.conflicts import Conflict, ConflictKind
 from repro.core.metadata_conflicts import is_creating_open
 from repro.core.semantics import Semantics
 from repro.lint.context import (
@@ -77,7 +77,7 @@ def _hazard_diagnostics(rule: "LintRule", ctx: LintContext,
         pairs = sorted(conflict_pair_ids(c) for c in group)
         ranks = tuple(sorted({r for c in group
                               for r in (c.first.rank, c.second.rank)}))
-        fixes = suggest_fixes(ConflictSet(semantics, list(group)))
+        fixes = suggest_fixes(group, semantics)
         first = min(group, key=lambda c: c.first.tstart)
         scope_txt = ("cross-process" if cross else "same-process")
         yield rule.diagnostic(

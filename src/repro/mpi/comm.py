@@ -140,19 +140,22 @@ class _CollectiveSlot:
     Arrivals are listed in order, with the latest arrival time kept as
     they come.  The payloads a result needs are kept, each copied on
     entry only when it is mutable.  Completing the slot computes a
-    reduction once, and each member takes its own result on the way out
-    (:meth:`result`), copying only what is mutable in it.
+    reduction (or an allgather's ``combine``) once, and each member takes
+    its own result on the way out (:meth:`result`), copying only what is
+    mutable in it.
     """
 
-    __slots__ = ("kind", "root", "op", "index", "size", "wait_key",
-                 "match_key", "members", "latest", "payloads", "complete",
-                 "value", "mutable", "departed")
+    __slots__ = ("kind", "root", "op", "combine", "index", "size",
+                 "wait_key", "match_key", "members", "latest", "payloads",
+                 "complete", "value", "mutable", "departed")
 
     def __init__(self, index: int, kind: str, root: int | None,
-                 op: ReduceOp | None, size: int):
+                 op: ReduceOp | None, size: int,
+                 combine: Callable[[list[Any]], Any] | None = None):
         self.kind = kind
         self.root = root
         self.op = op
+        self.combine = combine
         self.index = index
         self.size = size
         self.wait_key = _collective_key(index)
@@ -203,6 +206,8 @@ class _CollectiveSlot:
                     f"scatter root must supply a list of {self.size} items")
         elif kind in ("reduce", "allreduce"):
             self.value = self.op.apply(payloads)
+        elif self.combine is not None:
+            self.value = self.combine(payloads)
 
     def result(self, rank: int) -> Any:
         """``rank``'s result, its own copy of anything mutable in it."""
@@ -214,6 +219,8 @@ class _CollectiveSlot:
         if kind == "allreduce":
             return _isolated(self.value)
         if kind == "allgather":
+            if self.combine is not None:
+                return self.value  # immutable: every member shares it
             gathered = list(self.payloads)
             for r in self.mutable:
                 gathered[r] = copy.deepcopy(gathered[r])
@@ -278,12 +285,14 @@ class MPIWorld:
         self.engine.notify(_mailbox_key(src, dest, tag))
 
     def slot(self, index: int, rank: int, kind: str, root: int | None,
-             op: ReduceOp | None = None) -> _CollectiveSlot:
+             op: ReduceOp | None = None,
+             combine: Callable[[list[Any]], Any] | None = None,
+             ) -> _CollectiveSlot:
         """Collective ``index`` as ``rank`` enters it; all must agree."""
         s = self._slots.get(index)
         if s is None:
-            s = self._slots[index] = _CollectiveSlot(index, kind, root, op,
-                                                     self.nranks)
+            s = self._slots[index] = _CollectiveSlot(
+                index, kind, root, op, self.nranks, combine)
         elif s.kind != kind or s.root != root or s.op is not op:
             raise CollectiveMismatchError(
                 f"collective #{index}: rank {rank} entered "
@@ -380,9 +389,10 @@ class SubComm:
             return payload
         return self.recv(root, tag=-11)
 
-    def allgather(self, payload: Any) -> list[Any]:
-        gathered = self.gather(payload, root=0)
-        return self.bcast(gathered, root=0)
+    def allgather(self, payload: Any,
+                  combine: Callable[[list[Any]], Any] | None = None) -> Any:
+        gathered = self.bcast(self.gather(payload, root=0), root=0)
+        return gathered if combine is None else combine(gathered)
 
     def allreduce(self, payload: Any,
                   op: ReduceOp = ReduceOp.SUM) -> Any:
@@ -499,12 +509,14 @@ class Communicator:
     # -- collectives ------------------------------------------------------------------
 
     def _collective(self, kind: str, payload: Any, root: int | None,
-                    role: str, op: ReduceOp | None = None) -> Any:
+                    role: str, op: ReduceOp | None = None,
+                    combine: Callable[[list[Any]], Any] | None = None,
+                    ) -> Any:
         index = self._coll_seq
         self._coll_seq += 1
         world, clock = self.world, self.ctx.clock
         t0 = clock.local_time
-        slot = world.slot(index, self.rank, kind, root, op)
+        slot = world.slot(index, self.rank, kind, root, op, combine)
         slot.arrive(self.rank, clock.true_time, payload)
         if len(slot.members) == self.size:
             world.complete_collective(slot)
@@ -537,8 +549,16 @@ class Communicator:
         role = "root" if self.rank == root else "member"
         return self._collective("gather", payload, root, role)
 
-    def allgather(self, payload: Any) -> list[Any]:
-        return self._collective("allgather", payload, None, "member")
+    def allgather(self, payload: Any,
+                  combine: Callable[[list[Any]], Any] | None = None) -> Any:
+        """Every member's payload, in rank order.
+
+        With ``combine``, every member gets ``combine(payloads)`` instead,
+        computed once per collective and shared, so it must return an
+        immutable value.  The trace records the same allgather.
+        """
+        return self._collective("allgather", payload, None, "member",
+                                combine=combine)
 
     def reduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM,
                root: int = 0) -> Any:

@@ -8,7 +8,10 @@ as Recorder does.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from repro.errors import MPIError
@@ -39,6 +42,20 @@ class MPIIOHints:
         if self.cb_nodes > 0:
             return min(self.cb_nodes, nranks)
         return max(1, nranks // 8)
+
+
+def _exchange_plan(gathered: list[tuple[tuple[int, bytes], ...]]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...],
+                              tuple[tuple[int, bytes], ...]]:
+    """One collective write's contributions, sorted once for every
+    aggregator to bisect: the start offsets, the running maximum of the
+    ends, and the non-empty ``(offset, data)`` extents, in
+    offset-then-rank order."""
+    parts = tuple(sorted((p for extents in gathered for p in extents
+                          if p[1]), key=itemgetter(0)))
+    starts = tuple(o for o, _ in parts)
+    ends = tuple(accumulate((o + len(d) for o, d in parts), max))
+    return starts, ends, parts
 
 
 class MPIFile:
@@ -195,7 +212,8 @@ class MPIFile:
             extents.append((int(off), data[cursor:cursor + n]))
             cursor += n
         self._view_pointer += len(data)
-        self._exchange_and_write(self.comm.allgather(tuple(extents)))
+        self._exchange_and_write(self.comm.allgather(
+            tuple(extents), combine=_exchange_plan))
         self.comm.barrier()
         self._record("MPI_File_write_all", t0, count=len(data))
         return len(data)
@@ -214,8 +232,8 @@ class MPIFile:
         t0 = self._now()
         if isinstance(data, int):
             data = self.posix.payload(data)
-        self._exchange_and_write(
-            self.comm.allgather(((int(offset), bytes(data)),)))
+        self._exchange_and_write(self.comm.allgather(
+            ((int(offset), bytes(data)),), combine=_exchange_plan))
         self.comm.barrier()
         self._record("MPI_File_write_at_all", t0, offset=offset,
                      count=len(data))
@@ -234,18 +252,18 @@ class MPIFile:
                 data = self.posix.payload(data)
             mine.append((int(off), bytes(data)))
             total += len(data)
-        self._exchange_and_write(self.comm.allgather(tuple(mine)))
+        self._exchange_and_write(self.comm.allgather(
+            tuple(mine), combine=_exchange_plan))
         self.comm.barrier()
         self._record("MPI_File_write_at_all", t0, count=total)
         return total
 
-    def _exchange_and_write(
-            self, gathered: list[tuple[tuple[int, bytes], ...]]) -> None:
+    def _exchange_and_write(self, plan) -> None:
         """Phase two of two-phase I/O, with ROMIO-style file domains.
 
-        ``gathered`` holds every rank's contributed ``(offset, data)``
-        extents.  A rank that is not an aggregator has nothing to write
-        and returns before it looks at them.
+        ``plan`` is the collective's :func:`_exchange_plan` of every
+        rank's contributed ``(offset, data)`` extents.  A rank that is
+        not an aggregator has nothing to write and returns at once.
 
         The global extent ``[lo, hi)`` is striped round-robin over the
         aggregators in units of ``cb_buffer_size``: in exchange round
@@ -255,18 +273,17 @@ class MPIFile:
         of ``(n_agg-1)*cb`` within one collective call — the
         "strided cyclic" per-process signature the paper reports for
         collective-I/O applications (Table 3) — or a single write when
-        one round suffices.
+        one round suffices.  Each stripe bisects to the parts that can
+        reach it.
         """
         my_index, n_agg = self._aggregator_index()
         if my_index is None:
             return  # not an aggregator: nothing to write in phase two
-        parts = [(o, d) for extents in gathered for o, d in extents if d]
+        starts, ends, parts = plan
         if not parts:
             return
-        lo = min(o for o, _ in parts)
-        hi = max(o + len(d) for o, d in parts)
+        lo, hi = starts[0], ends[-1]
         cb = self.hints.cb_buffer_size
-        parts.sort(key=lambda p: p[0])
         with self._as_layer():
             round_no = 0
             while True:
@@ -274,10 +291,14 @@ class MPIFile:
                 if stripe_lo >= hi:
                     break
                 stripe_hi = min(stripe_lo + cb, hi)
-                self._write_stripe(parts, stripe_lo, stripe_hi)
+                # parts before `first` end by stripe_lo; parts from
+                # `last` on start at or after stripe_hi
+                first = bisect_right(ends, stripe_lo)
+                last = bisect_left(starts, stripe_hi)
+                self._write_stripe(parts[first:last], stripe_lo, stripe_hi)
                 round_no += 1
 
-    def _write_stripe(self, parts: list[tuple[int, bytes]],
+    def _write_stripe(self, parts: Sequence[tuple[int, bytes]],
                       stripe_lo: int, stripe_hi: int) -> None:
         """Coalesce contributions clipped to one stripe and write the runs."""
         runs: list[tuple[int, bytearray]] = []

@@ -361,7 +361,7 @@ def _tables_main(argv: list[str]) -> int:
 
     clean = sum(
         1 for run in results
-        if not run.report.conflicts(Semantics.SESSION).cross_process_only)
+        if not run.report.conflicts(Semantics.SESSION).cross_process_count)
     print()
     print(f"{clean} of {len(results)} configurations are free of "
           f"cross-process conflicts under session semantics.")

@@ -112,7 +112,7 @@ def cell_summary(variant: RunVariant, trace: Trace | None = None, *,
         cs = report.conflicts(semantics)
         conflicts[semantics.name.lower()] = {
             "count": len(cs),
-            "cross_process": len(cs.cross_process_only),
+            "cross_process": cs.cross_process_count,
             "flags": dict(cs.flags),
             "files": sorted(cs.paths),
         }

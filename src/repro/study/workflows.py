@@ -196,7 +196,7 @@ def workflow_summary(result: WorkflowResult) -> dict:
         cs = report.conflicts(semantics)
         conflicts[semantics.name.lower()] = {
             "count": len(cs),
-            "cross_process": len(cs.cross_process_only),
+            "cross_process": cs.cross_process_count,
             "flags": dict(cs.flags),
         }
     return {

@@ -395,7 +395,9 @@ class ColumnarTrace:
     cannot carry.  Instances loaded from disk hold read-only views into
     the underlying ``memmap`` — treat columns as immutable.
     :meth:`to_trace` wraps one in the :class:`~repro.tracer.trace.Trace`
-    view the analyses take.
+    view the analyses take.  ``memo`` keeps what is derived from the
+    columns once: the mark of a passed :meth:`validate` and the
+    analysis stages of ``repro.core.report``.
     """
 
     nranks: int
@@ -408,6 +410,8 @@ class ColumnarTrace:
     match_keys: list[tuple] = field(default_factory=list)
     extras: dict[int, dict[str, Any]] = field(default_factory=dict)
     results: dict[int, Any] = field(default_factory=dict)
+    memo: dict[Any, Any] = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, dtype in RECORD_COLUMNS:
@@ -452,9 +456,10 @@ class ColumnarTrace:
         outside their tables) raises :class:`AnalysisError`; then the
         first bad record raises :class:`TraceError`: a rank outside
         ``[0, nranks)``, an end before its start, or a POSIX data
-        record without a byte count; then the first bad MPI event: a
+        record without a byte count; then a record that starts before
+        an earlier row of its rank; then the first bad MPI event: a
         rank outside ``[0, nranks)``, a non-finite time, or an end
-        before its start."""
+        before its start.  A pass is marked in :attr:`memo`."""
         n = self.nrecords
         for name, _ in RECORD_COLUMNS:
             if self.columns[name].shape[0] != n:
@@ -500,6 +505,18 @@ class ColumnarTrace:
             raise TraceError(
                 f"data record {rid} ({self.funcs[c['func_id'][i]]}) "
                 f"lacks a byte count")
+        t = c["tstart"]
+        if not bool(np.all(t[1:] >= t[:-1])):
+            # rows are in start order, so only a trace whose ranks
+            # interleave out of order pays for the per-rank check
+            order = np.argsort(c["rank"], kind="stable")
+            rank, t = c["rank"][order], t[order]
+            early = np.flatnonzero((rank[1:] == rank[:-1]) & (t[1:] < t[:-1]))
+            if early.size:
+                i = int(order[early + 1].min())
+                raise TraceError(
+                    f"record {int(c['rid'][i])} starts before an earlier "
+                    f"record of rank {int(c['rank'][i])}")
         ev_bad_rank = (c["ev_rank"] < 0) | (c["ev_rank"] >= self.nranks)
         nonfinite = ~(np.isfinite(c["ev_tstart"])
                       & np.isfinite(c["ev_tend"]))
@@ -514,6 +531,7 @@ class ColumnarTrace:
             if nonfinite[i]:
                 raise TraceError(f"MPI event {eid} has a non-finite time")
             raise TraceError(f"MPI event {eid} ends before it starts")
+        self.memo["valid"] = True
 
     def columns_equal(self, other: "ColumnarTrace") -> bool:
         """Exact column-level equality (tests and round-trip checks)."""

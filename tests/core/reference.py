@@ -14,6 +14,9 @@ two on random inputs:
 * :func:`reference_conflicts` — the per-pair §5.2 predicate
   (:func:`is_actual_conflict`), answered by binary search against the
   :class:`~repro.core.conflicts.VisibilityIndex` timelines;
+* :func:`detect_conflicts_objects` — the detector that builds every
+  pair as a :class:`~repro.core.conflicts.Conflict` in a
+  :class:`ReferenceConflictSet`, with a fresh overlap sweep per model;
 * the list-based pattern and sharing classifiers
   (:func:`local_pattern_mix`, :func:`global_pattern_mix`,
   :func:`classify_sharing` and their helpers), which bucket and sort
@@ -38,8 +41,13 @@ from repro.core.conflicts import (
     Conflict,
     ConflictKind,
     ConflictScope,
+    ConflictSet,
+    FileConflicts,
     VisibilityIndex,
+    _actual_conflict_mask,
+    _object_conflict_pairs,
 )
+from repro.core.overlaps import find_overlaps
 from repro.errors import AnalysisError, TraceError
 from repro.posix import flags as F
 from repro.tracer.events import (
@@ -104,10 +112,15 @@ def reconstruct_offsets(records, *, strict: bool = True
     # descriptor tables: (rank, fd) -> shared description state
     ofds: dict[tuple[int, int], _OfdState] = {}
     out: list[AccessRecord] = []
+    records = [rec for rec in records if rec.layer == Layer.POSIX]
+    # a pwrite/pread of a rank with an open record must name an fd one
+    # of the rank's opens (or dups) returned
+    named = {(rec.rank, rec.fd if rec.func in OPEN_OPS
+              else rec.args.get("newfd"))
+             for rec in records if rec.func in OPEN_OPS or rec.func == "dup"}
+    openers = {rec.rank for rec in records if rec.func in OPEN_OPS}
 
     for rec in records:
-        if rec.layer != Layer.POSIX:
-            continue
         func = rec.func
         if func in OPEN_OPS:
             _handle_open(rec, ofds, size)
@@ -127,6 +140,12 @@ def reconstruct_offsets(records, *, strict: bool = True
             if path is not None:
                 size.set(path, int(rec.args["length"]))
         elif func in DATA_OPS:
+            if (strict and rec.offset is not None and rec.fd is not None
+                    and rec.rank in openers
+                    and (rec.rank, rec.fd) not in named):
+                raise TraceError(
+                    f"record {rec.rid} ({rec.func}) uses fd {rec.fd}, "
+                    f"which no open of rank {rec.rank} returned")
             acc = _handle_data(rec, ofds, size, strict)
             if acc is not None:
                 out.append(acc)
@@ -329,6 +348,120 @@ def reference_conflicts(vis: VisibilityIndex,
                        else ConflictScope.DIFFERENT),
                 first=first, second=second))
     return out
+
+
+# -- the object-building conflict detector -----------------------------------
+
+
+class ReferenceConflictSet:
+    """A conflict set as a list of :class:`Conflict` objects, every
+    query a pass over the list (the form the array
+    :class:`~repro.core.conflicts.ConflictSet` replaced)."""
+
+    def __init__(self, semantics: Semantics, conflicts: list[Conflict]):
+        self.semantics = semantics
+        self.conflicts = conflicts
+
+    def __len__(self) -> int:
+        return len(self.conflicts)
+
+    def __iter__(self):
+        return iter(self.conflicts)
+
+    def __bool__(self) -> bool:
+        return bool(self.conflicts)
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {f"{kind.value}-{scope.value}": any(
+                    c.kind == kind and c.scope == scope
+                    for c in self.conflicts)
+                for kind in (ConflictKind.WAW, ConflictKind.RAW)
+                for scope in (ConflictScope.SAME, ConflictScope.DIFFERENT)}
+
+    @property
+    def paths(self) -> list[str]:
+        return list(dict.fromkeys(c.path for c in self.conflicts))
+
+    @property
+    def cross_process_only(self) -> "ReferenceConflictSet":
+        return ReferenceConflictSet(self.semantics, [
+            c for c in self.conflicts if c.scope == ConflictScope.DIFFERENT])
+
+    @property
+    def cross_process_count(self) -> int:
+        return len(self.cross_process_only)
+
+
+def _classify_per_model(table: AccessTable, vis, semantics: Semantics):
+    """One file's conflicts as ``(first, second, waw, same)`` arrays:
+    a fresh overlap sweep, the model's filter, then the report sort."""
+    if semantics is Semantics.OBJECT:
+        return _object_conflict_pairs(table, vis)
+    pairs = find_overlaps(table)
+    t = table.tstart
+    swap = t[pairs[:, 0]] > t[pairs[:, 1]]
+    pairs[swap] = pairs[swap][:, ::-1]
+    pairs = pairs[table.is_write[pairs[:, 0]]]
+    if semantics is Semantics.STRONG:
+        pairs = pairs[:0]
+    elif semantics is not Semantics.EVENTUAL:
+        pairs = pairs[_actual_conflict_mask(table, pairs[:, 0], pairs[:, 1],
+                                            vis, semantics)]
+    pairs = pairs[np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]]))]
+    first, second = pairs[:, 0], pairs[:, 1]
+    return (first, second, table.is_write[second],
+            table.rank[first] == table.rank[second])
+
+
+def detect_conflicts_objects(vis, tables: dict[str, AccessTable],
+                             semantics: Semantics,
+                             max_conflicts_per_file: int | None = None,
+                             ) -> ReferenceConflictSet:
+    """Conflict detection with every kept pair built as an object, at
+    most ``max_conflicts_per_file`` per file, the earliest first."""
+    out: list[Conflict] = []
+    keep = slice(max_conflicts_per_file)
+    for path in sorted(tables):
+        table = tables[path]
+        first, second, waw, same = (
+            a[keep] for a in _classify_per_model(table, vis, semantics))
+        if not len(first):
+            continue
+        rows, index = np.unique(np.r_[first, second], return_inverse=True)
+        records = table.records_at(rows)
+        out.extend(
+            Conflict(path=path,
+                     kind=ConflictKind.WAW if w else ConflictKind.RAW,
+                     scope=(ConflictScope.SAME if s
+                            else ConflictScope.DIFFERENT),
+                     first=records[i], second=records[j])
+            for i, j, w, s in zip(index[:len(first)].tolist(),
+                                  index[len(first):].tolist(),
+                                  waw.tolist(), same.tolist()))
+    return ReferenceConflictSet(semantics, out)
+
+
+def array_conflict_set(semantics: Semantics,
+                       conflicts: list[Conflict]) -> ConflictSet:
+    """The array :class:`~repro.core.conflicts.ConflictSet` of the given
+    conflicts, in their order; each file's accesses form one table."""
+    by_path: dict[str, list[Conflict]] = {}
+    for c in conflicts:
+        by_path.setdefault(c.path, []).append(c)
+    files = []
+    for path in sorted(by_path):
+        group = by_path[path]
+        records = [r for c in group for r in (c.first, c.second)]
+        # the table sorts its rows by (tstart, rid), stably
+        order = np.lexsort(([r.rid for r in records],
+                            [r.tstart for r in records]))
+        row = np.argsort(order)
+        files.append(FileConflicts(
+            AccessTable(path, records), row[0::2], row[1::2],
+            np.array([c.kind is ConflictKind.WAW for c in group]),
+            np.array([c.scope is ConflictScope.SAME for c in group])))
+    return ConflictSet(semantics, files)
 
 
 # -- list-based pattern and sharing classifiers -------------------------------

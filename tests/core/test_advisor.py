@@ -12,7 +12,7 @@ class TestSuggestions:
               .write(0, "/f", 0, 10)
               .read(1, "/f", 0, 10)
               .conflicts(Semantics.COMMIT))
-        fixes = suggest_fixes(cs)
+        fixes = suggest_fixes(cs, cs.semantics)
         assert len(fixes) == 1
         fix = fixes[0]
         assert fix.kind is FixKind.INSERT_COMMIT
@@ -27,7 +27,7 @@ class TestSuggestions:
               .write(0, "/f", 0, 10)
               .write(1, "/f", 0, 10)
               .conflicts(Semantics.SESSION))
-        fixes = suggest_fixes(cs)
+        fixes = suggest_fixes(cs, cs.semantics)
         assert fixes[0].kind is FixKind.CLOSE_THEN_REOPEN
         assert fixes[0].reader_rank == 1
 
@@ -37,7 +37,8 @@ class TestSuggestions:
               .write(0, "/f", 0, 10)
               .read(0, "/f", 0, 10)
               .conflicts(Semantics.SESSION))
-        assert suggest_fixes(cs)[0].kind is FixKind.INSERT_COMMIT
+        fixes = suggest_fixes(cs, cs.semantics)
+        assert fixes[0].kind is FixKind.INSERT_COMMIT
 
     def test_dedup_counts_resolved_pairs(self):
         b = TraceBuilder()
@@ -45,7 +46,8 @@ class TestSuggestions:
         for _ in range(5):
             b.write(0, "/f", 0, 10)
         b.read(1, "/f", 0, 10)
-        fixes = suggest_fixes(b.conflicts(Semantics.COMMIT))
+        fixes = suggest_fixes(b.conflicts(Semantics.COMMIT),
+                              Semantics.COMMIT)
         # many pairs, one (path, writer, kind) bucket
         same_rank = [f for f in fixes if f.reader_rank is None]
         assert len(same_rank) >= 1
@@ -57,14 +59,15 @@ class TestSuggestions:
         b.write(0, "/f", 0, 10)     # t=3
         b.write(0, "/f", 0, 10)     # t=4
         b.read(1, "/f", 0, 10)
-        fixes = suggest_fixes(b.conflicts(Semantics.COMMIT))
+        fixes = suggest_fixes(b.conflicts(Semantics.COMMIT),
+                              Semantics.COMMIT)
         commit_fix = next(f for f in fixes
                           if f.kind is FixKind.INSERT_COMMIT)
         assert commit_fix.after_time == 3.0
 
     def test_empty_conflicts_no_advice(self):
         cs = TraceBuilder().open(0, "/f").conflicts(Semantics.SESSION)
-        assert suggest_fixes(cs) == []
+        assert suggest_fixes(cs, cs.semantics) == []
         assert "nothing to fix" in advice_text(cs)
 
     def test_advice_text_renders(self):
@@ -83,7 +86,8 @@ class TestOnRealApps:
         attribute the fixes to the I/O library (the paper's point that
         library-introduced conflicts are fixable in the library)."""
         report = study8.find("FLASH-HDF5 fbs").report
-        fixes = suggest_fixes(report.conflicts(Semantics.SESSION))
+        fixes = suggest_fixes(report.conflicts(Semantics.SESSION),
+                              Semantics.SESSION)
         assert fixes
         assert all(f.library_side for f in fixes)
         assert all("/flash/" in f.path for f in fixes)
@@ -99,11 +103,12 @@ class TestOnRealApps:
         report = repro.analyze(run.run(nranks=8))
         cs = report.conflicts(Semantics.SESSION)
         report_paths = {c.path for c in cs}
-        fix_paths = {f.path for f in suggest_fixes(cs)}
+        fix_paths = {f.path for f in suggest_fixes(cs, cs.semantics)}
         assert fix_paths == report_paths
 
     def test_nwchem_advice_application_side(self, study8):
         report = study8.find("NWChem-POSIX").report
-        fixes = suggest_fixes(report.conflicts(Semantics.SESSION))
+        fixes = suggest_fixes(report.conflicts(Semantics.SESSION),
+                              Semantics.SESSION)
         assert fixes
         assert all(not f.library_side for f in fixes)

@@ -1,0 +1,104 @@
+"""The analysis of a trace is computed once and holds no trace alive.
+
+``analyze`` memoizes every ``RunReport`` stage on the trace's columnar
+form, so a study cell and a later race check of the same trace share
+offsets, tables, timelines and conflict sets.  The memo holds arrays,
+never the trace: a pass run with the cyclic collector off must free
+every trace it made.
+"""
+
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from repro.apps.registry import all_variants
+from repro.core import conflicts, report
+from repro.core.report import analyze
+from repro.core.semantics import Semantics
+from repro.study.runner import SUMMARY_SEMANTICS, cell_summary
+from repro.tracer.trace import Trace
+
+#: (module, name) of every stage function, counted per call
+STAGES = [(report, name) for name in (
+    "reconstruct_offsets", "group_by_path", "VisibilityIndex",
+    "detect_conflicts", "classify_sharing", "local_pattern_mix",
+    "global_pattern_mix", "detect_metadata_conflicts",
+    "validate_race_freedom")] + [(conflicts, "find_overlaps")]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of the stage functions (and of ``Trace.validate``),
+    keyed by name; ``detect_conflicts`` is keyed by model too."""
+    counted = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            key = name
+            if name == "detect_conflicts":
+                key = (name, args[2])
+            counted[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in STAGES:
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    monkeypatch.setattr(Trace, "validate",
+                        counting("validate", Trace.validate))
+    return counted
+
+
+def test_analyzing_a_trace_twice_runs_each_stage_once(variant_by_label,
+                                                      calls):
+    variant = variant_by_label["FLASH-HDF5 fbs"]
+    trace = variant.run(nranks=4, seed=7)
+    first = cell_summary(variant, trace, seed=7)
+    race = analyze(trace).validate(Semantics.SESSION)
+    second = cell_summary(variant, trace, seed=7)
+    assert first == second and race.race_free
+    npaths = len(analyze(trace).tables)
+    assert calls == Counter({
+        "validate": 1, "reconstruct_offsets": 1, "group_by_path": 1,
+        "VisibilityIndex": 1, "classify_sharing": 1,
+        "detect_metadata_conflicts": 1, "validate_race_freedom": 1,
+        # one overlap sweep per file, shared by the byte-level models
+        "find_overlaps": npaths,
+        **{("detect_conflicts", s): 1 for s in SUMMARY_SEMANTICS}})
+
+
+def test_reports_of_one_trace_share_stage_results(variant_by_label):
+    trace = variant_by_label["LAMMPS-ADIOS"].run(nranks=4, seed=7)
+    a, b = analyze(trace), analyze(trace.columnar.to_trace())
+    assert a is not b
+    assert a.tables is b.tables and a.visibility is b.visibility
+    assert a.conflicts(Semantics.COMMIT) is b.conflicts(Semantics.COMMIT)
+    # a different cap is a different set, over the same candidates
+    uncapped = a.conflicts(Semantics.COMMIT, max_per_file=None)
+    assert uncapped is not a.conflicts(Semantics.COMMIT)
+    assert list(uncapped) == list(a.conflicts(Semantics.COMMIT))
+
+
+def test_a_pass_with_the_cyclic_collector_off_frees_its_traces():
+    """One ``campaign`` pass at a small scale: each configuration traced,
+    summarized and race-checked, with the cyclic collector off, as the
+    benchmark runs it.  No trace of the pass may outlive it."""
+    alive = []
+
+    def unit(variant):
+        trace = variant.run(nranks=4, seed=7)
+        alive.append(weakref.ref(trace.columnar))
+        cell_summary(variant, trace, seed=7)
+        analyze(trace).validate(Semantics.SESSION)
+
+    gc.collect()
+    gc.disable()
+    try:
+        for variant in all_variants():
+            unit(variant)
+        left = sum(ref() is not None for ref in alive)
+    finally:
+        gc.enable()
+    assert len(alive) == 28 and left == 0

@@ -70,7 +70,7 @@ class TestPotentialConflictShape:
               .write(1, "/f", 5, 10)
               .conflicts(Semantics.SESSION))
         assert len(cs) == 1
-        c = cs.conflicts[0]
+        c = next(iter(cs))
         assert c.kind is ConflictKind.WAW
         assert c.scope is ConflictScope.DIFFERENT
         assert c.first.rank == 0 and c.second.rank == 1

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.conflicts import (
-    Conflict,
-    ConflictKind,
-    ConflictScope,
-    ConflictSet,
-)
+from repro.core.conflicts import Conflict, ConflictKind, ConflictScope
 from repro.core.records import AccessRecord
 from repro.core.semantics import (
     PFS_REGISTRY,
@@ -18,6 +13,7 @@ from repro.core.semantics import (
     registry_by_semantics,
     weakest_sufficient_semantics,
 )
+from tests.core.reference import array_conflict_set
 
 
 def make_conflict(scope, kind=ConflictKind.WAW):
@@ -31,7 +27,7 @@ def make_conflict(scope, kind=ConflictKind.WAW):
 
 
 def cs(semantics, *conflicts):
-    return ConflictSet(semantics, list(conflicts))
+    return array_conflict_set(semantics, list(conflicts))
 
 
 class TestLattice:

@@ -5,8 +5,10 @@ The analysis pipeline must fail loudly on structural corruption
 captures — both situations real trace collection produces.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -14,7 +16,7 @@ from repro.core.offsets import reconstruct_offsets
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.errors import AnalysisError, TraceError
-from repro.tracer.columnar import read_rtrc, write_rtrc
+from repro.tracer.columnar import LAYER_TABLE, read_rtrc, write_rtrc
 from repro.tracer.trace import Trace
 
 
@@ -116,6 +118,62 @@ class TestPartialTraces:
         write_rtrc(bad.columnar, tmp_path / "bad.rtrc")
         with pytest.raises(AnalysisError, match=expected):
             read_rtrc(tmp_path / "bad.rtrc")
+
+
+@pytest.fixture(scope="module")
+def flash_fbs():
+    return repro.run("FLASH", io_library="HDF5", variant="fbs", nranks=4)
+
+
+def _damaged(trace, column, row, value):
+    """``trace`` with one cell of one record column replaced."""
+    ct = trace.columnar
+    cells = ct.columns[column].copy()
+    cells[row] = value
+    return dataclasses.replace(
+        ct, columns={**ct.columns, column: cells}).to_trace()
+
+
+class TestDamagedRecords:
+    """Damage that leaves every column well-typed: each must stop the
+    analysis with a one-line diagnosis, on the trace and in ``.rtrc``."""
+
+    def test_record_moved_before_an_earlier_record_of_its_rank(
+            self, flash_fbs, tmp_path):
+        c = flash_fbs.columnar.columns
+        rows = np.flatnonzero(c["rank"] == 2)
+        row = int(rows[len(rows) // 2])
+        earlier = float(c["tstart"][rows[len(rows) // 2 - 1]])
+        bad = _damaged(flash_fbs, "tstart", row, earlier - 1.0)
+        expected = (f"record {int(c['rid'][row])} starts before an "
+                    f"earlier record of rank 2")
+        with pytest.raises(TraceError, match=expected) as err:
+            analyze(bad)
+        assert "\n" not in str(err.value)
+        write_rtrc(bad.columnar, tmp_path / "bad.rtrc")
+        with pytest.raises(AnalysisError, match=expected):
+            read_rtrc(tmp_path / "bad.rtrc")
+
+    def test_pwrite_on_an_fd_no_open_of_its_rank_returned(
+            self, flash_fbs, tmp_path):
+        ct = flash_fbs.columnar
+        c = ct.columns
+        row = int(np.flatnonzero(
+            (c["func_id"] == ct.funcs.index("pwrite"))
+            & (c["layer_id"] == LAYER_TABLE.index("posix")))[0])
+        bad = _damaged(flash_fbs, "fd", row, 999)
+        expected = (f"record {int(c['rid'][row])} \\(pwrite\\) uses fd "
+                    f"999, which no open of rank {int(c['rank'][row])} "
+                    f"returned")
+        with pytest.raises(TraceError, match=expected) as err:
+            analyze(bad).accesses
+        assert "\n" not in str(err.value)
+        write_rtrc(bad.columnar, tmp_path / "bad.rtrc")
+        with pytest.raises(TraceError, match=expected):
+            reconstruct_offsets(read_rtrc(tmp_path / "bad.rtrc").to_trace())
+        # the lenient solve takes the fd as it is
+        lenient = reconstruct_offsets(bad, strict=False)
+        assert len(lenient) == len(reconstruct_offsets(flash_fbs))
 
 
 class TestAnalyzerRobustness:

@@ -188,6 +188,7 @@ class ConflictSet:
 _FAMILIES = (("open", OPEN_OPS), ("close", CLOSE_OPS),
              ("commit", COMMIT_OPS))
 _NO_TIMES = np.empty(0, dtype=np.float64)
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class VisibilityIndex:
@@ -197,12 +198,15 @@ class VisibilityIndex:
     these timelines (the paper suggests binary search), evaluated over
     whole batches of candidate pairs at once.  One index serves every
     semantics model of a run.  It reads the trace's columns: per family
-    one mask, one lexsort and one group split.
+    one mask, one lexsort by (path, rank, time) and two group splits,
+    one per (rank, path) and one per path.
     """
 
     def __init__(self, trace: Trace):
         ct = trace.columnar
         self._times: dict[tuple[str, int, str], np.ndarray] = {}
+        self._by_path: dict[tuple[str, str],
+                            tuple[np.ndarray, np.ndarray]] = {}
         c = ct.columns
         base = ct.posix_mask() & (c["path_id"] >= 0)
         for family, ops in _FAMILIES:
@@ -212,14 +216,20 @@ class VisibilityIndex:
             rank = c["rank"][rows]
             pid = c["path_id"][rows]
             t = c["tstart"][rows]
-            order = np.lexsort((t, pid, rank))
+            order = np.lexsort((t, rank, pid))
             rank, pid, t = rank[order], pid[order], t[order]
-            starts = np.flatnonzero(np.r_[True, (rank[1:] != rank[:-1])
-                                          | (pid[1:] != pid[:-1])])
+            new_path = np.r_[True, pid[1:] != pid[:-1]]
+            starts = np.flatnonzero(new_path
+                                    | np.r_[True, rank[1:] != rank[:-1]])
             stops = np.r_[starts[1:], t.size]
             for s, e in zip(starts.tolist(), stops.tolist()):
                 self._times[(family, int(rank[s]), ct.paths[pid[s]])] = \
                     np.ascontiguousarray(t[s:e])
+            starts = np.flatnonzero(new_path)
+            stops = np.r_[starts[1:], t.size]
+            for s, e in zip(starts.tolist(), stops.tolist()):
+                self._by_path[(family, ct.paths[pid[s]])] = (rank[s:e],
+                                                              t[s:e])
 
     def times(self, family: str, rank: int, path: str) -> np.ndarray:
         """Sorted times of one rank's events of one family on a path.
@@ -227,6 +237,12 @@ class VisibilityIndex:
         ``family`` is ``"open"``, ``"close"`` or ``"commit"``.
         """
         return self._times.get((family, rank, path), _NO_TIMES)
+
+    def path_times(self, family: str, path: str
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Every rank's events of one family on a path, as ``(rank,
+        time)`` arrays sorted by rank, then time."""
+        return self._by_path.get((family, path), (_NO_ROWS, _NO_TIMES))
 
 
 def _object_sessions(table: AccessTable, vis: VisibilityIndex):
@@ -240,57 +256,57 @@ def _object_sessions(table: AccessTable, vis: VisibilityIndex):
     rank, which is conservative: it can only merge sessions, never
     invent a clearing close/open edge.
 
+    One stable sort by ``(rank, time)`` merges the accesses with every
+    rank's opens and closes of the file; a rank's opens and closes sort
+    before its accesses at the same time.  Each access then takes its
+    rank's last open before it and first close after it in that order.
+
     Returns parallel per-session arrays, sorted by (open time, first
     access time, first row): ``rank``, ``open_t``, ``close_t``, ``put``
     (has at least one write), ``first_row`` (earliest access),
     ``write_row`` (earliest write, -1 for GET sessions).
     """
     n = len(table)
-    t = table.tstart
-    rank = table.rank
-    open_t = np.full(n, -np.inf)
-    close_t = np.full(n, np.inf)
-    for r in np.unique(rank):
-        sel = rank == r
-        opens = vis.times("open", int(r), table.path)
-        if opens.size:
-            oi = np.searchsorted(opens, t[sel], side="right") - 1
-            open_t[sel] = np.where(oi >= 0, opens[np.maximum(oi, 0)],
-                                   -np.inf)
-        closes = vis.times("close", int(r), table.path)
-        if closes.size:
-            ci = np.searchsorted(closes, t[sel], side="right")
-            close_t[sel] = np.where(
-                ci < closes.size,
-                closes[np.minimum(ci, closes.size - 1)], np.inf)
-    # group rows by (rank, open_t); table rows are (tstart, rid)-sorted,
-    # so the first row of each group is the session's earliest access
-    order = np.lexsort((np.arange(n), open_t, rank))
-    g_rank = rank[order]
-    g_open = open_t[order]
+    o_rank, o_t = vis.path_times("open", table.path)
+    c_rank, c_t = vis.path_times("close", table.path)
+    opens, events = len(o_t), len(o_t) + len(c_t)
+    rank = np.concatenate((o_rank, c_rank, table.rank))
+    t = np.concatenate((o_t, c_t, table.tstart))
+    order = np.lexsort((np.arange(t.size) >= events, t, rank))
+    # a sentinel slot of no rank at the end: "no open before" (-1) and
+    # "no close after" (order.size) both land on it
+    rank = np.concatenate((rank[order], [-1]))
+    t = np.concatenate((t[order], [np.nan]))
+    pos = np.arange(order.size)
+    last_open = np.maximum.accumulate(np.where(order < opens, pos, -1))
+    next_close = np.minimum.accumulate(np.where(
+        (order >= opens) & (order < events), pos, order.size)[::-1])[::-1]
+    # the accesses in (rank, row) order: rows are (tstart, rid)-sorted,
+    # so a rank's open and close times only grow along its rows
+    at = np.flatnonzero(order >= events)
+    rows = order[at] - events
+    g_rank = rank[at]
+    lo, hi = last_open[at], next_close[at]
+    g_open = np.where(rank[lo] == g_rank, t[lo], -np.inf)
+    g_close = np.where(rank[hi] == g_rank, t[hi], np.inf)
     # element comparison, not np.diff: open_t may be -inf (no open),
     # and inf - inf is nan, which would split the catch-all session
-    new = np.r_[True, (g_rank[1:] != g_rank[:-1])
-                | (g_open[1:] != g_open[:-1])]
-    sid = np.cumsum(new) - 1          # session id per sorted row
-    nsess = int(sid[-1]) + 1 if n else 0
-    starts = np.flatnonzero(new)
+    starts = np.concatenate(([0], 1 + np.flatnonzero(
+        (g_rank[1:] != g_rank[:-1]) | (g_open[1:] != g_open[:-1]))))
+    stops = np.concatenate((starts[1:], [n]))
     s_rank = g_rank[starts]
     s_open = g_open[starts]
     # a session publishes at the first close after its *last* member
-    # access — the latest per-row close is the conservative choice
-    s_close = np.full(nsess, -np.inf)
-    np.maximum.at(s_close, sid, close_t[order])
-    # earliest member row and earliest write row of each session
-    s_first = np.full(nsess, n, dtype=np.int64)
-    np.minimum.at(s_first, sid, order)
-    s_write = np.full(nsess, n, dtype=np.int64)
-    w = table.is_write[order]
-    np.minimum.at(s_write, sid[w], order[w])
-    s_put = s_write < n
-    s_write = np.where(s_put, s_write, -1)
+    # access, and its first row is its earliest access
+    s_close = g_close[stops - 1]
+    s_first = rows[starts]
+    # earliest write row of each session: its first write in row order
+    writes = np.concatenate((np.flatnonzero(table.is_write[rows]), [n]))
+    wi = writes[np.searchsorted(writes, starts)]
+    s_put = wi < stops
+    s_write = np.where(s_put, rows[np.minimum(wi, n - 1)], -1)
     # deterministic session order: open time, then first access
-    so = np.lexsort((s_first, t[s_first], s_open))
+    so = np.lexsort((s_first, table.tstart[s_first], s_open))
     return (s_rank[so], s_open[so], s_close[so], s_put[so],
             s_first[so], s_write[so])
 
@@ -307,14 +323,15 @@ def _object_conflict_pairs(table: AccessTable, vis: VisibilityIndex):
         return empty
     s_rank, s_open, s_close, s_put, s_first, s_write = \
         _object_sessions(table, vis)
-    ns = len(s_rank)
-    if ns < 2:
-        return empty
     # ordered pairs (i, j), i before j in session order, i a PUT;
-    # cleared only when the PUT's close precedes the second's open
-    i_idx, j_idx = np.triu_indices(ns, k=1)
-    keep = s_put[i_idx] & ~(s_close[i_idx] < s_open[j_idx])
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    # cleared only when the PUT's close precedes the second's open.
+    # Opens ascend in session order, so a PUT's pairs are the run of
+    # later sessions that open at or before its close
+    puts = np.flatnonzero(s_put)
+    runs = np.searchsorted(s_open, s_close[puts], side="right") - puts - 1
+    i_idx = np.repeat(puts, runs)
+    j_idx = (i_idx + 1 + np.arange(i_idx.size)
+             - np.repeat(np.cumsum(runs) - runs, runs))
     waw = s_put[j_idx]
     same = s_rank[i_idx] == s_rank[j_idx]
     first_row = s_write[i_idx]
@@ -385,7 +402,6 @@ def _actual_conflict_mask(table: AccessTable, first: np.ndarray,
 
 #: the models whose conflicts are overlapping byte pairs
 _PAIRWISE = (Semantics.COMMIT, Semantics.SESSION, Semantics.EVENTUAL)
-_NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_FLAGS = np.empty(0, dtype=bool)
 
 

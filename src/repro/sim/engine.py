@@ -20,6 +20,9 @@ permit, and a rank that gives up control waits by acquiring its own;
 the driving thread waits on a permit of its own until the run is over.
 On an abort every held permit is released once, and a rank that calls
 back into the engine after that raises at once instead of waiting.
+Each rank thread runs under the Linux ``SCHED_BATCH`` policy, so a rank
+woken by a permit release does not preempt the rank that released it:
+one OS context switch per handoff (see :func:`_batch_policy`).
 
 Blocking is predicate-based, and the predicate may read any shared state
 (only one rank runs at a time, so plain Python data structures are safe).
@@ -44,6 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
@@ -52,6 +56,11 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs import registry as obs
 from repro.sim.clock import RankClock
 from repro.util.rng import make_rng
+
+try:
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no per-thread resource usage on this platform
+    RUSAGE_THREAD = None
 
 
 @dataclass
@@ -79,6 +88,28 @@ class SimConfig:
                 and self.clock_skew_us >= 0):
             raise SimulationError(f"clock_skew_us must be finite and >= 0, "
                                   f"got {self.clock_skew_us}")
+
+
+def _batch_policy() -> None:
+    """Put the calling thread under ``SCHED_BATCH`` if it runs ``SCHED_OTHER``.
+
+    Under the default policy a woken thread preempts the one that woke
+    it.  A rank woken by a permit release would preempt the releaser
+    while the releaser still holds the GIL, sleep on the GIL, and be
+    woken a second time.  A ``SCHED_BATCH`` thread does not preempt on
+    wakeup, so the releaser runs on into its own permit wait, which
+    drops the GIL, and the woken rank takes the GIL at once: one
+    voluntary switch per handoff, the floor with one thread per rank.
+    The policy needs no privilege and ends with the thread.  Where the
+    platform lacks it, or refuses the call, the thread runs as it is.
+    """
+    if not (hasattr(os, "sched_setscheduler") and hasattr(os, "SCHED_BATCH")):
+        return
+    try:
+        if os.sched_getscheduler(0) == os.SCHED_OTHER:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except OSError:
+        pass  # refused: the thread keeps the policy it has
 
 
 def _held_lock() -> threading.Lock:
@@ -127,8 +158,16 @@ class RankContext:
     nranks: int
     engine: "SimEngine"
     clock: RankClock
-    rng: Any
     services: dict[str, Any] = field(default_factory=dict)
+    _rng: Any = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rng(self) -> Any:
+        """This rank's seeded stream, built on first use from
+        ``(seed, rank)``."""
+        if self._rng is None:
+            self._rng = make_rng(self.engine.config.seed, self.rank)
+        return self._rng
 
 
 class SimEngine:
@@ -165,6 +204,11 @@ class SimEngine:
         self._obs_checkpoints = reg.counter("sim.checkpoints")
         self._obs_blocks = reg.counter("sim.blocks")
         self._obs_vtime = reg.gauge("sim.virtual_time")
+        self._obs_switches = reg.counter("sim.context_switches")
+        self._obs_preemptions = reg.counter("sim.preemptions")
+        #: each rank thread reads its own switch counts at exit
+        self._count_switches = (obs.enabled()
+                                and RUSAGE_THREAD is not None)
         reg.counter("sim.engines").inc()
         reg.counter("sim.ranks").inc(config.nranks)
 
@@ -202,8 +246,7 @@ class SimEngine:
         results: list[Any] = [None] * self.nranks
         contexts = [
             RankContext(rank=r, nranks=self.nranks, engine=self,
-                        clock=state.clock,
-                        rng=make_rng(self.config.seed, r))
+                        clock=state.clock)
             for r, state in enumerate(self._ranks)
         ]
         if services_factory is not None:
@@ -213,16 +256,19 @@ class SimEngine:
                     vars(ctx).setdefault(name, service)
 
         def runner(rank: int) -> None:
+            _batch_policy()
             self._ranks[rank].permit.acquire()  # wait to be scheduled
-            if self._failure is not None:
-                self._dispatch_next()
-                return
             try:
-                results[rank] = program(contexts[rank])
+                if self._failure is None:
+                    results[rank] = program(contexts[rank])
             except BaseException as exc:  # propagate to the driving thread
                 if self._failure is None:
                     self._failure = exc
             finally:
+                if self._count_switches:
+                    usage = getrusage(RUSAGE_THREAD)
+                    self._obs_switches.inc(usage.ru_nvcsw)
+                    self._obs_preemptions.inc(usage.ru_nivcsw)
                 self._dispatch_next()
 
         started = 0

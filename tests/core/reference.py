@@ -14,6 +14,9 @@ two on random inputs:
 * :func:`reference_conflicts` — the per-pair §5.2 predicate
   (:func:`is_actual_conflict`), answered by binary search against the
   :class:`~repro.core.conflicts.VisibilityIndex` timelines;
+* :func:`object_sessions` and :func:`object_conflict_pairs` — the
+  object model's sessions found rank by rank (a whole-file mask and two
+  ``searchsorted`` calls per rank), paired over every session pair;
 * :func:`detect_conflicts_objects` — the detector that builds every
   pair as a :class:`~repro.core.conflicts.Conflict` in a
   :class:`ReferenceConflictSet`, with a fresh overlap sweep per model;
@@ -45,7 +48,6 @@ from repro.core.conflicts import (
     FileConflicts,
     VisibilityIndex,
     _actual_conflict_mask,
-    _object_conflict_pairs,
 )
 from repro.core.overlaps import find_overlaps
 from repro.errors import AnalysisError, TraceError
@@ -228,7 +230,8 @@ def _handle_data(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
 
 class RecordVisibility:
     """The :class:`~repro.core.conflicts.VisibilityIndex` timelines,
-    gathered record by record; answers the same ``times`` query."""
+    gathered record by record; answers the same ``times`` and
+    ``path_times`` queries."""
 
     def __init__(self, records):
         times: dict[tuple[str, int, str], list[float]] = {}
@@ -246,6 +249,16 @@ class RecordVisibility:
     def times(self, family: str, rank: int, path: str) -> np.ndarray:
         return self._times.get((family, rank, path),
                                np.empty(0, dtype=np.float64))
+
+    def path_times(self, family: str, path: str
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        ranks = sorted(r for f, r, p in self._times
+                       if f == family and p == path)
+        times = [self.times(family, r, path) for r in ranks]
+        return (np.repeat(np.asarray(ranks, dtype=np.int64),
+                          [len(ts) for ts in times]),
+                np.concatenate(times) if times
+                else np.empty(0, dtype=np.float64))
 
 
 # -- overlaps -----------------------------------------------------------------
@@ -350,6 +363,106 @@ def reference_conflicts(vis: VisibilityIndex,
     return out
 
 
+# -- the object model's sessions and pairs ----------------------------------
+
+
+def object_sessions(table: AccessTable, vis):
+    """Coalesce a file's accesses into whole-object PUT/GET sessions,
+    one rank at a time.
+
+    A session is one ``(rank, open..close)`` window: every access is
+    assigned to the last open at-or-before it by its rank, and the
+    session's close is the first close after its latest member access
+    (``inf`` when the window never closes — an unpublished PUT).
+    Accesses with no preceding open fall into one catch-all session per
+    rank, which is conservative: it can only merge sessions, never
+    invent a clearing close/open edge.
+
+    Returns parallel per-session arrays, sorted by (open time, first
+    access time, first row): ``rank``, ``open_t``, ``close_t``, ``put``
+    (has at least one write), ``first_row`` (earliest access),
+    ``write_row`` (earliest write, -1 for GET sessions).
+    """
+    n = len(table)
+    t = table.tstart
+    rank = table.rank
+    open_t = np.full(n, -np.inf)
+    close_t = np.full(n, np.inf)
+    for r in np.unique(rank):
+        sel = rank == r
+        opens = vis.times("open", int(r), table.path)
+        if opens.size:
+            oi = np.searchsorted(opens, t[sel], side="right") - 1
+            open_t[sel] = np.where(oi >= 0, opens[np.maximum(oi, 0)],
+                                   -np.inf)
+        closes = vis.times("close", int(r), table.path)
+        if closes.size:
+            ci = np.searchsorted(closes, t[sel], side="right")
+            close_t[sel] = np.where(
+                ci < closes.size,
+                closes[np.minimum(ci, closes.size - 1)], np.inf)
+    # group rows by (rank, open_t); table rows are (tstart, rid)-sorted,
+    # so the first row of each group is the session's earliest access
+    order = np.lexsort((np.arange(n), open_t, rank))
+    g_rank = rank[order]
+    g_open = open_t[order]
+    # element comparison, not np.diff: open_t may be -inf (no open),
+    # and inf - inf is nan, which would split the catch-all session
+    new = np.r_[True, (g_rank[1:] != g_rank[:-1])
+                | (g_open[1:] != g_open[:-1])]
+    sid = np.cumsum(new) - 1          # session id per sorted row
+    nsess = int(sid[-1]) + 1 if n else 0
+    starts = np.flatnonzero(new)
+    s_rank = g_rank[starts]
+    s_open = g_open[starts]
+    # a session publishes at the first close after its *last* member
+    # access — the latest per-row close is the conservative choice
+    s_close = np.full(nsess, -np.inf)
+    np.maximum.at(s_close, sid, close_t[order])
+    # earliest member row and earliest write row of each session
+    s_first = np.full(nsess, n, dtype=np.int64)
+    np.minimum.at(s_first, sid, order)
+    s_write = np.full(nsess, n, dtype=np.int64)
+    w = table.is_write[order]
+    np.minimum.at(s_write, sid[w], order[w])
+    s_put = s_write < n
+    s_write = np.where(s_put, s_write, -1)
+    # deterministic session order: open time, then first access
+    so = np.lexsort((s_first, t[s_first], s_open))
+    return (s_rank[so], s_open[so], s_close[so], s_put[so],
+            s_first[so], s_write[so])
+
+
+def object_conflict_pairs(table: AccessTable, vis):
+    """Whole-object conflicting session pairs, from every session pair.
+
+    Returns ``(first_row, second_row, waw, same)`` arrays: exemplar
+    row indices into ``table`` (the PUT's first write and the second
+    session's first write/access), plus kind and scope masks.
+    """
+    empty = (np.empty(0, np.int64),) * 2 + (np.empty(0, bool),) * 2
+    if not len(table):
+        return empty
+    s_rank, s_open, s_close, s_put, s_first, s_write = \
+        object_sessions(table, vis)
+    ns = len(s_rank)
+    if ns < 2:
+        return empty
+    # ordered pairs (i, j), i before j in session order, i a PUT;
+    # cleared only when the PUT's close precedes the second's open
+    i_idx, j_idx = np.triu_indices(ns, k=1)
+    keep = s_put[i_idx] & ~(s_close[i_idx] < s_open[j_idx])
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    waw = s_put[j_idx]
+    same = s_rank[i_idx] == s_rank[j_idx]
+    first_row = s_write[i_idx]
+    second_row = np.where(waw, s_write[j_idx], s_first[j_idx])
+    # report order: by exemplar times, like the byte-level detector
+    t = table.tstart
+    o = np.lexsort((t[second_row], t[first_row]))
+    return first_row[o], second_row[o], waw[o], same[o]
+
+
 # -- the object-building conflict detector -----------------------------------
 
 
@@ -397,7 +510,7 @@ def _classify_per_model(table: AccessTable, vis, semantics: Semantics):
     """One file's conflicts as ``(first, second, waw, same)`` arrays:
     a fresh overlap sweep, the model's filter, then the report sort."""
     if semantics is Semantics.OBJECT:
-        return _object_conflict_pairs(table, vis)
+        return object_conflict_pairs(table, vis)
     pairs = find_overlaps(table)
     t = table.tstart
     swap = t[pairs[:, 0]] > t[pairs[:, 1]]

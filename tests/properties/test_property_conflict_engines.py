@@ -1,12 +1,19 @@
 """Property tests: the array conflict classifier equals the per-pair
 binary-search oracle, the array conflict set equals the object-building
-detector, and the counting path equals detection."""
+detector, the object model's sessions and pairs equal their rank-by-rank
+oracle, and the counting path equals detection."""
 
 from collections import Counter
+from itertools import product
 
+import numpy as np
 from hypothesis import example, given, settings
 
-from repro.core.conflicts import count_conflicts
+from repro.core.conflicts import (
+    _object_conflict_pairs,
+    _object_sessions,
+    count_conflicts,
+)
 from repro.core.report import analyze
 from repro.core.semantics import (
     Semantics,
@@ -18,7 +25,12 @@ from repro.core.semantics import (
 from repro.posix import flags as F
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
-from tests.core.reference import detect_conflicts_objects, reference_conflicts
+from tests.core.reference import (
+    detect_conflicts_objects,
+    object_conflict_pairs,
+    object_sessions,
+    reference_conflicts,
+)
 from tests.properties.test_property_conflicts import build_trace, event
 
 import hypothesis.strategies as st
@@ -153,3 +165,91 @@ def test_array_set_equals_object_detector(ops, cap):
             label: counts.get(label, 0)
             for label in ("WAW-S", "WAW-D", "RAW-S", "RAW-D")}
     assert verdicts(fast_by_model) == verdicts(slow_by_model)
+
+
+# -- the object model against its rank-by-rank oracle -------------------------
+
+OBJECT_RANKS = 4
+OBJECT_FILES = FILES[:2]
+#: (kind, rank, path, offset, count, shares the previous op's start)
+object_op = st.tuples(
+    st.sampled_from(("write", "read", "open", "close", "close_open")),
+    st.integers(0, OBJECT_RANKS - 1), st.sampled_from(OBJECT_FILES),
+    st.integers(0, 24), st.integers(1, 16), st.booleans())
+#: per (rank, file): the op its first open comes with (past the last op:
+#: after every op), so a rank may write or read a file before it opens it
+first_opens = st.lists(st.integers(0, 16),
+                       min_size=OBJECT_RANKS * len(OBJECT_FILES),
+                       max_size=OBJECT_RANKS * len(OBJECT_FILES))
+
+
+def build_object_trace(ops, first_open):
+    """A trace whose times tie, whose files are opened again and again,
+    and whose ranks may access a file before their first open of it.
+
+    Times move in half steps and an op may share the previous op's
+    start, so accesses tie with opens and closes of their own rank."""
+    rec = Recorder(OBJECT_RANKS)
+    due = dict(zip(product(range(OBJECT_RANKS), OBJECT_FILES), first_open))
+
+    def record(func, rank, path, t, **kw):
+        rec.record(rank, Layer.POSIX, func, t, t + 0.1, path=path,
+                   fd=3 + OBJECT_FILES.index(path), **kw)
+
+    def open_file(rank, path, t):
+        record("open", rank, path, t,
+               args={"flags": F.O_RDWR | F.O_CREAT})
+
+    t = 0.0
+    for i, (kind, rank, path, offset, count, tied) in enumerate(ops):
+        t += 0.0 if tied else 0.5
+        for rank_path in [k for k, at in due.items() if at == i]:
+            open_file(*rank_path, t)
+            del due[rank_path]
+        if kind in ("write", "read"):
+            record("p" + kind, rank, path, t, offset=offset, count=count)
+        elif kind == "open":
+            open_file(rank, path, t)
+        else:
+            record("close", rank, path, t)
+            if kind == "close_open":
+                open_file(rank, path, t + 0.5)
+    t += 1.0
+    for rank_path in due:
+        open_file(*rank_path, t)
+    return rec.build_trace()
+
+
+@given(st.lists(object_op, min_size=2, max_size=40), first_opens,
+       st.sampled_from((None, 1, 3)))
+@settings(max_examples=150, deadline=None)
+# rank 0 writes /a again after its close, with no new open: the session
+# publishes at its *last* access's close, after rank 1's open
+@example(ops=[("write", 0, "/a", 0, 4, False),
+              ("close", 0, "/a", 0, 1, False),
+              ("open", 1, "/a", 0, 1, False),
+              ("read", 1, "/a", 0, 4, False),
+              ("write", 0, "/a", 0, 4, False)],
+         first_open=[0] + [16] * 7, cap=None)
+# rank 1 opens /a at the very time rank 0's PUT closes it, and each
+# rank's access ties with its own open: nothing is cleared
+@example(ops=[("write", 0, "/a", 0, 4, False),
+              ("close", 0, "/a", 0, 1, False),
+              ("open", 1, "/a", 0, 1, True),
+              ("read", 1, "/a", 0, 4, True)],
+         first_open=[0] + [16] * 7, cap=None)
+def test_object_model_equals_rank_by_rank_oracle(ops, first_open, cap):
+    report = analyze(build_object_trace(ops, first_open))
+    vis, tables = report.visibility, report.tables
+    for path, table in tables.items():
+        for fast, slow in zip(_object_sessions(table, vis),
+                              object_sessions(table, vis)):
+            assert fast.dtype == slow.dtype, path
+            assert np.array_equal(fast, slow), path
+        for fast, slow in zip(_object_conflict_pairs(table, vis),
+                              object_conflict_pairs(table, vis)):
+            assert fast.dtype == slow.dtype, path
+            assert np.array_equal(fast, slow), path
+    fast = report.conflicts(Semantics.OBJECT, max_per_file=cap)
+    slow = detect_conflicts_objects(vis, tables, Semantics.OBJECT, cap)
+    assert list(fast) == list(slow)

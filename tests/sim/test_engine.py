@@ -1,16 +1,23 @@
 """Tests for the deterministic cooperative engine and virtual clocks."""
 
 import itertools
+import os
 import threading
 
 import pytest
 
 from repro.apps.base import AppConfig, run_application
+from repro.apps.registry import all_variants
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import registry as obs
 from repro.sim.clock import RankClock
-from repro.sim.engine import SimConfig, SimEngine
+from repro.sim.engine import RUSAGE_THREAD, SimConfig, SimEngine
+from repro.tracer.columnar import write_rtrc
 from tests.sim.reference import resume_order
+
+#: the driving thread runs the default policy, so rank threads switch
+SWITCHES_POLICY = (hasattr(os, "SCHED_BATCH")
+                   and os.sched_getscheduler(0) == os.SCHED_OTHER)
 
 
 class TestRankClock:
@@ -234,6 +241,64 @@ class TestSimEngine:
         c = SimEngine(SimConfig(nranks=3, seed=12)).run(program)
         assert a == b
         assert a != c
+
+
+class TestBatchPolicy:
+    """Rank threads run under ``SCHED_BATCH``; the driving thread does not.
+
+    A woken ``SCHED_BATCH`` thread does not preempt the thread that woke
+    it, so a rank handoff costs one context switch.  Where the policy is
+    missing or refused, the run is the same run, byte for byte.
+    """
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getscheduler"),
+                        reason="no scheduling policies on this platform")
+    def test_rank_threads_run_under_sched_batch(self):
+        before = os.sched_getscheduler(0)
+        policies = SimEngine(SimConfig(nranks=16)).run(
+            lambda ctx: os.sched_getscheduler(0))
+        assert policies == [os.SCHED_BATCH] * 16
+        assert os.sched_getscheduler(0) == before
+
+    @pytest.mark.parametrize("refusal", ["raises", "missing"])
+    def test_refused_policy_changes_no_trace_byte(self, monkeypatch,
+                                                  tmp_path, refusal):
+        variant = next(v for v in all_variants()
+                       if v.label == "FLASH-HDF5 fbs")
+
+        def rtrc_bytes(name):
+            path = tmp_path / name
+            write_rtrc(variant.run(nranks=8, seed=7).columnar, path)
+            return path.read_bytes()
+
+        expected = rtrc_bytes("plain.rtrc")
+        refused = []
+        if refusal == "raises":
+            def refuse(*args):
+                refused.append(args)
+                raise PermissionError(1, "Operation not permitted")
+
+            monkeypatch.setattr(os, "sched_setscheduler", refuse,
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        assert rtrc_bytes("refused.rtrc") == expected
+        if refusal == "raises" and SWITCHES_POLICY:
+            assert len(refused) == 8  # every rank thread asked once
+
+    @pytest.mark.skipif(RUSAGE_THREAD is None,
+                        reason="no per-thread resource usage")
+    def test_context_switches_are_counted(self):
+        def program(ctx, cfg):
+            for _ in range(10):
+                ctx.comm.barrier()
+
+        with obs.collecting() as reg:
+            run_application(AppConfig(application="barriers", nranks=16,
+                                      seed=7), program)
+            snapshot = reg.snapshot()
+        assert snapshot["sim.context_switches"]["value"] > 0
+        assert "sim.preemptions" in snapshot
 
 
 class TestKeyedWaits:

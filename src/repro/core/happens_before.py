@@ -43,10 +43,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.records import AccessRecord
+from repro.core.records import AccessPairs, AccessRecord
 from repro.errors import AnalysisError, RaceConditionError
 from repro.tracer.columnar import build_events, interned
 from repro.tracer.events import MPIEvent
@@ -306,14 +307,22 @@ class HappensBefore:
         ranks: there must be a communication chain from an event after
         ``a`` on ``a``'s rank to an event before ``b`` on ``b``'s rank.
         """
-        if a.rank == b.rank:
-            return a.tstart <= b.tstart
+        return self.times_ordered(a.rank, a.tstart, a.tend, b.rank,
+                                  b.tstart)
+
+    def times_ordered(self, rank_a: int, tstart_a: float, tend_a: float,
+                      rank_b: int, tstart_b: float) -> bool:
+        """:meth:`access_ordered` for accesses given by rank and times:
+        ``a`` on ``rank_a`` over ``[tstart_a, tend_a]``, ``b`` on
+        ``rank_b`` from ``tstart_b``."""
+        if rank_a == rank_b:
+            return tstart_a <= tstart_b
         bounds = self._bounds
-        i = bisect_left(self._starts, a.tend,
-                        bounds[a.rank], bounds[a.rank + 1])
-        j = bisect_right(self._ends, b.tstart,
-                         bounds[b.rank], bounds[b.rank + 1]) - 1
-        if i == bounds[a.rank + 1] or j < bounds[b.rank]:
+        i = bisect_left(self._starts, tend_a,
+                        bounds[rank_a], bounds[rank_a + 1])
+        j = bisect_right(self._ends, tstart_b,
+                         bounds[rank_b], bounds[rank_b + 1]) - 1
+        if i == bounds[rank_a + 1] or j < bounds[rank_b]:
             return False
         return self._ordered(i, j)
 
@@ -337,26 +346,36 @@ class RaceReport:
         return not self.timestamp_disagreements
 
 
-def validate_race_freedom(trace: Trace,
-                          pairs: list[tuple[AccessRecord, AccessRecord]],
-                          *, raise_on_race: bool = False) -> RaceReport:
+def validate_race_freedom(
+        trace: Trace,
+        pairs: "AccessPairs | Iterable[tuple[AccessRecord, AccessRecord]]",
+        *, raise_on_race: bool = False) -> RaceReport:
     """Check §5.2's two assumptions on conflicting access pairs.
 
     ``pairs`` should be timestamp-ordered (first.tstart <= second.tstart),
-    e.g. the (first, second) pairs of detected conflicts.  For each pair
-    we verify the program's synchronization orders the two accesses, and
-    that the order matches timestamp order.
+    e.g. the (first, second) pairs of detected conflicts, given as
+    record pairs or as :class:`~repro.core.records.AccessPairs` columns
+    (then records are built only for the pairs the report lists).  For
+    each pair we verify the program's synchronization orders the two
+    accesses, and that the order matches timestamp order.
     """
+    if not isinstance(pairs, AccessPairs):
+        pairs = AccessPairs.of(pairs)
     hb = HappensBefore(trace)
-    report = RaceReport()
-    for a, b in pairs:
-        report.checked_pairs += 1
-        forward = hb.access_ordered(a, b)
-        backward = hb.access_ordered(b, a)
+    ordered = hb.times_ordered
+    unsynchronized, disagreements = [], []
+    for k, (ra, rb, sa, sb, ea, eb) in enumerate(zip(
+            *pairs.rank.tolist(), *pairs.tstart.tolist(),
+            *pairs.tend.tolist())):
+        forward = ordered(ra, sa, ea, rb, sb)
+        backward = ordered(rb, sb, eb, ra, sa)
         if not forward and not backward:
-            report.unsynchronized.append((a, b))
+            unsynchronized.append(k)
         elif backward and not forward:
-            report.timestamp_disagreements.append((a, b))
+            disagreements.append(k)
+    report = RaceReport(checked_pairs=pairs.rank.shape[1],
+                        unsynchronized=pairs.records(unsynchronized),
+                        timestamp_disagreements=pairs.records(disagreements))
     if raise_on_race and not report.race_free:
         a, b = report.unsynchronized[0]
         raise RaceConditionError(

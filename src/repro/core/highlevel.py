@@ -22,13 +22,17 @@ Two refinements match the paper's conventions:
 from __future__ import annotations
 
 import posixpath
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.patterns import AccessPattern, classify_files, data_mask
-from repro.core.records import AccessTable
+from repro.core.patterns import (
+    AccessPattern,
+    classify_gap_sequences,
+    data_rows,
+    majority,
+)
+from repro.core.records import AccessTable, FileTables, run_bounds
 
 
 @dataclass(frozen=True)
@@ -64,32 +68,75 @@ def classify_sharing(tables: dict[str, AccessTable],
     """Group the per-file tables by directory and characterize each group.
 
     Groups are returned most-bytes-written first, so index 0 is the run's
-    *primary* output pattern (the Table 3 row entry).
+    *primary* output pattern (the Table 3 row entry).  One pass over the
+    trace-wide table finds every group's ranks and byte totals; only the
+    pattern vote visits each (rank, file) sequence in turn.
     """
-    by_group: dict[str, list[AccessTable]] = defaultdict(list)
-    for path, table in tables.items():
-        if len(table):
-            by_group[posixpath.dirname(path)].append(table)
-    out: list[SharingPattern] = []
-    for group, members in sorted(by_group.items()):
-        masks = [data_mask(t) for t in members]
-        writers = frozenset(np.concatenate(
-            [t.rank[m & t.is_write] for t, m in zip(members, masks)]
-        ).tolist())
-        readers = frozenset(np.concatenate(
-            [t.rank[m & ~t.is_write] for t, m in zip(members, masks)]
-        ).tolist())
+    tables = FileTables.of(tables)
+    whole = tables.whole
+    dirs = [posixpath.dirname(path) for path in whole.paths]
+    groups = sorted(set(dirs))
+    place = {group: g for g, group in enumerate(groups)}
+    group_of = np.array([place[d] for d in dirs], dtype=np.int64)
+    group = group_of[whole.path_id]
+    nfiles = np.bincount(group_of, minlength=len(groups))
+    sizes = whole.stop - whole.offset
+    heads = tables.bounds[:-1]
+    written = np.zeros(len(groups), dtype=np.int64)
+    read = np.zeros(len(groups), dtype=np.int64)
+    if sizes.size:
+        np.add.at(written, group_of, np.add.reduceat(
+            np.where(whole.is_write, sizes, 0), heads))
+        np.add.at(read, group_of, np.add.reduceat(
+            np.where(whole.is_write, 0, sizes), heads))
+    data = data_rows(tables)
+    # the (rank, file) sequences: runs of one key in rank order
+    rows = tables.rank_order
+    starts = run_bounds(tables.row_key[rows])[:-1]
+    seq_group, seq_rank = group[rows[starts]], whole.rank[rows[starts]]
+
+    def ranks(mask: np.ndarray) -> tuple[list[frozenset[int]], np.ndarray]:
+        """Each group's ranks among the rows ``mask`` selects, and how
+        many (rank, file) sequences of the group hold such rows."""
+        has = (np.logical_or.reduceat(mask[rows], starts) if starts.size
+               else np.zeros(0, dtype=bool))
+        g, r = seq_group[has], seq_rank[has]
+        _, first = np.unique(tables.rank_key(g, r), return_index=True)
+        cut = np.searchsorted(g[first], np.arange(len(groups) + 1)).tolist()
+        r = r[first]
+        return ([frozenset(r[a:b].tolist()) for a, b in zip(cut, cut[1:])],
+                np.bincount(g, minlength=len(groups)))
+
+    writers, _ = ranks(data & whole.is_write)
+    readers, _ = ranks(data & ~whole.is_write)
+    data_ranks, nseqs = ranks(data)
+    # the vote: each group's data writes, or its data reads when it has
+    # no writer, sequence by sequence in first-access order
+    writes_only = np.array([bool(w) for w in writers], dtype=bool)
+    sel = rows[(data & (whole.is_write | ~writes_only[group]))[rows]]
+    bounds = run_bounds(tables.row_key[sel])
+    labels = classify_gap_sequences(whole.offset[sel], whole.stop[sel],
+                                    bounds)
+    lengths = np.diff(bounds).tolist()
+    first = sel[bounds[:-1]]
+    order = np.lexsort((whole.rid[first], whole.tstart[first],
+                        group[first]))
+    cut = np.searchsorted(group[first][order],
+                          np.arange(len(groups) + 1)).tolist()
+    order = order.tolist()
+    votes = [order[a:b] for a, b in zip(cut, cut[1:])]
+    out = [SharingPattern(
+        group=name, nfiles=int(nfiles[g]),
         # Y: a series of files that all share one data-rank set
-        # (checkpoint generations) is one file per phase
-        rank_sets = {frozenset(t.rank[m].tolist())
-                     for t, m in zip(members, masks)}
-        out.append(SharingPattern(
-            group=group, nfiles=len(members),
-            files_per_phase=1 if len(rank_sets) == 1 else len(members),
-            writer_ranks=writers, reader_ranks=readers,
-            bytes_written=sum(t.bytes_written for t in members),
-            bytes_read=sum(t.bytes_read for t in members),
-            pattern=classify_files(members, masks,
-                                   writes_only=bool(writers))))
+        # (checkpoint generations) is one file per phase; every file
+        # holds all of the group's ranks exactly when the sequences
+        # number files x ranks
+        files_per_phase=(1 if nseqs[g] == nfiles[g] * len(data_ranks[g])
+                         else int(nfiles[g])),
+        writer_ranks=writers[g], reader_ranks=readers[g],
+        bytes_written=int(written[g]), bytes_read=int(read[g]),
+        pattern=majority([labels[s] for s in votes[g]],
+                         [lengths[s] for s in votes[g]]))
+        for g, name in enumerate(groups)]
     out.sort(key=lambda g: (g.bytes_written, g.bytes_read), reverse=True)
     return out

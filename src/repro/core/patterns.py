@@ -14,8 +14,10 @@ Two granularities:
   extra metadata" caveat: a file's accesses are dropped when they are
   at least 8× smaller than its largest access (:func:`data_mask`).
 
-Both read the per-file :class:`~repro.core.records.AccessTable`
-columns, whose rows are already in ``(tstart, rid)`` order.
+Both read the trace-wide table of
+:class:`~repro.core.records.FileTables`, whose rows are in file, then
+``(tstart, rid)`` order, and its rank-by-rank order of the rows; each
+takes one pass over every file.
 
 Gap rules (gap = next start − previous end, zero-length gaps are the
 consecutive case):
@@ -35,10 +37,11 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.records import AccessTable
+from repro.core.records import AccessTable, FileTables, run_bounds
 
 
 class AccessPattern(str, enum.Enum):
@@ -77,11 +80,9 @@ class TransitionMix:
 
 
 def _gap_mix(gaps: np.ndarray) -> TransitionMix:
-    return TransitionMix(
-        consecutive=int(np.sum(gaps == 0)),
-        monotonic=int(np.sum(gaps > 0)),
-        random=int(np.sum(gaps < 0)),
-    )
+    random, consecutive, monotonic = np.bincount(
+        np.sign(gaps) + 1, minlength=3).tolist()
+    return TransitionMix(consecutive, monotonic, random)
 
 
 def transition_mix(offsets: np.ndarray, stops: np.ndarray) -> TransitionMix:
@@ -97,21 +98,20 @@ def _by_rank(table: AccessTable, rows: np.ndarray) -> np.ndarray:
 
 def local_pattern_mix(tables: dict[str, AccessTable]) -> TransitionMix:
     """Figure 1(b): transitions within each (rank, file) sequence."""
-    total = TransitionMix()
-    for table in tables.values():
-        rows = _by_rank(table, np.arange(len(table)))
-        rank = table.rank[rows]
-        gaps = table.offset[rows][1:] - table.stop[rows][:-1]
-        total = total + _gap_mix(gaps[rank[1:] == rank[:-1]])
-    return total
+    tables = FileTables.of(tables)
+    rows = tables.rank_order
+    key = tables.row_key[rows]
+    whole = tables.whole
+    gaps = whole.offset[rows][1:] - whole.stop[rows][:-1]
+    return _gap_mix(gaps[key[1:] == key[:-1]])
 
 
 def global_pattern_mix(tables: dict[str, AccessTable]) -> TransitionMix:
     """Figure 1(a): transitions per file with all ranks interleaved."""
-    total = TransitionMix()
-    for table in tables.values():
-        total = total + transition_mix(table.offset, table.stop)
-    return total
+    whole = FileTables.of(tables).whole
+    file = whole.path_id
+    gaps = whole.offset[1:] - whole.stop[:-1]
+    return _gap_mix(gaps[file[1:] == file[:-1]])
 
 
 def data_mask(table: AccessTable) -> np.ndarray:
@@ -132,15 +132,44 @@ def data_mask(table: AccessTable) -> np.ndarray:
 def classify_gap_sequence(offsets: np.ndarray,
                           stops: np.ndarray) -> AccessPattern:
     """Label one ordered access sequence per the Table 3 taxonomy."""
-    n = len(offsets)
-    if n < 2:
-        return AccessPattern.CONSECUTIVE
-    gaps = offsets[1:] - stops[:-1]
-    n_zero = int(np.sum(gaps == 0))
-    if n_zero >= 0.9 * len(gaps):
-        return AccessPattern.CONSECUTIVE
-    if np.any(gaps < 0):
-        return AccessPattern.RANDOM
+    return classify_gap_sequences(offsets, stops,
+                                  np.array([0, len(offsets)]))[0]
+
+
+def classify_gap_sequences(offsets: np.ndarray, stops: np.ndarray,
+                           bounds: np.ndarray) -> list[AccessPattern]:
+    """Label each ordered access sequence per the Table 3 taxonomy.
+
+    Sequence ``i`` is ``offsets[b[i]:b[i + 1]]`` with ``b = bounds``, as
+    :func:`~repro.core.records.run_bounds` gives them.
+
+    The zero-gap and backward-gap rules run over every sequence at
+    once; only a sequence that neither decides is looked at alone."""
+    starts, stops_at = bounds[:-1], bounds[1:]
+    if not len(offsets):
+        return [AccessPattern.CONSECUTIVE] * starts.size
+    # gap i lies between rows i and i + 1; a sequence's last row has none
+    gaps = np.concatenate((offsets[1:] - stops[:-1], [0]))
+    inside = np.ones(gaps.size, dtype=bool)
+    inside[stops_at - 1] = False
+    n_zero = np.add.reduceat(((gaps == 0) & inside).astype(np.int64),
+                             starts)
+    backward = np.logical_or.reduceat((gaps < 0) & inside, starts)
+    labels = []
+    for a, b, zero, back in zip(starts.tolist(), stops_at.tolist(),
+                                n_zero.tolist(), backward.tolist()):
+        if b - a < 2 or zero >= 0.9 * (b - a - 1):
+            labels.append(AccessPattern.CONSECUTIVE)
+        elif back:
+            labels.append(AccessPattern.RANDOM)
+        else:
+            labels.append(_forward_label(gaps[a:b - 1]))
+    return labels
+
+
+def _forward_label(gaps: np.ndarray) -> AccessPattern:
+    """The label of a sequence whose gaps never go backward and are
+    mostly not zero."""
     positive = gaps[gaps > 0]
     values = Counter(positive.tolist())
     if len(values) == 1:
@@ -186,6 +215,31 @@ def _is_cyclic(gaps: np.ndarray, values: Counter) -> bool:
     return period <= _MAX_CYCLE_SPACING
 
 
+def data_rows(tables: FileTables) -> np.ndarray:
+    """:func:`data_mask` over every file at once, as a row mask.
+
+    The mask is over the rows of ``tables.whole``."""
+    sizes = tables.whole.stop - tables.whole.offset
+    if not sizes.size:
+        return np.zeros(0, dtype=bool)
+    largest = np.maximum.reduceat(sizes, tables.bounds[:-1])
+    return sizes * 8 >= np.repeat(largest, np.diff(tables.bounds))
+
+
+def majority(labels: Iterable[AccessPattern],
+             lengths: Iterable[int]) -> AccessPattern:
+    """The transition-weighted majority of some sequences' labels.
+
+    Votes are cast in the given order, so a tie goes to the pattern that
+    appeared first."""
+    weights: Counter = Counter()
+    for label, n in zip(labels, lengths):
+        weights[label] += max(1, n - 1)
+    if not weights:
+        return AccessPattern.CONSECUTIVE
+    return weights.most_common(1)[0][0]
+
+
 def classify_files(tables: list[AccessTable], masks: list[np.ndarray],
                    *, writes_only: bool = True) -> AccessPattern:
     """Majority pattern over the (rank, file) sequences of some tables.
@@ -202,15 +256,11 @@ def classify_files(tables: list[AccessTable], masks: list[np.ndarray],
         if not rows.size:
             continue
         rank = table.rank[rows]
-        starts = np.flatnonzero(np.r_[True, rank[1:] != rank[:-1]])
-        for seq in np.split(rows, starts[1:]):
+        starts = run_bounds(rank)[1:-1]
+        for seq in np.split(rows, starts):
             first = (float(table.tstart[seq[0]]), int(table.rid[seq[0]]))
             seqs.append((first, table.offset[seq], table.stop[seq]))
     seqs.sort(key=lambda seq: seq[0])
-    weights: Counter = Counter()
-    for _, offsets, stops in seqs:
-        label = classify_gap_sequence(offsets, stops)
-        weights[label] += max(1, len(offsets) - 1)
-    if not weights:
-        return AccessPattern.CONSECUTIVE
-    return weights.most_common(1)[0][0]
+    return majority(
+        (classify_gap_sequence(offsets, stops) for _, offsets, stops in seqs),
+        (len(offsets) for _, offsets, _ in seqs))

@@ -3,17 +3,18 @@
 After offset reconstruction every POSIX data operation is a resolved
 access — the paper's tuple ``(t, r, os, oe, type)`` plus the fields the
 conflict conditions need (path, fd, record id).  An
-:class:`AccessList` holds a trace's accesses as numpy columns and an
-:class:`AccessTable` one file's, so the overlap sweep and the conflict
-predicates run on contiguous data; :class:`AccessRecord` objects are
-built only for the rows a caller asks for.
+:class:`AccessList` holds a trace's accesses as numpy columns.
+:class:`FileTables` sorts them by file once: one trace-wide table that
+the per-trace stages sweep whole, and one :class:`AccessTable` view per
+file.  :class:`AccessRecord` objects are built only for the rows a
+caller asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,12 +61,13 @@ _FIELD_DTYPES = {"rid": np.int64, "rank": np.int64, "offset": np.int64,
 
 
 class AccessList(RowView):
-    """Resolved accesses as parallel columns, in trace order.
+    """Resolved accesses as parallel columns.
 
-    The offset solve returns one.  Items are :class:`AccessRecord`
-    objects built on demand and :attr:`tables` splits the rows by file.
-    The :data:`ACCESS_COLUMNS` are attributes; ``path_id``, ``func_id``
-    and ``issuer_id`` index ``paths``, ``funcs`` and ``issuers``.
+    The offset solve returns one in trace order.  Items are
+    :class:`AccessRecord` objects built on demand and :attr:`tables`
+    sorts the rows by file.  The :data:`ACCESS_COLUMNS` are attributes;
+    ``path_id``, ``func_id`` and ``issuer_id`` index ``paths``, ``funcs``
+    and ``issuers``.
     """
 
     def __init__(self, columns: dict[str, np.ndarray], paths, funcs,
@@ -74,6 +76,20 @@ class AccessList(RowView):
             setattr(self, name, columns[name])
         self.paths, self.funcs, self.issuers = paths, funcs, issuers
         super().__init__(len(self.rid), self.records_at)
+
+    @classmethod
+    def from_records(cls, records: Iterable[AccessRecord]) -> "AccessList":
+        """The columns of some :class:`AccessRecord` objects, in their
+        order."""
+        records = list(records)
+        columns = {name: np.array([getattr(r, name) for r in records],
+                                  dtype=dtype)
+                   for name, dtype in _FIELD_DTYPES.items()}
+        paths, columns["path_id"] = interned([r.path for r in records])
+        funcs, columns["func_id"] = interned([r.func for r in records])
+        issuers, columns["issuer_id"] = interned([r.issuer
+                                                  for r in records])
+        return cls(columns, paths, funcs, issuers)
 
     def columns(self, rows=slice(None)) -> dict[str, np.ndarray]:
         return {name: getattr(self, name)[rows] for name in ACCESS_COLUMNS}
@@ -91,24 +107,131 @@ class AccessList(RowView):
                     *(c.tolist() for c in self.columns(rows).values()))]
 
     @cached_property
-    def tables(self) -> dict[str, AccessTable]:
+    def tables(self) -> "FileTables":
         """One table per file, keyed and ordered by path."""
-        order = np.argsort(self.path_id, kind="stable")
-        ids, starts = np.unique(self.path_id[order], return_index=True)
-        spans = sorted(zip(ids.tolist(), starts.tolist(),
-                           np.r_[starts[1:], order.size].tolist()),
-                       key=lambda span: self.paths[span[0]])
-        return {self.paths[i]: AccessTable.from_columns(
-                    self.paths[i], self.columns(order[lo:hi]), self.funcs,
-                    self.issuers)
-                for i, lo, hi in spans}
+        return FileTables(self)
+
+
+def run_bounds(*keys: np.ndarray) -> np.ndarray:
+    """Where the runs of equal adjacent rows start, then the row count.
+
+    Run ``i`` is rows ``b[i]:b[i + 1]``.  A row starts a run when any
+    of the equal-length ``keys`` changes there."""
+    n = keys[0].size
+    if not n:
+        return np.zeros(1, dtype=np.int64)
+    change = np.zeros(n - 1, dtype=bool)
+    for key in keys:
+        change |= key[1:] != key[:-1]
+    return np.concatenate(([0], np.flatnonzero(change) + 1, [n]))
+
+
+def _check_extents(accesses: AccessList,
+                   first: np.ndarray | None = None) -> None:
+    """Raise on the first access with an empty extent: the first row, or
+    the first of those ``first`` ranks lowest."""
+    bad = np.flatnonzero(accesses.stop <= accesses.offset)
+    if bad.size:
+        i = int(bad[0] if first is None else bad[np.argmin(first[bad])])
+        raise AnalysisError(
+            f"record {int(accesses.rid[i])} has empty extent "
+            f"[{int(accesses.offset[i])},{int(accesses.stop[i])})")
+
+
+class FileTables(dict):
+    """One :class:`AccessTable` per file, keyed and ordered by path.
+
+    The tables are zero-copy views of :attr:`whole`: every access of the
+    trace in one :class:`AccessList`, sorted by file (in path order),
+    then ``(tstart, rid)``.  Its ``path_id`` column is the file's index
+    in path order, its ``paths`` are the files' paths, and
+    ``bounds[f]:bounds[f + 1]`` are file ``f``'s rows.  The stages that
+    run once per trace read :attr:`whole`; a file's rows are one slice
+    of it.
+    """
+
+    def __init__(self, accesses: AccessList):
+        paths = accesses.paths
+        by_name = sorted(range(len(paths)), key=paths.__getitem__)
+        # each path id's place in path order; a 16-bit key sorts by radix
+        place = np.empty(len(paths),
+                         np.uint16 if len(paths) <= 1 << 16 else np.int64)
+        place[by_name] = np.arange(len(paths))
+        key = place[accesses.path_id]
+        _check_extents(accesses, key)
+        order = np.argsort(key, kind="stable")
+        t, rid, file = accesses.tstart[order], accesses.rid[order], \
+            key[order]
+        # a trace in start order leaves each file's rows in (tstart,
+        # rid) order; one whose ranks interleave out of order is sorted
+        later = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (rid[1:] > rid[:-1]))
+        if not np.all(later | (file[1:] != file[:-1])):
+            order = np.lexsort((accesses.rid, accesses.tstart, key))
+            file = key[order]
+        self.bounds = run_bounds(file)
+        columns = accesses.columns(order)
+        columns["path_id"] = np.repeat(np.arange(self.bounds.size - 1),
+                                       np.diff(self.bounds))
+        self.whole = AccessList(
+            columns,
+            [paths[by_name[k]] for k in file[self.bounds[:-1]].tolist()],
+            accesses.funcs, accesses.issuers)
+        super().__init__(
+            (path, AccessTable.view(self.whole, path, lo, hi))
+            for path, lo, hi in zip(self.whole.paths,
+                                    self.bounds[:-1].tolist(),
+                                    self.bounds[1:].tolist()))
+
+    @cached_property
+    def _rank_radix(self) -> tuple[np.ndarray | None, int]:
+        """``(None, radix)`` while ``file * radix + rank`` cannot wrap
+        int64, else ``(ranks, len(ranks))``: the distinct ranks, whose
+        index then stands in for the rank."""
+        rank = self.whole.rank
+        radix = int(rank.max(initial=-1)) + 1
+        if len(self) * radix < 1 << 63:
+            return None, radix
+        values = np.unique(rank)
+        return values, values.size
+
+    def rank_key(self, major: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """Exact int64 keys of ``(major, rank)`` pairs, ordered like the
+        pairs, for a ``major`` below the file count (a file's index, say);
+        a rank with no access gets -1."""
+        values, radix = self._rank_radix
+        if values is None:
+            return np.where(rank < radix, major * radix + rank, -1)
+        at = np.minimum(np.searchsorted(values, rank), radix - 1)
+        return np.where(values[at] == rank, major * radix + at, -1)
+
+    @cached_property
+    def row_key(self) -> np.ndarray:
+        """Each row's (file, rank) key (:meth:`rank_key`)."""
+        return self.rank_key(self.whole.path_id, self.whole.rank)
+
+    @cached_property
+    def rank_order(self) -> np.ndarray:
+        """The rows regrouped rank by rank within each file, each rank's
+        rows kept in time order: the (rank, file) sequences, one after
+        another."""
+        return np.argsort(self.row_key, kind="stable")
+
+    @classmethod
+    def of(cls, tables: dict[str, "AccessTable"]) -> "FileTables":
+        """``tables`` itself when it is one, else the same files as one."""
+        if isinstance(tables, FileTables):
+            return tables
+        # lint: allow-per-op-loop (a plain dict of tables is read once)
+        return AccessList.from_records(
+            r for path in sorted(tables) for r in tables[path].records
+        ).tables
 
 
 class AccessTable(AccessList):
     """The accesses to one file, sorted by ``(tstart, rid)``.
 
-    Built from :class:`AccessRecord` objects or, with
-    :meth:`from_columns`, from arrays."""
+    Built from :class:`AccessRecord` objects, or as a :meth:`view` of a
+    trace-wide table."""
 
     def __init__(self, path: str, records: Iterable[AccessRecord]):
         records = list(records)
@@ -116,39 +239,23 @@ class AccessTable(AccessList):
             if r.path != path:
                 raise AnalysisError(
                     f"record {r.rid} path {r.path!r} != table path {path!r}")
-        columns = {name: np.array([getattr(r, name) for r in records],
-                                  dtype=dtype)
-                   for name, dtype in _FIELD_DTYPES.items()}
-        funcs, columns["func_id"] = interned([r.func for r in records])
-        issuers, columns["issuer_id"] = interned([r.issuer
-                                                  for r in records])
-        self._sort_into(path, columns, funcs, issuers)
+        accesses = AccessList.from_records(records)
+        _check_extents(accesses)
+        order = np.lexsort((accesses.rid, accesses.tstart))
+        super().__init__(accesses.columns(order), [path], accesses.funcs,
+                         accesses.issuers)
+        self.path = path
 
     @classmethod
-    def from_columns(cls, path: str, columns: dict[str, np.ndarray],
-                     funcs, issuers) -> "AccessTable":
-        """A table from :data:`ACCESS_COLUMNS` arrays, no per-op objects.
-
-        ``path_id`` is ignored; rows re-sort like the object
-        constructor's."""
+    def view(cls, whole: AccessList, path: str, lo: int,
+             hi: int) -> "AccessTable":
+        """Rows ``lo:hi`` of ``whole``, one file's, as a table that
+        shares its arrays."""
         table = cls.__new__(cls)
-        table._sort_into(path, columns, funcs, issuers)
+        AccessList.__init__(table, whole.columns(slice(lo, hi)),
+                            whole.paths, whole.funcs, whole.issuers)
+        table.path = path
         return table
-
-    def _sort_into(self, path: str, columns: dict[str, np.ndarray],
-                   funcs, issuers) -> None:
-        bad = np.flatnonzero(columns["stop"] <= columns["offset"])
-        if bad.size:
-            i = int(bad[0])
-            raise AnalysisError(
-                f"record {int(columns['rid'][i])} has empty extent "
-                f"[{int(columns['offset'][i])},{int(columns['stop'][i])})")
-        columns["path_id"] = np.zeros(len(columns["rid"]), dtype=np.int64)
-        order = np.lexsort((columns["rid"], columns["tstart"]))
-        super().__init__({name: np.ascontiguousarray(columns[name][order])
-                          for name in ACCESS_COLUMNS},
-                         [path], list(funcs), list(issuers))
-        self.path = path
 
     @cached_property
     def records(self) -> list[AccessRecord]:
@@ -174,17 +281,46 @@ class AccessTable(AccessList):
         return int(np.sum(self.stop[r] - self.offset[r]))
 
 
+class AccessPairs(NamedTuple):
+    """Ordered access pairs as columns of ranks and times.
+
+    ``rank``, ``tstart`` and ``tend`` are ``(2, n)`` arrays: row 0 holds
+    each pair's first access, row 1 its second.  ``records(pairs)``
+    builds the :class:`AccessRecord` pairs of the pair indices given,
+    so a check that reads only ranks and times makes objects only for
+    the pairs it reports.
+    """
+
+    rank: np.ndarray
+    tstart: np.ndarray
+    tend: np.ndarray
+    records: Callable[[Sequence[int]],
+                      list[tuple[AccessRecord, AccessRecord]]]
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[AccessRecord, AccessRecord]]
+           ) -> "AccessPairs":
+        """The columns of some record pairs."""
+        pairs = list(pairs)
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.array([[getattr(r, name) for r in side]
+                             for side in zip(*pairs)] or [[], []],
+                            dtype=dtype)
+
+        return cls(column("rank", np.int64), column("tstart", np.float64),
+                   column("tend", np.float64),
+                   lambda rows: [pairs[i] for i in rows])
+
+
 def group_by_path(records: "AccessList | Iterable[AccessRecord]"
-                  ) -> dict[str, AccessTable]:
+                  ) -> FileTables:
     """Bucket resolved accesses into one :class:`AccessTable` per file.
 
-    An :class:`AccessList` splits its columns (:attr:`AccessList.tables`);
-    any other iterable of records is bucketed object by object.
+    An :class:`AccessList` sorts its columns by file once
+    (:attr:`AccessList.tables`); any other iterable of records is read
+    into columns first.
     """
-    if isinstance(records, AccessList):
-        return records.tables
-    buckets: dict[str, list[AccessRecord]] = {}
-    for r in records:
-        buckets.setdefault(r.path, []).append(r)
-    return {path: AccessTable(path, recs)
-            for path, recs in sorted(buckets.items())}
+    if not isinstance(records, AccessList):
+        records = AccessList.from_records(records)
+    return records.tables

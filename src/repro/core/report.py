@@ -105,7 +105,7 @@ class RunReport:
     def conflicts(self, semantics: Semantics,
                   max_per_file: int | None = 10_000) -> ConflictSet:
         """The conflicts under one model, at most ``max_per_file`` per
-        file.  The byte-level models share one overlap sweep per file."""
+        file.  The models share one overlap sweep and the timelines."""
         memo = self.trace.columnar.memo
         key = ("conflicts", semantics, max_per_file)
         if key not in memo:
@@ -114,7 +114,7 @@ class RunReport:
             with obs.current().timer(timer).time():
                 memo[key] = detect_conflicts(
                     vis, tables, semantics, max_per_file,
-                    candidates=memo.setdefault("candidates", {}))
+                    shared=memo.setdefault("shared", {}))
         return memo[key]
 
     @property
@@ -182,11 +182,10 @@ class RunReport:
     def validate(self, semantics: Semantics = Semantics.SESSION,
                  *, raise_on_race: bool = False) -> RaceReport:
         """§5.2 validation: conflicting pairs must be synchronized."""
-        cs = self.conflicts(semantics)
+        pairs = self.conflicts(semantics).access_pairs()
         with obs.current().timer("core.hb_seconds").time():
-            return validate_race_freedom(
-                self.trace, [(c.first, c.second) for c in cs],
-                raise_on_race=raise_on_race)
+            return validate_race_freedom(self.trace, pairs,
+                                         raise_on_race=raise_on_race)
 
     # -- presentation ---------------------------------------------------------------
 

@@ -17,9 +17,14 @@ two on random inputs:
 * :func:`object_sessions` and :func:`object_conflict_pairs` — the
   object model's sessions found rank by rank (a whole-file mask and two
   ``searchsorted`` calls per rank), paired over every session pair;
+* :func:`file_conflicts` — one file's conflicts from its own overlap
+  sweep and, for commit and session, :func:`actual_conflict_mask`: the
+  conditions grouped by rank, one ``searchsorted`` per rank's timeline
+  (the per-file form the trace-wide detector replaced);
 * :func:`detect_conflicts_objects` — the detector that builds every
   pair as a :class:`~repro.core.conflicts.Conflict` in a
-  :class:`ReferenceConflictSet`, with a fresh overlap sweep per model;
+  :class:`ReferenceConflictSet`, file by file with
+  :func:`file_conflicts`, a fresh overlap sweep per model;
 * the list-based pattern and sharing classifiers
   (:func:`local_pattern_mix`, :func:`global_pattern_mix`,
   :func:`classify_sharing` and their helpers), which bucket and sort
@@ -47,7 +52,6 @@ from repro.core.conflicts import (
     ConflictSet,
     FileConflicts,
     VisibilityIndex,
-    _actual_conflict_mask,
 )
 from repro.core.overlaps import find_overlaps
 from repro.errors import AnalysisError, TraceError
@@ -230,8 +234,8 @@ def _handle_data(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
 
 class RecordVisibility:
     """The :class:`~repro.core.conflicts.VisibilityIndex` timelines,
-    gathered record by record; answers the same ``times`` and
-    ``path_times`` queries."""
+    gathered record by record; answers the same ``times``,
+    ``path_times`` and ``along`` queries."""
 
     def __init__(self, records):
         times: dict[tuple[str, int, str], list[float]] = {}
@@ -259,6 +263,16 @@ class RecordVisibility:
                           [len(ts) for ts in times]),
                 np.concatenate(times) if times
                 else np.empty(0, dtype=np.float64))
+
+    def along(self, family: str, paths: list[str]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        by_path = [self.path_times(family, path) for path in paths]
+        return (np.repeat(np.arange(len(paths), dtype=np.int64),
+                          [len(t) for _, t in by_path]),
+                np.concatenate([r for r, _ in by_path]
+                               or [np.empty(0, dtype=np.int64)]),
+                np.concatenate([t for _, t in by_path]
+                               or [np.empty(0, dtype=np.float64)]))
 
 
 # -- overlaps -----------------------------------------------------------------
@@ -506,9 +520,66 @@ class ReferenceConflictSet:
         return len(self.cross_process_only)
 
 
-def _classify_per_model(table: AccessTable, vis, semantics: Semantics):
+def actual_conflict_mask(table: AccessTable, first: np.ndarray,
+                         second: np.ndarray, vis, semantics: Semantics
+                         ) -> np.ndarray:
+    """§5.2 conditions 3/4 (``COMMIT``/``SESSION``) over one file's
+    candidate pairs, given as row arrays.
+
+    Pairs are grouped by the ranks involved so each group's condition is
+    one or two ``searchsorted`` calls over the rank's event timeline."""
+    n = len(first)
+    t = table.tstart
+    rank = table.rank
+    t1 = t[first]
+    t2 = t[second]
+    r1 = rank[first]
+    r2 = rank[second]
+    conflict = np.ones(n, dtype=bool)
+    if semantics is Semantics.COMMIT:
+        for writer in np.unique(r1):
+            sel = r1 == writer
+            commits = vis.times("commit", int(writer), table.path)
+            if commits.size == 0:
+                continue  # no commits: all selected pairs conflict
+            idx = np.searchsorted(commits, t1[sel], side="right")
+            has_commit = (idx < commits.size) & \
+                (commits[np.minimum(idx, commits.size - 1)] < t2[sel])
+            conflict[np.flatnonzero(sel)[has_commit]] = False
+        return conflict
+    # session: exists close by r1 at tc and open by r2 at to with
+    # t1 < tc < to < t2
+    tc = np.full(n, np.inf)
+    for writer in np.unique(r1):
+        sel = r1 == writer
+        closes = vis.times("close", int(writer), table.path)
+        if closes.size == 0:
+            continue
+        idx = np.searchsorted(closes, t1[sel], side="right")
+        found = idx < closes.size
+        vals = np.full(sel.sum(), np.inf)
+        vals[found] = closes[np.minimum(idx, closes.size - 1)][found]
+        tc[sel] = vals
+    for reader in np.unique(r2):
+        sel = (r2 == reader) & np.isfinite(tc) & (tc < t2)
+        if not np.any(sel):
+            continue
+        opens = vis.times("open", int(reader), table.path)
+        if opens.size == 0:
+            continue
+        idx = np.searchsorted(opens, tc[sel], side="right")
+        found = idx < opens.size
+        to = np.full(sel.sum(), np.inf)
+        to[found] = opens[np.minimum(idx, opens.size - 1)][found]
+        cleared = to < t2[sel]
+        conflict[np.flatnonzero(sel)[cleared]] = False
+    return conflict
+
+
+def file_conflicts(table: AccessTable, vis, semantics: Semantics):
     """One file's conflicts as ``(first, second, waw, same)`` arrays:
-    a fresh overlap sweep, the model's filter, then the report sort."""
+    a fresh overlap sweep of the file, the model's filter, then the
+    report sort."""
     if semantics is Semantics.OBJECT:
         return object_conflict_pairs(table, vis)
     pairs = find_overlaps(table)
@@ -519,8 +590,8 @@ def _classify_per_model(table: AccessTable, vis, semantics: Semantics):
     if semantics is Semantics.STRONG:
         pairs = pairs[:0]
     elif semantics is not Semantics.EVENTUAL:
-        pairs = pairs[_actual_conflict_mask(table, pairs[:, 0], pairs[:, 1],
-                                            vis, semantics)]
+        pairs = pairs[actual_conflict_mask(table, pairs[:, 0], pairs[:, 1],
+                                           vis, semantics)]
     pairs = pairs[np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]]))]
     first, second = pairs[:, 0], pairs[:, 1]
     return (first, second, table.is_write[second],
@@ -538,7 +609,7 @@ def detect_conflicts_objects(vis, tables: dict[str, AccessTable],
     for path in sorted(tables):
         table = tables[path]
         first, second, waw, same = (
-            a[keep] for a in _classify_per_model(table, vis, semantics))
+            a[keep] for a in file_conflicts(table, vis, semantics))
         if not len(first):
             continue
         rows, index = np.unique(np.r_[first, second], return_inverse=True)

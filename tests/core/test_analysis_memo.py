@@ -2,7 +2,8 @@
 
 ``analyze`` memoizes every ``RunReport`` stage on the trace's columnar
 form, so a study cell and a later race check of the same trace share
-offsets, tables, timelines and conflict sets.  The memo holds arrays,
+offsets, tables, timelines and conflict sets.  Each conflict kernel runs
+once per trace, however many files the trace has.  The memo holds arrays,
 never the trace: a pass run with the cyclic collector off must free
 every trace it made.
 """
@@ -59,14 +60,42 @@ def test_analyzing_a_trace_twice_runs_each_stage_once(variant_by_label,
     race = analyze(trace).validate(Semantics.SESSION)
     second = cell_summary(variant, trace, seed=7)
     assert first == second and race.race_free
-    npaths = len(analyze(trace).tables)
+    assert len(analyze(trace).tables) > 1
     assert calls == Counter({
         "validate": 1, "reconstruct_offsets": 1, "group_by_path": 1,
         "VisibilityIndex": 1, "classify_sharing": 1,
         "detect_metadata_conflicts": 1, "validate_race_freedom": 1,
-        # one overlap sweep per file, shared by the byte-level models
-        "find_overlaps": npaths,
+        # one overlap sweep per trace, shared by the byte-level models
+        "find_overlaps": 1,
         **{("detect_conflicts", s): 1 for s in SUMMARY_SEMANTICS}})
+
+
+#: the conflict kernels, each run once per trace (and per model)
+KERNELS = ("find_overlaps", "candidate_pairs", "_cleared",
+           "_object_sessions", "_object_conflict_pairs")
+
+
+def test_a_file_per_process_trace_runs_each_conflict_kernel_once(
+        variant_by_label, monkeypatch):
+    """Ckpt-IO fpp writes one file per rank: the kernels run once for
+    the trace, not once per file."""
+    counted = Counter()
+    for name in KERNELS:
+        def wrapper(*args, _fn=getattr(conflicts, name), _name=name):
+            model = [a for a in args if isinstance(a, Semantics)]
+            counted[(_name, *model)] += 1
+            return _fn(*args)
+        monkeypatch.setattr(conflicts, name, wrapper)
+    variant = variant_by_label["Ckpt-IO-POSIX fpp"]
+    trace = variant.run(nranks=16, seed=7)
+    cell_summary(variant, trace, seed=7)
+    analyze(trace).validate(Semantics.SESSION)
+    assert len(analyze(trace).tables) == 65
+    assert counted == Counter({
+        ("find_overlaps",): 1, ("candidate_pairs",): 1,
+        ("_cleared", Semantics.COMMIT): 1,
+        ("_cleared", Semantics.SESSION): 1,
+        ("_object_sessions",): 1, ("_object_conflict_pairs",): 1})
 
 
 def test_reports_of_one_trace_share_stage_results(variant_by_label):

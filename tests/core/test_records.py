@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.records import AccessRecord, AccessTable, group_by_path
+from repro.core.records import (
+    AccessRecord,
+    AccessTable,
+    FileTables,
+    group_by_path,
+)
 from repro.errors import AnalysisError
 
 
@@ -68,3 +73,41 @@ class TestGroupByPath:
 
     def test_empty(self):
         assert group_by_path([]) == {}
+
+
+class TestFileTables:
+    RECORDS = [rec(5, 1, 0, 4, path="/b", t=1.0),
+               rec(1, 0, 8, 4, path="/a", t=2.0),
+               rec(3, 2, 0, 8, write=False, path="/b", t=0.5),
+               rec(2, 0, 0, 4, path="/a", t=2.0)]
+
+    def test_views_share_one_table_sorted_by_file_then_time(self):
+        tables = group_by_path(self.RECORDS)
+        whole = tables.whole
+        assert list(tables) == whole.paths == ["/a", "/b"]
+        assert whole.rid.tolist() == [1, 2, 3, 5]
+        assert tables.bounds.tolist() == [0, 2, 4]
+        assert whole.path_id.tolist() == [0, 0, 1, 1]
+        assert np.shares_memory(tables["/b"].rid, whole.rid)
+        assert [r.path for r in tables["/b"]] == ["/b", "/b"]
+        for path, table in tables.items():
+            assert table.records == AccessTable(
+                path, [r for r in self.RECORDS if r.path == path]).records
+
+    def test_of_joins_a_plain_dict_of_tables(self):
+        plain = {path: AccessTable(path, [r for r in self.RECORDS
+                                          if r.path == path])
+                 for path in ("/b", "/a")}
+        joined = FileTables.of(plain)
+        assert list(joined) == ["/a", "/b"]
+        for path in plain:
+            assert joined[path].records == plain[path].records
+        assert FileTables.of(joined) is joined
+        assert FileTables.of({}) == {}
+
+    def test_empty_extent_names_the_first_bad_row_in_path_order(self):
+        bad = [AccessRecord(rid=rid, rank=0, path=path, offset=4, stop=4,
+                            is_write=True, tstart=0.0, tend=0.1)
+               for rid, path in ((7, "/b"), (8, "/a"), (9, "/a"))]
+        with pytest.raises(AnalysisError, match="record 8 has empty"):
+            group_by_path(bad)

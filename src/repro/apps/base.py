@@ -13,7 +13,6 @@ from repro.mpi.comm import Communicator, MPIWorld
 from repro.posix.api import PosixAPI
 from repro.posix.vfs import VirtualFileSystem
 from repro.sim.engine import RankContext, SimConfig, SimEngine
-from repro.staticcheck.ir import AssumedConflict, IOPlan
 from repro.tracer.recorder import Recorder
 from repro.tracer.trace import Trace
 
@@ -41,34 +40,6 @@ class AppProgram(Protocol):
     """An application proxy: SPMD body run on every rank."""
 
     def __call__(self, ctx: RankContext, cfg: AppConfig) -> None: ...
-
-
-class PlanExporter(Protocol):
-    """The symbolic-plan hook: builds one configuration's I/O plan.
-
-    Apps that model their I/O precisely export a ``plan(cfg)`` builder
-    (registered on their :class:`~repro.apps.registry.RunVariant`); all
-    others fall back to :func:`coarse_plan`.
-    """
-
-    def __call__(self, cfg: AppConfig) -> IOPlan: ...
-
-
-def coarse_plan(cfg: AppConfig) -> IOPlan:
-    """The default symbolic plan: assume everything, model nothing.
-
-    Predicts every conflict class on every path under every semantics
-    model that can conflict at all (strong never does), which makes the
-    static checker's zero-false-negative contract hold trivially for
-    apps without a hand-written plan — at the price of precision, which
-    the soundness harness reports honestly as ~0 for clean apps.
-    """
-    relaxed = ("commit", "session", "eventual", "object")
-    assumed = tuple(
-        AssumedConflict("*", kind, scope, relaxed)
-        for kind in ("RAW", "WAW") for scope in ("S", "D"))
-    return IOPlan(label=cfg.label, nprocs=cfg.nranks, statements=(),
-                  assumed=assumed, exact=False)
 
 
 def run_application(cfg: AppConfig, program: AppProgram, *,

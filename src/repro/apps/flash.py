@@ -23,27 +23,8 @@ Fix variants (the paper's one-line changes):
 from __future__ import annotations
 
 from repro.apps.base import AppConfig, compute_step
-from repro.iolibs.hdf5lite import (
-    EOA_ENTRY,
-    FIRST_DSET_SLOT,
-    META_SLOT_SIZE,
-    PIECES_PER_CREATE,
-    ROOT_ENTRY,
-    SUPERBLOCK,
-    H5File,
-)
+from repro.iolibs.hdf5lite import H5File
 from repro.sim.engine import RankContext
-from repro.staticcheck.ir import (
-    ALL,
-    Access,
-    Affine,
-    Barrier,
-    Close,
-    Commit,
-    IOPlan,
-    Open,
-    Ranks,
-)
 
 #: dataset names in a FLASH checkpoint (unknowns of the Sedov problem)
 CHECKPOINT_DATASETS = ("dens", "pres", "temp", "ener", "velx", "vely",
@@ -106,99 +87,3 @@ def main(ctx: RankContext, cfg: AppConfig) -> None:
                 ctx, cfg, f"/flash/plot/sedov_hdf5_plt_cnt_{plot_no:04d}",
                 PLOT_DATASETS, block, rank0_only=True)
             plot_no += 1
-
-
-# -- symbolic I/O plan ------------------------------------------------------
-
-
-def _plan_output_file(cfg: AppConfig, path: str,
-                      datasets: tuple[str, ...], block: int, *,
-                      rank0_only: bool) -> list:
-    """Symbolic statements for one checkpoint/plot file.
-
-    Mirrors :meth:`H5File` structurally: metadata-slot writes at each
-    ``H5Dcreate``, the data-plane writes, and — the §6.3 mechanism —
-    the per-flush root-entry rewrite by a fixed owner and EOA rewrite
-    by a rotating owner, each flush ending in an all-ranks fsync
-    (``Commit``) plus barrier.
-    """
-    nprocs = cfg.nranks
-    fbs = bool(cfg.opt("fbs", True))
-    flush_between = bool(cfg.opt("flush_between_datasets", True))
-    if cfg.opt("collective_metadata", False):
-        writers = [0]
-    else:
-        writers = [r for r in range(nprocs) if r % 2 == 0]
-    nw = len(writers)
-    stmts: list = [
-        Open(path, ALL),
-        Access(path, "write", Affine(const=SUPERBLOCK[0]), SUPERBLOCK[1],
-               Ranks.fixed(0)),
-        Barrier(),
-    ]
-    meta_cursor = FIRST_DSET_SLOT
-    data_cursor = int(cfg.opt("header_region", 4096))
-    flush_count = 0
-    dirty = False
-    for _ in datasets:
-        for _piece in range(PIECES_PER_CREATE):
-            slot = meta_cursor
-            slot_index = (slot - FIRST_DSET_SLOT) // META_SLOT_SIZE
-            stmts.append(Access(
-                path, "write", Affine(const=slot), META_SLOT_SIZE,
-                Ranks.fixed(writers[slot_index % nw])))
-            meta_cursor += META_SLOT_SIZE
-        stmts.append(Barrier())
-        if rank0_only:
-            stmts.append(Access(path, "write", Affine(const=data_cursor),
-                                block, Ranks.fixed(0)))
-            data_cursor += block
-        else:
-            stmts.append(Access(path, "write",
-                                Affine(const=data_cursor, rank=block),
-                                block, ALL))
-            data_cursor += block * nprocs
-        if not fbs:
-            stmts.append(Barrier())
-        dirty = True
-        if flush_between:
-            stmts.extend((
-                Access(path, "write", Affine(const=ROOT_ENTRY[0]),
-                       ROOT_ENTRY[1], Ranks.fixed(writers[0])),
-                Access(path, "write", Affine(const=EOA_ENTRY[0]),
-                       EOA_ENTRY[1],
-                       Ranks.fixed(writers[(1 + flush_count) % nw])),
-                Commit(path, ALL),
-                Barrier(),
-            ))
-            flush_count += 1
-            dirty = False
-    if dirty:
-        stmts.extend((
-            Access(path, "write", Affine(const=ROOT_ENTRY[0]),
-                   ROOT_ENTRY[1], Ranks.fixed(writers[0])),
-            Access(path, "write", Affine(const=EOA_ENTRY[0]),
-                   EOA_ENTRY[1],
-                   Ranks.fixed(writers[(1 + flush_count) % nw])),
-        ))
-    stmts.extend((Close(path, ALL), Barrier()))
-    return stmts
-
-
-def plan(cfg: AppConfig) -> IOPlan:
-    """FLASH's symbolic I/O plan (checkpoints + plot files)."""
-    steps = int(cfg.opt("steps", 60))
-    ckpt_every = int(cfg.opt("checkpoint_every", 20))
-    plot_every = int(cfg.opt("plot_every", 20))
-    block = int(cfg.opt("block_bytes", 4096))
-    stmts: list = []
-    for ckpt_no in range(steps // ckpt_every):
-        stmts.extend(_plan_output_file(
-            cfg, f"/flash/ckpt/sedov_hdf5_chk_{ckpt_no:04d}",
-            CHECKPOINT_DATASETS, block, rank0_only=False))
-    for plot_no in range(steps // plot_every):
-        stmts.extend(_plan_output_file(
-            cfg, f"/flash/plot/sedov_hdf5_plt_cnt_{plot_no:04d}",
-            PLOT_DATASETS, block, rank0_only=True))
-    return IOPlan(label=cfg.label, nprocs=cfg.nranks,
-                  statements=tuple(stmts))

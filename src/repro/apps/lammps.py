@@ -16,30 +16,12 @@ configured — the paper's key multi-library subject:
 from __future__ import annotations
 
 from repro.apps.base import AppConfig, compute_step, make_deck_setup, read_input_deck
-from repro.iolibs.adioslite import IDX_FLAG_SIZE, IDX_RECORD_SIZE, AdiosStream
-from repro.iolibs.hdf5lite import (
-    EOA_ENTRY,
-    FIRST_DSET_SLOT,
-    META_SLOT_SIZE,
-    PIECES_PER_CREATE,
-    ROOT_ENTRY,
-    SUPERBLOCK,
-    H5File,
-)
-from repro.iolibs.netcdflite import HEADER_SIZE, NUMRECS_OFFSET, NUMRECS_SIZE, NetCDFFile
+from repro.iolibs.adioslite import AdiosStream
+from repro.iolibs.hdf5lite import H5File
+from repro.iolibs.netcdflite import NetCDFFile
 from repro.mpiio.file import MPIFile, MPIIOHints
 from repro.posix import flags as F
 from repro.sim.engine import RankContext
-from repro.staticcheck.ir import (
-    ALL,
-    Access,
-    Affine,
-    Close,
-    IOPlan,
-    Loop,
-    Open,
-    Ranks,
-)
 
 
 INPUT_DECK = "/lammps/input/in.lj"
@@ -193,132 +175,3 @@ class _AdiosDump:
 
     def close(self) -> None:
         self.stream.close()
-
-
-# -- symbolic I/O plans -----------------------------------------------------
-#
-# One builder per backend; disjoint append streams are collapsed into a
-# single extent-sized access (sound and exact: a stream of disjoint
-# writes has no self-overlap, and its byte coverage is the union).
-
-
-def _posix_plan(nprocs: int, dumps: int, chunk: int) -> list:
-    path = "/lammps/dump/dump.lj"
-    rank0 = Ranks.fixed(0)
-    return [
-        Open(path, rank0),
-        Access(path, "write", Affine(), dumps * nprocs * chunk, rank0),
-        Close(path, rank0),
-    ]
-
-
-def _mpiio_plan(nprocs: int, dumps: int, chunk: int) -> list:
-    path = "/lammps/dump/dump.mpiio"
-    return [
-        Open(path, ALL),
-        Loop(dumps, (Access(path, "write",
-                            Affine(rank=chunk, step=chunk * nprocs),
-                            chunk, ALL),)),
-        Close(path, ALL),
-    ]
-
-
-def _hdf5_plan(nprocs: int, dumps: int, chunk: int) -> list:
-    path = "/lammps/dump/dump.h5"
-    rank0 = Ranks.fixed(0)
-    stmts: list = [
-        Open(path, rank0),
-        Access(path, "write", Affine(const=SUPERBLOCK[0]), SUPERBLOCK[1],
-               rank0),
-    ]
-    meta_cursor = FIRST_DSET_SLOT
-    data_cursor = 8192                   # the writer's header_region
-    total = chunk * nprocs
-    for _ in range(dumps):
-        for _piece in range(PIECES_PER_CREATE):
-            stmts.append(Access(path, "write", Affine(const=meta_cursor),
-                                META_SLOT_SIZE, rank0))
-            meta_cursor += META_SLOT_SIZE
-        stmts.append(Access(path, "write", Affine(const=data_cursor),
-                            total, rank0))
-        data_cursor += total
-    # close writes the still-dirty root/EOA entries exactly once
-    stmts.extend((
-        Access(path, "write", Affine(const=ROOT_ENTRY[0]), ROOT_ENTRY[1],
-               rank0),
-        Access(path, "write", Affine(const=EOA_ENTRY[0]), EOA_ENTRY[1],
-               rank0),
-        Close(path, rank0),
-    ))
-    return stmts
-
-
-def _netcdf_plan(nprocs: int, dumps: int, chunk: int) -> list:
-    path = "/lammps/dump/dump.nc"
-    rank0 = Ranks.fixed(0)
-    total = chunk * nprocs
-    return [
-        Open(path, rank0),
-        Access(path, "write", Affine(), HEADER_SIZE, rank0),
-        Loop(dumps, (
-            Access(path, "write", Affine(const=HEADER_SIZE, step=total),
-                   total, rank0),
-            # the numrecs rewrite inside the header: LAMMPS-NetCDF's
-            # WAW-S (no commit until the final close)
-            Access(path, "write", Affine(const=NUMRECS_OFFSET),
-                   NUMRECS_SIZE, rank0),
-        )),
-        Close(path, rank0),
-    ]
-
-
-def _adios_plan(cfg: AppConfig, dumps: int, chunk: int) -> list:
-    nprocs = cfg.nranks
-    rpg = int(cfg.opt("ranks_per_group", max(2, nprocs // 8)))
-    rpg = max(1, rpg)
-    ngroups = (nprocs + rpg - 1) // rpg
-    dirpath = "/lammps/dump/dump.bp"
-    idx = f"{dirpath}/md.idx"
-    rank0 = Ranks.fixed(0)
-    stmts: list = [Open(idx, rank0)]
-    # the 1-byte live flag: written at open and overwritten every step
-    stmts.append(Loop(1 + dumps, (
-        Access(idx, "write", Affine(), IDX_FLAG_SIZE, rank0),)))
-    # per-step index records append disjointly after the flag byte
-    stmts.append(Access(idx, "write", Affine(const=IDX_FLAG_SIZE),
-                        dumps * IDX_RECORD_SIZE, rank0))
-    for group in range(ngroups):
-        aggregator = group * rpg
-        members = min(rpg, nprocs - aggregator)
-        data = f"{dirpath}/data.{group}"
-        agg = Ranks.fixed(aggregator)
-        stmts.extend((
-            Open(data, agg),
-            Access(data, "write", Affine(), dumps * members * chunk, agg),
-            Close(data, agg),
-        ))
-    stmts.append(Close(idx, rank0))
-    return stmts
-
-
-def plan(cfg: AppConfig) -> IOPlan:
-    """LAMMPS's symbolic I/O plan for the configured dump backend."""
-    steps = int(cfg.opt("steps", 100))
-    dump_every = int(cfg.opt("dump_every", 20))
-    chunk = int(cfg.opt("chunk_bytes", 2048))
-    dumps = steps // dump_every
-    lib = cfg.io_library.upper().replace("-", "")
-    if lib == "POSIX":
-        stmts = _posix_plan(cfg.nranks, dumps, chunk)
-    elif lib == "MPIIO":
-        stmts = _mpiio_plan(cfg.nranks, dumps, chunk)
-    elif lib == "HDF5":
-        stmts = _hdf5_plan(cfg.nranks, dumps, chunk)
-    elif lib == "NETCDF":
-        stmts = _netcdf_plan(cfg.nranks, dumps, chunk)
-    elif lib == "ADIOS":
-        stmts = _adios_plan(cfg, dumps, chunk)
-    else:
-        raise ValueError(f"unknown LAMMPS I/O backend {cfg.io_library!r}")
-    return IOPlan(label=cfg.label, nprocs=cfg.nranks,
-                  statements=tuple(stmts))

@@ -9,7 +9,6 @@ from __future__ import annotations
 from repro.apps.base import AppConfig, compute_step, make_deck_setup, read_input_deck
 from repro.posix import flags as F
 from repro.sim.engine import RankContext
-from repro.staticcheck.ir import Access, Affine, Barrier, Close, IOPlan, Open, Ranks
 
 
 INPUT_DECK = "/nek5000/input/eddy.rea"
@@ -41,29 +40,3 @@ def main(ctx: RankContext, cfg: AppConfig) -> None:
                 px.close(fd)
             ckpt_no += 1
             ctx.comm.barrier()
-
-
-def plan(cfg: AppConfig) -> IOPlan:
-    """Nek5000's symbolic I/O plan: rank-0 streamed ``.fld`` checkpoints.
-
-    Each checkpoint's header + gathered element writes form one disjoint
-    append stream, collapsed into a single extent-sized access —
-    conflict-free by construction, which the soundness harness confirms
-    dynamically.
-    """
-    steps = int(cfg.opt("steps", 300))
-    ckpt_every = int(cfg.opt("checkpoint_every", 100))
-    elem_bytes = int(cfg.opt("element_bytes", 4096))
-    rank0 = Ranks.fixed(0)
-    stmts: list = []
-    for ckpt_no in range(steps // ckpt_every):
-        path = f"/nek5000/fld/eddy0.f{ckpt_no:05d}"
-        stmts.extend((
-            Open(path, rank0),
-            Access(path, "write", Affine(),
-                   132 + cfg.nranks * elem_bytes, rank0),
-            Close(path, rank0),
-            Barrier(),
-        ))
-    return IOPlan(label=cfg.label, nprocs=cfg.nranks,
-                  statements=tuple(stmts))

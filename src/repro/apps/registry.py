@@ -16,15 +16,8 @@ from repro.apps import (
     lbann, macsio, milc, nek5000, nwchem, paradis, pf3d, qmcpack,
     vasp, vpicio,
 )
-from repro.apps.base import (
-    AppConfig,
-    AppProgram,
-    PlanExporter,
-    coarse_plan,
-    run_application,
-)
+from repro.apps.base import AppConfig, AppProgram, run_application
 from repro.posix.vfs import VirtualFileSystem
-from repro.staticcheck.ir import IOPlan
 from repro.tracer.trace import Trace
 
 
@@ -44,8 +37,6 @@ class RunVariant:
     #: whether commit semantics removes all conflicts (FLASH only)
     commit_clean: bool = False
     variant_suffix: str = ""
-    #: symbolic-plan exporter; None falls back to the coarse plan
-    plan: PlanExporter | None = None
 
     @property
     def label(self) -> str:
@@ -70,19 +61,6 @@ class RunVariant:
         return run_application(
             self.config(nranks, seed, clock_skew_us, **overrides),
             self.program, setup=self.setup, vfs=vfs)
-
-    def io_plan(self, cfg: AppConfig | None = None, *, nranks: int = 8,
-                seed: int = 7, **overrides: Any) -> IOPlan:
-        """The variant's symbolic I/O plan for one configuration.
-
-        Uses the app's registered :class:`PlanExporter` when it has
-        one, else the sound-but-imprecise
-        :func:`~repro.apps.base.coarse_plan`.
-        """
-        if cfg is None:
-            cfg = self.config(nranks=nranks, seed=seed, **overrides)
-        builder = self.plan if self.plan is not None else coarse_plan
-        return builder(cfg)
 
 
 @dataclass(frozen=True)
@@ -112,11 +90,11 @@ APPLICATIONS: tuple[AppSpec, ...] = (
         compiler="Intel 19.1.0", mpi="Intel MPI 2018", hdf5="HDF5 1.8.20",
         variants=(
             _v("FLASH", "HDF5", flash.main, options={"fbs": True},
-               variant_suffix="fbs", plan=flash.plan,
+               variant_suffix="fbs",
                expected_xy="M-1", expected_pattern="strided cyclic",
                expected_conflicts=("WAW-S", "WAW-D"), commit_clean=True),
             _v("FLASH", "HDF5", flash.main, options={"fbs": False},
-               variant_suffix="nofbs", plan=flash.plan,
+               variant_suffix="nofbs",
                expected_xy="N-1", expected_pattern="strided",
                expected_conflicts=("WAW-S", "WAW-D"), commit_clean=True),
         )),
@@ -127,7 +105,6 @@ APPLICATIONS: tuple[AppSpec, ...] = (
         compiler="Intel 19.1.0", mpi="Intel MPI 2018", hdf5="",
         variants=(
             _v("Nek5000", "POSIX", nek5000.main, setup=nek5000.setup,
-               plan=nek5000.plan,
                expected_xy="1-1", expected_pattern="consecutive"),
         )),
     AppSpec(
@@ -164,21 +141,16 @@ APPLICATIONS: tuple[AppSpec, ...] = (
         compiler="Intel 19.1.0", mpi="Intel MPI 2018", hdf5="HDF5 1.12.0",
         variants=(
             _v("LAMMPS", "ADIOS", lammps.main, setup=lammps.setup,
-               plan=lammps.plan,
                expected_xy="M-M", expected_pattern="consecutive",
                expected_conflicts=("WAW-S",)),
             _v("LAMMPS", "NetCDF", lammps.main, setup=lammps.setup,
-               plan=lammps.plan,
                expected_xy="1-1", expected_pattern="consecutive",
                expected_conflicts=("WAW-S",)),
             _v("LAMMPS", "HDF5", lammps.main, setup=lammps.setup,
-               plan=lammps.plan,
                expected_xy="1-1", expected_pattern="consecutive"),
             _v("LAMMPS", "MPI-IO", lammps.main, setup=lammps.setup,
-               plan=lammps.plan,
                expected_xy="M-1", expected_pattern="strided"),
             _v("LAMMPS", "POSIX", lammps.main, setup=lammps.setup,
-               plan=lammps.plan,
                expected_xy="1-1", expected_pattern="consecutive"),
         )),
     AppSpec(

@@ -36,11 +36,13 @@ def parse_jsonl(text: str) -> tuple[MetricsRegistry, list[dict]]:
     registry = MetricsRegistry()
     snapshot: dict[str, dict] = {}
     trace_records: list[dict] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise ValueError(f"line {lineno} is not a JSON object")
         if "metric" in doc:
             snapshot[doc.pop("metric")] = doc
         else:

@@ -10,7 +10,7 @@ cell and demand:
   leaves a torn write visible (the plans here all model *correct*
   recovery; the deliberately broken modes live in tests);
 * every final-content mismatch against the POSIX outcome is
-  **attributable**: either the static conflict detector already
+  **attributable**: either the trace's §5.2 conflict analysis already
   predicted that file diverges under this semantics, or the mismatched
   byte ranges lie entirely inside regions an injected fault destroyed
   (plus any hazardous overlap regions).  Faults may add stale reads and
@@ -274,7 +274,7 @@ def _judge_cell(label: str, plan: FaultPlan, sem: Semantics,
                                     + stats.extents_torn)
     for path in result.corrupted_files:
         if path in predicted:
-            continue  # the static detector already called this one
+            continue  # the trace's §5.2 conflict analysis called it
         store = sim.files[path]
         if not _attributed(store, sim.config.settle_order):
             cell.unattributed.append(path)

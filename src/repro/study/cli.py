@@ -9,7 +9,6 @@ Usage::
     python -m repro.study lint <app|--all> [--format text|json]
     python -m repro.study chaos [--app NAME[/LIB]]... [--all] [--jobs N]
     python -m repro.study crossvalidate <app|--all> [--jobs N]
-    python -m repro.study staticcheck <app|--all> [--jobs N]
     python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
@@ -25,13 +24,10 @@ byte-identical output for every jobs/cache combination.  The ``lint``
 subcommand runs the static consistency-semantics linter
 (:mod:`repro.lint`); ``chaos`` replays traces under a deterministic
 fault matrix (:mod:`repro.pfs.chaos`); ``crossvalidate`` checks the
-linter against the replay-based oracle; ``staticcheck`` evaluates the
-symbolic I/O plans (:mod:`repro.staticcheck`) and cross-validates the
-static conflict predictions against the dynamic detector;
-``roundtrip`` checks the ``.rtrc`` trace format is lossless;
-``fingerprint`` prints the code fingerprint cache keys embed (CI keys
-its cache restore on it); ``cache`` inspects and prunes the
-content-addressed result store.
+linter against the replay-based oracle; ``roundtrip`` checks the
+``.rtrc`` trace format is lossless; ``fingerprint`` prints the code
+fingerprint cache keys embed (CI keys its cache restore on it);
+``cache`` inspects and prunes the content-addressed result store.
 
 Every matrix subcommand accepts ``--metrics FILE``: the run executes
 under a :mod:`repro.obs` registry (bypassing the result cache so the
@@ -46,8 +42,8 @@ Exit codes are uniform across every subcommand:
 * **1** — a real finding or failure (ERROR diagnostics, an unsound
   chaos cell, a cross-validation false negative);
 * **2** — usage error (unknown application/library/plan/rule, bad
-  flag combination, ``--nranks < 1`` or ``--seed < 0``, an ``--out``
-  that cannot be written).
+  flag combination, ``--nranks < 1``, ``--seed < 0`` or ``--jobs < 0``,
+  an ``--out`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -175,13 +171,20 @@ def _add_run_args(parser: argparse.ArgumentParser, *, nranks: int,
     parser.add_argument("--seed", type=_int_at_least(0), default=7)
 
 
+def _add_jobs_arg(parser: argparse.ArgumentParser, *,
+                  purpose: str = "the matrix") -> None:
+    """``--jobs``, rejected at parse time (exit 2) unless ``>= 0``."""
+    parser.add_argument("--jobs", type=_int_at_least(0), default=1,
+                        metavar="N",
+                        help=f"worker processes for {purpose} "
+                             f"(default 1 = serial; 0 = one per CPU)")
+
+
 def _add_matrix_args(parser: argparse.ArgumentParser, *,
                      nranks: int = 8) -> None:
     """Flags shared by every matrix-shaped subcommand."""
     _add_run_args(parser, nranks=nranks)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the matrix "
-                             "(default 1 = serial; 0 = one per CPU)")
+    _add_jobs_arg(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not update .repro-cache/")
     parser.add_argument("--cache-dir", type=Path, default=None,
@@ -238,7 +241,7 @@ def _matrix_scope(args: argparse.Namespace):
 def _matrix_jobs(args: argparse.Namespace) -> int:
     from repro.study.parallel import resolve_jobs
 
-    return resolve_jobs(None) if args.jobs == 0 else max(1, args.jobs)
+    return args.jobs or resolve_jobs(None)
 
 
 def _emit(args: argparse.Namespace, text: str, *, ok: bool = True,
@@ -267,22 +270,6 @@ def _emit(args: argparse.Namespace, text: str, *, ok: bool = True,
     return EXIT_OK if ok else EXIT_FINDINGS
 
 
-def _emit_cells(args: argparse.Namespace, run, cache, ok: bool,
-                text_table, **extra) -> int:
-    """Report a matrix of verdict cells: ``{nranks, seed, cells, ok}``
-    (plus ``extra``) as JSON, or the subcommand's ``text_table``."""
-    import json
-
-    cells = run.payloads
-    if args.format == "json":
-        text = json.dumps({"nranks": args.nranks, "seed": args.seed,
-                           "cells": cells, "ok": ok, **extra},
-                          sort_keys=True, indent=2)
-    else:
-        text = text_table(cells)
-    return _emit(args, text, ok=ok, run=run, cache=cache)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     commands = {
@@ -290,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         "lint": lint_main,
         "chaos": chaos_main,
         "crossvalidate": crossvalidate_main,
-        "staticcheck": staticcheck_main,
         "fingerprint": fingerprint_main,
         "roundtrip": roundtrip_main,
         "metrics": metrics_main,
@@ -315,15 +301,19 @@ def _tables_main(argv: list[str]) -> int:
     _add_run_args(parser, nranks=8,
                   nranks_help="MPI ranks per run (default 8; the paper "
                               "used 64 and 1024)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for tracing the matrix "
-                             "(default 1 = serial; 0 = one per CPU)")
+    _add_jobs_arg(parser, purpose="tracing the matrix")
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for per-run reports and CSVs")
     parser.add_argument("--app", default=None, metavar="NAME[/LIB]",
                         help="analyze a single application instead of "
                              "the full study (e.g. FLASH or LAMMPS/ADIOS)")
     args = parser.parse_args(argv)
+    if args.out is not None:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: "
+                              f"{exc.strerror or exc}")
 
     if args.app is not None:
         return _single_app(args)
@@ -367,7 +357,6 @@ def _tables_main(argv: list[str]) -> int:
           f"cross-process conflicts under session semantics.")
 
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         for run in results:
             name = run.label.replace("/", "_").replace(" ", "_")
             (args.out / f"{name}.report.txt").write_text(
@@ -395,7 +384,6 @@ def _single_app(args: argparse.Namespace) -> int:
         if session:
             print(conflict_timelines(trace, session, max_files=2))
         if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
             safe = variant.label.replace("/", "_").replace(" ", "_")
             (args.out / f"{safe}.report.txt").write_text(
                 report.to_text() + "\n")
@@ -619,34 +607,6 @@ def chaos_main(argv: list[str] | None = None) -> int:
         return _emit(args, text, ok=report.ok, run=run, cache=cache)
 
 
-def _verdict_matrix(argv: list[str] | None, command: str,
-                    description: str, kind: str, worker,
-                    text_table) -> int:
-    """One cached verdict cell per selected configuration.
-
-    The shared body of ``crossvalidate`` and ``staticcheck``: exit 0
-    when every cell is ``ok``, 1 otherwise, 2 usage.
-    """
-    from repro.study.parallel import run_matrix, variant_cell
-
-    parser = argparse.ArgumentParser(
-        prog=f"python -m repro.study {command}", description=description)
-    _add_selection_args(parser, "check")
-    _add_matrix_args(parser)
-    _add_output_args(parser)
-    args = parser.parse_args(argv)
-
-    variants = _selected_variants(args)
-    with _matrix_scope(args) as cache:
-        run = run_matrix(
-            kind, [variant_cell(v, args.nranks, args.seed)
-                   for v in variants],
-            worker, jobs=_matrix_jobs(args), cache=cache)
-        return _emit_cells(args, run, cache,
-                           all(c["ok"] for c in run.payloads),
-                           text_table)
-
-
 @_usage_guard
 def crossvalidate_main(argv: list[str] | None = None) -> int:
     """``python -m repro.study crossvalidate`` — lint vs replay oracle.
@@ -655,13 +615,34 @@ def crossvalidate_main(argv: list[str] | None = None) -> int:
     replay pipeline reports (its zero-false-negative contract is
     broken), 2 usage.
     """
-    from repro.study.parallel import crossval_task
+    import json
 
-    return _verdict_matrix(
-        argv, "crossvalidate",
-        "Cross-validate the static linter against the replay-based "
-        "conflict and durability oracles.",
-        "crossval-cell", crossval_task, _crossval_text)
+    from repro.study.parallel import crossval_task, run_matrix, variant_cell
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.study crossvalidate",
+        description="Cross-validate the static linter against the "
+                    "replay-based conflict and durability oracles.")
+    _add_selection_args(parser, "check")
+    _add_matrix_args(parser)
+    _add_output_args(parser)
+    args = parser.parse_args(argv)
+
+    variants = _selected_variants(args)
+    with _matrix_scope(args) as cache:
+        run = run_matrix(
+            "crossval-cell", [variant_cell(v, args.nranks, args.seed)
+                              for v in variants],
+            crossval_task, jobs=_matrix_jobs(args), cache=cache)
+        cells = run.payloads
+        ok = all(c["ok"] for c in cells)
+        if args.format == "json":
+            text = json.dumps({"nranks": args.nranks, "seed": args.seed,
+                               "cells": cells, "ok": ok},
+                              sort_keys=True, indent=2)
+        else:
+            text = _crossval_text(cells)
+        return _emit(args, text, ok=ok, run=run, cache=cache)
 
 
 def _crossval_text(cells: list[dict]) -> str:
@@ -686,47 +667,6 @@ def _crossval_text(cells: list[dict]) -> str:
         for msg in (cell["hazards"]["false_negatives"]
                     + cell["durability"]["false_negatives"]):
             lines.append(f"  {msg}")
-    return "\n".join(lines)
-
-
-@_usage_guard
-def staticcheck_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study staticcheck`` — static conflict prediction.
-
-    Evaluates each configuration's symbolic I/O plan under the
-    interval/stride abstract domain and cross-validates the predicted
-    per-semantics conflict sets against the dynamic detector.  Exit
-    codes: 0 every cell sound (no dynamic conflict missed), 1 at least
-    one missed conflict, 2 usage.
-    """
-    from repro.study.parallel import staticcheck_task
-
-    return _verdict_matrix(
-        argv, "staticcheck",
-        "Predict per-semantics conflicts from symbolic I/O plans and "
-        "cross-validate the predictions against the dynamic detector.",
-        "staticcheck-cell", staticcheck_task, _staticcheck_text)
-
-
-def _staticcheck_text(cells: list[dict]) -> str:
-    lines = [f"{'configuration':<26} {'plan':<6} {'groups':>6} "
-             f"{'pairs':>6} {'precision':>9}  status"]
-    lines.append("-" * len(lines[0]))
-    for cell in cells:
-        plan_kind = "exact" if cell["exact"] else "coarse"
-        status = "sound" if cell["sound"] else "MISSED CONFLICTS"
-        lines.append(
-            f"{cell['label']:<26} {plan_kind:<6} "
-            f"{cell['groups']:>6} {cell['pairs_checked']:>6} "
-            f"{cell['precision']:>9.4f}  {status}")
-    bad = [c for c in cells if not c["sound"]]
-    lines.append("")
-    lines.append(f"{len(cells)} configurations, "
-                 f"{len(bad)} with missed dynamic conflicts")
-    for cell in bad:
-        for name, sem in sorted(cell["semantics"].items()):
-            for msg in sem["missed"]:
-                lines.append(f"  {cell['label']} [{name}] {msg}")
     return "\n".join(lines)
 
 
@@ -757,9 +697,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
     _add_run_args(parser, nranks=4,
                   nranks_help="ranks per configuration for --collect "
                               "(default 4)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for --collect "
-                             "(default 1 = serial; 0 = one per CPU)")
+    _add_jobs_arg(parser, purpose="--collect")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="text = dashboard, json = canonical "

@@ -302,14 +302,6 @@ def crossval_task(task: tuple) -> dict:
     return crossvalidate_variant(variant, nranks=nranks, seed=seed)
 
 
-def staticcheck_task(task: tuple) -> dict:
-    """(variant, nranks, seed) -> static-vs-dynamic soundness cell."""
-    from repro.staticcheck.soundness import staticcheck_variant
-
-    variant, nranks, seed = task
-    return staticcheck_variant(variant, nranks=nranks, seed=seed)
-
-
 def workflow_task(task: tuple) -> dict:
     """(producer ranks, reader ranks, seed) -> workflow summary cell."""
     from repro.study.workflows import canonical_workflow, workflow_summary
@@ -328,7 +320,6 @@ __all__ = [
     "crossval_task",
     "resolve_jobs",
     "run_matrix",
-    "staticcheck_task",
     "study_cell_task",
     "trace_task",
     "variant_cell",

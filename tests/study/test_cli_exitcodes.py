@@ -58,6 +58,37 @@ class TestFindingExits:
         rc = cli_main(["lint", "FLASH", "--nranks", "4"])
         assert rc == EXIT_FINDINGS
 
+    def test_crossvalidate_false_negative_exits_1(self, capsys,
+                                                   tmp_path):
+        # seed the cache with a fabricated cell whose hazard check
+        # missed a pair: the CLI must surface it as a finding (exit 1)
+        # with the status and the missed pair listed
+        from repro.apps.registry import find_spec
+        from repro.study.cache import ResultCache, cache_key
+
+        variant = find_spec("GTC").variants[0]
+        key = cache_key("crossval-cell", label=variant.label,
+                        options=dict(sorted(variant.options.items())),
+                        nranks=2, seed=7)
+        missed = (f"{variant.label}: session conflict pair rid(3, 9) "
+                  f"reported by the replay pipeline but not flagged by "
+                  f"session-hazard")
+        ResultCache(root=tmp_path).put(key, {
+            "label": variant.label, "nranks": 2, "seed": 7,
+            "hazards": {"label": variant.label, "checked_pairs": 1,
+                        "false_negatives": [missed], "extras": [],
+                        "ok": False},
+            "durability": {"label": variant.label, "checked_pairs": 0,
+                           "false_negatives": [], "extras": [],
+                           "ok": True},
+            "ok": False})
+        rc = cli_main(["crossvalidate", "GTC", "--nranks", "2",
+                       "--cache-dir", str(tmp_path)])
+        assert rc == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "FALSE NEGATIVES" in out
+        assert f"  {missed}" in out.splitlines()
+
 
 class TestUsageExits:
     @pytest.mark.parametrize("argv", [
@@ -85,15 +116,20 @@ class TestUsageExits:
                       ["lint", "GTC"],
                       ["crossvalidate", "GTC", "--no-cache"],
                       ["chaos", "--app", "GTC", "--no-cache"],
-                      ["staticcheck", "GTC", "--no-cache"],
                       ["roundtrip", "GTC"],
+                      ["metrics", "--collect"],
+                      ["--app", "GTC"])),
+        *([*cmd, "--jobs", "-1"]
+          for cmd in (["all", "--no-cache"],
+                      ["crossvalidate", "GTC", "--no-cache"],
+                      ["chaos", "--app", "GTC", "--no-cache"],
                       ["metrics", "--collect"],
                       ["--app", "GTC"])),
         # a report --out that is a directory
         ["lint", "GTC", "--nranks", "2", "--out", "."],
         ["chaos", "--app", "GTC", "--nranks", "2", "--no-cache",
          "--out", "."],
-        ["staticcheck", "GTC", "--nranks", "2", "--no-cache",
+        ["crossvalidate", "GTC", "--nranks", "2", "--no-cache",
          "--out", "."],
     ], ids=lambda argv: " ".join(argv))
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -101,15 +137,33 @@ class TestUsageExits:
         assert capsys.readouterr().err.strip()
 
     @pytest.mark.parametrize("argv", [
+        ["--app", "GTC", "--nranks", "2"],
+        ["--nranks", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_default_mode_out_naming_a_file(self, capsys, tmp_path,
+                                            argv):
+        """The default mode's ``--out`` is a directory: a file there is
+        a usage error, reported before anything is simulated."""
+        f = tmp_path / "taken"
+        f.write_text("")
+        assert _exit_code([*argv, "--out", str(f)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().startswith(f"cannot write {f}")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
         ["partition", "FLASH"],
         ["all", "--partitions", "2"],
         ["serve", "--port", "0"],
         ["request", "healthz", "--port", "1"],
         ["loadtest", "--port", "1"],
+        ["staticcheck", "GTC"],
     ], ids=lambda argv: " ".join(argv))
     def test_retired_subcommands_and_flags(self, capsys, argv):
-        """The partitioned engine and the analysis service are gone:
-        their words fall through to the default-mode parser."""
+        """The partitioned engine, the analysis service and the static
+        plan checker are gone: their words fall through to the
+        default-mode parser."""
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == EXIT_USAGE
@@ -124,9 +178,11 @@ class TestUsageExits:
 
     def test_metrics_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "m.json"
-        f.write_text("this is not json lines\n")
-        assert cli_main(["metrics", str(f)]) == EXIT_USAGE
-        assert "JSON-lines" in capsys.readouterr().err
+        for content in ("this is not json lines\n", "[1, 2]\n", '"x"\n'):
+            f.write_text(content)
+            assert cli_main(["metrics", str(f)]) == EXIT_USAGE
+            err = capsys.readouterr().err.strip()
+            assert "JSON-lines" in err and len(err.splitlines()) == 1
 
 
 class TestRoundtripCheck:

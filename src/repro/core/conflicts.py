@@ -526,16 +526,14 @@ def _object_conflict_pairs(shared: _Shared):
 
 
 def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
-                     semantics: Semantics,
-                     max_conflicts_per_file: int | None = None, *,
+                     semantics: Semantics, *,
                      shared: dict | None = None) -> ConflictSet:
     """Run conflict detection over every file of a trace at once.
 
-    Keeps at most ``max_conflicts_per_file`` conflicts per file (a
-    count, not negative), the earliest first.  ``shared`` is a dict that
-    the calls for one trace's ``tables`` and ``vis`` share, filled on
-    first use: given one, the byte-level models share one overlap sweep
-    and every model the timelines.  ``tables`` is best the
+    Every conflicting pair is kept.  ``shared`` is a dict that the calls
+    for one trace's ``tables`` and ``vis`` share, filled on first use:
+    given one, the byte-level models share one overlap sweep and every
+    model the timelines.  ``tables`` is best the
     :class:`~repro.core.records.FileTables` of the trace; any other dict
     of tables is first read into one.
     """
@@ -556,13 +554,6 @@ def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
             first, second, waw, same = (first[keep], second[keep],
                                         waw[keep], same[keep])
     file = tables.whole.path_id[first]
-    if max_conflicts_per_file is not None:
-        # the pairs come file by file: keep each file's first ones
-        keep = (np.arange(file.size) - np.searchsorted(file, file)
-                < max_conflicts_per_file)
-        if not keep.all():
-            first, second, waw, same, file = (
-                first[keep], second[keep], waw[keep], same[keep], file[keep])
     bounds = run_bounds(file)
     lo = tables.bounds[file]
     first, second = first - lo, second - lo

@@ -49,7 +49,12 @@ import numpy as np
 
 from repro.core.records import AccessPairs, AccessRecord
 from repro.errors import AnalysisError, RaceConditionError
-from repro.tracer.columnar import build_events, interned
+from repro.tracer.columnar import (
+    EVENT_COLUMNS,
+    ColumnarTrace,
+    build_events,
+    interned,
+)
 from repro.tracer.events import MPIEvent
 from repro.tracer.trace import Trace
 
@@ -83,12 +88,16 @@ class HappensBefore:
     Events are addressed by *slot*, their position in ``(rank, tstart,
     eid)`` order; node ``2 * slot`` is an event's entry and
     ``2 * slot + 1`` its exit, so node numbers follow program order
-    within a rank.
+    within a rank.  The index keeps the trace's event columns, not the
+    trace, so the trace's analysis memo can hold it.
     """
 
     def __init__(self, trace: Trace):
-        ct = self._columnar = trace.columnar
+        ct = trace.columnar
         c = ct.columns
+        self._events = ColumnarTrace(
+            ct.nranks, columns={name: c[name] for name, _ in EVENT_COLUMNS},
+            kinds=ct.kinds, roles=ct.roles, match_keys=ct.match_keys)
         self.nranks = nranks = trace.nranks
         order = self._order = np.lexsort(
             (c["ev_eid"], c["ev_tstart"], c["ev_rank"]))
@@ -226,11 +235,11 @@ class HappensBefore:
 
     def _cycle_error(self, slot: int) -> AnalysisError:
         """One-line diagnosis naming the MPI event at ``slot``."""
-        c, row = self._columnar.columns, self._order[slot]
+        c, row = self._events.columns, self._order[slot]
         return AnalysisError(
             f"MPI events contradict program order: happens-before "
             f"cycle through rank {int(c['ev_rank'][row])} "
-            f"{self._columnar.kinds[c['ev_kind_id'][row]]} "
+            f"{self._events.kinds[c['ev_kind_id'][row]]} "
             f"(eid {int(c['ev_eid'][row])})")
 
     # -- queries -----------------------------------------------------------------
@@ -238,13 +247,13 @@ class HappensBefore:
     @cached_property
     def events_by_rank(self) -> list[list[MPIEvent]]:
         """Each rank's MPI events in program order."""
-        events = build_events(self._columnar, self._order)
+        events = build_events(self._events, self._order)
         return [events[lo:hi]
                 for lo, hi in zip(self._bounds, self._bounds[1:])]
 
     @cached_property
     def _slot_of(self) -> dict[int, int]:
-        eids = self._columnar.columns["ev_eid"][self._order]
+        eids = self._events.columns["ev_eid"][self._order]
         return dict(zip(eids.tolist(), range(eids.size)))
 
     def _reach(self, slot: int) -> dict[int, int]:
@@ -347,22 +356,22 @@ class RaceReport:
 
 
 def validate_race_freedom(
-        trace: Trace,
+        order: HappensBefore,
         pairs: "AccessPairs | Iterable[tuple[AccessRecord, AccessRecord]]",
         *, raise_on_race: bool = False) -> RaceReport:
     """Check §5.2's two assumptions on conflicting access pairs.
 
-    ``pairs`` should be timestamp-ordered (first.tstart <= second.tstart),
-    e.g. the (first, second) pairs of detected conflicts, given as
-    record pairs or as :class:`~repro.core.records.AccessPairs` columns
-    (then records are built only for the pairs the report lists).  For
-    each pair we verify the program's synchronization orders the two
-    accesses, and that the order matches timestamp order.
+    ``order`` is the run's :class:`HappensBefore`.  ``pairs`` should be
+    timestamp-ordered (first.tstart <= second.tstart), e.g. the (first,
+    second) pairs of detected conflicts, given as record pairs or as
+    :class:`~repro.core.records.AccessPairs` columns (then records are
+    built only for the pairs the report lists).  For each pair we verify
+    the program's synchronization orders the two accesses, and that the
+    order matches timestamp order.
     """
     if not isinstance(pairs, AccessPairs):
         pairs = AccessPairs.of(pairs)
-    hb = HappensBefore(trace)
-    ordered = hb.times_ordered
+    ordered = order.times_ordered
     unsynchronized, disagreements = [], []
     for k, (ra, rb, sa, sb, ea, eb) in enumerate(zip(
             *pairs.rank.tolist(), *pairs.tstart.tolist(),

@@ -130,9 +130,7 @@ def is_creating_open(func: str, args: dict) -> bool:
     return bool(int(args.get("flags", 0)) & F.O_CREAT) and not existed
 
 
-def detect_metadata_conflicts(trace: Trace, *,
-                              max_conflicts: int | None = None,
-                              ) -> MetadataConflictSet:
+def detect_metadata_conflicts(trace: Trace) -> MetadataConflictSet:
     """Find namespace produce/consume pairs in timestamp order.
 
     Only the POSIX rows the namespace function mask selects are visited.
@@ -160,8 +158,6 @@ def detect_metadata_conflicts(trace: Trace, *,
             rows.tolist(), *(c[name][rows].tolist() for name in (
                 "rid", "rank", "func_id", "path_id", "tstart",
                 "flags"))):
-        if max_conflicts is not None and len(out) >= max_conflicts:
-            break
         func = ct.funcs[func_id]
         path = ct.paths[path_id]
         op = NamespaceOp(rid, rank, func, tstart)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.advisor import FixSuggestion, suggest_fixes
+# a report builds its HappensBefore through the module attribute, so
+# instrumentation that wraps that attribute sees every build
+from repro.core import happens_before as hb_module
 from repro.core.conflicts import (
+    LABELS,
     ConflictSet,
     VisibilityIndex,
     detect_conflicts,
@@ -38,7 +41,11 @@ from repro.core.semantics import (
     object_store_compatible,
     weakest_sufficient_semantics,
 )
-from repro.core.happens_before import RaceReport, validate_race_freedom
+from repro.core.happens_before import (
+    HappensBefore,
+    RaceReport,
+    validate_race_freedom,
+)
 from repro.obs import registry as obs
 from repro.tracer.profile import TraceProfile, profile_trace
 from repro.tracer.trace import Trace
@@ -102,18 +109,17 @@ class RunReport:
         """Open/close/commit timelines, shared by every model."""
         return VisibilityIndex(self.trace)
 
-    def conflicts(self, semantics: Semantics,
-                  max_per_file: int | None = 10_000) -> ConflictSet:
-        """The conflicts under one model, at most ``max_per_file`` per
-        file.  The models share one overlap sweep and the timelines."""
+    def conflicts(self, semantics: Semantics) -> ConflictSet:
+        """Every conflict under one model.  The models share one overlap
+        sweep and the timelines."""
         memo = self.trace.columnar.memo
-        key = ("conflicts", semantics, max_per_file)
+        key = ("conflicts", semantics)
         if key not in memo:
             vis, tables = self.visibility, self.tables
             timer = f"core.conflicts.{semantics.name.lower()}_seconds"
             with obs.current().timer(timer).time():
                 memo[key] = detect_conflicts(
-                    vis, tables, semantics, max_per_file,
+                    vis, tables, semantics,
                     shared=memo.setdefault("shared", {}))
         return memo[key]
 
@@ -150,6 +156,12 @@ class RunReport:
         relevant for relaxed-*metadata* systems like GekkoFS/BatchFS)."""
         return detect_metadata_conflicts(self.trace)
 
+    @_stage("core.hb_build_seconds")
+    def happens_before(self) -> HappensBefore:
+        """The run's communication order (§5.2), which the race check
+        and the lint rules query."""
+        return hb_module.HappensBefore(self.trace)
+
     # -- verdicts ---------------------------------------------------------------
 
     def weakest_sufficient_semantics(
@@ -169,11 +181,6 @@ class RunReport:
             self.conflicts_by_model,
             same_process_ordering=same_process_ordering)
 
-    def suggested_fixes(self, semantics: Semantics = Semantics.SESSION
-                        ) -> list[FixSuggestion]:
-        """§4.1 repair advice for this run's conflicts under a model."""
-        return suggest_fixes(self.conflicts(semantics), semantics)
-
     def overlap_matrix(self, path: str):
         """The paper's rank-pair overlap table ``P[r_i, r_j]`` for one
         file (Algorithm 1's output form)."""
@@ -183,8 +190,9 @@ class RunReport:
                  *, raise_on_race: bool = False) -> RaceReport:
         """§5.2 validation: conflicting pairs must be synchronized."""
         pairs = self.conflicts(semantics).access_pairs()
+        order = self.happens_before
         with obs.current().timer("core.hb_seconds").time():
-            return validate_race_freedom(self.trace, pairs,
+            return validate_race_freedom(order, pairs,
                                          raise_on_race=raise_on_race)
 
     # -- presentation ---------------------------------------------------------------
@@ -240,9 +248,10 @@ class RunReport:
                          f"semantics: {len(cs)}"
                          + (f" [{', '.join(k for k, v in cs.flags.items() if v)}]"
                             if cs else ""))
-            for path, items in sorted(cs.by_path().items()):
-                kinds = sorted({c.label for c in items})
-                lines.append(f"  {path}: {len(items)} "
+            for f in cs.files:
+                cells = set((2 * ~f.waw + ~f.same).tolist())
+                kinds = sorted(LABELS[i] for i in cells)
+                lines.append(f"  {f.table.path}: {len(f.first)} "
                              f"({', '.join(kinds)})")
         mc = self.metadata_conflicts
         lines.append(f"Metadata produce/consume dependencies: {len(mc)} "

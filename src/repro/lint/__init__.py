@@ -13,20 +13,17 @@ Layout:
 * :mod:`~repro.lint.diagnostics` — severities, diagnostics, reports;
 * :mod:`~repro.lint.registry` — the rule base class and discovery
   registry (``@register_rule``, mirroring :mod:`repro.apps.registry`);
-* :mod:`~repro.lint.context` — lazily shared analysis artifacts
-  (access tables, visibility index, happens-before clocks);
-* :mod:`~repro.lint.rules` — the built-in rule catalogue L001–L010;
+* :mod:`~repro.lint.context` — the run report the rules share (access
+  tables, conflict sets, happens-before order) plus the POSIX records;
+* :mod:`~repro.lint.rules` — the built-in rule catalogue L001–L011;
 * :mod:`~repro.lint.reporters` — text and stable-JSON rendering;
 * :mod:`~repro.lint.runner` — ``lint_trace`` / ``lint_variant`` /
-  ``lint_all`` / ``lint_columnar`` drivers;
-* :mod:`~repro.lint.crossval` — the zero-false-negative contract
-  against the replay-based :mod:`repro.core.conflicts` pipeline.
+  ``lint_all`` / ``lint_columnar`` drivers.
 
 CLI: ``python -m repro.study lint <app|--all> [--format json]``.
 """
 
 from repro.lint.context import LintContext
-from repro.lint.crossval import CrossValidation, crossvalidate_trace
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.registry import (
     LintRule,
@@ -44,14 +41,12 @@ from repro.lint.runner import (
 )
 
 __all__ = [
-    "CrossValidation",
     "Diagnostic",
     "LintContext",
     "LintReport",
     "LintRule",
     "Severity",
     "all_rules",
-    "crossvalidate_trace",
     "get_rule",
     "lint_all",
     "lint_columnar",

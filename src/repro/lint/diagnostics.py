@@ -137,12 +137,6 @@ class LintReport:
         return not self.diagnostics
 
     @property
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
-    @property
     def exit_code(self) -> int:
         """CLI contract: non-zero iff any ERROR diagnostic."""
         return 1 if self.errors else 0

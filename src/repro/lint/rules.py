@@ -1,10 +1,9 @@
 """Built-in lint rules: the consistency-semantics rule catalogue.
 
 Each rule is one static pass over the trace (and, for the race rules,
-the happens-before partial order).  The data-hazard rules reuse the §5.2
-conflict conditions verbatim — that is what guarantees the linter's
-verdicts are a *superset* of the replay-based Table 4 pipeline (zero
-false negatives, pinned by the cross-validation tests).
+the happens-before partial order).  The data-hazard rules render the
+run report's conflict sets, so their pairs are the Table 4 pipeline's
+pairs, and the race rule renders the report's §5.2 race check.
 
 Catalogue (see ``docs/linting.md`` for the long-form write-up):
 
@@ -130,52 +129,40 @@ class UnorderedRaceRule(LintRule):
                "chain ordering the two accesses (true data races)")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        potential = ctx.conflicts(Semantics.EVENTUAL).cross_process_only
-        if not potential:
-            return
-        races: dict[tuple[str, str], list[Conflict]] = {}
-        skewed: dict[str, list[Conflict]] = {}
-        seen: set[tuple[int, int]] = set()
-        for c in potential:
-            key = conflict_pair_ids(c)
-            if key in seen:
-                continue
-            seen.add(key)
-            forward = ctx.pair_ordered(c.first, c.second)
-            backward = ctx.pair_ordered_backward(c.first, c.second)
-            if not forward and not backward:
-                races.setdefault((c.path, c.label), []).append(c)
-            elif backward and not forward:
-                skewed.setdefault(c.path, []).append(c)
+        # the §5.2 check over every potential conflict: a same-process
+        # pair is always ordered, so every pair it lists is cross-process
+        race = ctx.validate(Semantics.EVENTUAL)
+        races: dict[tuple[str, str], list] = {}
+        for a, b in race.unsynchronized:
+            label = f"{'WAW' if b.is_write else 'RAW'}-D"
+            races.setdefault((a.path, label), []).append((a, b))
+        skewed: dict[str, list] = {}
+        for a, b in race.timestamp_disagreements:
+            skewed.setdefault(a.path, []).append((a, b))
         for (path, label), group in sorted(races.items()):
-            first = min(group, key=lambda c: c.first.tstart)
-            ranks = tuple(sorted({r for c in group
-                                  for r in (c.first.rank, c.second.rank)}))
+            a, b = min(group, key=lambda pair: pair[0].tstart)
+            ranks = tuple(sorted({r.rank for pair in group for r in pair}))
             yield self.diagnostic(
                 Severity.ERROR,
                 f"{len(group)} {label} conflicting pair(s) on {path} "
                 f"are not ordered by any communication chain: the "
                 f"outcome is timing-dependent on every relaxed PFS",
                 path=path, kind=label, ranks=ranks,
-                events=conflict_pair_ids(first), time=first.first.tstart,
-                count=len(group),
+                events=(a.rid, b.rid), time=a.tstart, count=len(group),
                 fixits=("synchronize the two accesses (barrier, "
                         "send/recv, or collective) before relying on "
                         "any consistency model",),
-                data={"pairs": sorted(
-                    list(conflict_pair_ids(c)) for c in group)})
+                data={"pairs": sorted([x.rid, y.rid] for x, y in group)})
         for path, group in sorted(skewed.items()):
-            first = min(group, key=lambda c: c.first.tstart)
+            a, b = min(group, key=lambda pair: pair[0].tstart)
             yield self.diagnostic(
                 Severity.WARNING,
                 f"{len(group)} pair(s) on {path} are synchronized "
                 f"opposite to their timestamp order: clock skew makes "
                 f"the trace timeline untrustworthy here",
                 path=path, kind="clock-skew",
-                events=conflict_pair_ids(first), time=first.first.tstart,
-                count=len(group),
-                data={"pairs": sorted(
-                    list(conflict_pair_ids(c)) for c in group)})
+                events=(a.rid, b.rid), time=a.tstart, count=len(group),
+                data={"pairs": sorted([x.rid, y.rid] for x, y in group)})
 
 
 @register_rule
@@ -189,11 +176,12 @@ class MissingCommitOnHandoffRule(LintRule):
                "with no commit operation publishing the written bytes")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+        order = ctx.happens_before
         handoffs: dict[str, list[Conflict]] = {}
         for c in ctx.conflicts(Semantics.COMMIT):
             if c.kind is not ConflictKind.RAW or not is_cross_process(c):
                 continue
-            if ctx.pair_ordered(c.first, c.second):
+            if order.access_ordered(c.first, c.second):
                 handoffs.setdefault(c.path, []).append(c)
         for path, group in sorted(handoffs.items()):
             first = min(group, key=lambda c: c.first.tstart)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.apps.registry import RunVariant, all_variants
+from repro.core.report import analyze
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import LintReport
 from repro.lint.registry import LintRule, resolve_rules
@@ -30,6 +31,9 @@ def lint_trace(trace: Trace, rules: Sequence[LintRule | str] | None = None,
             resolved.extend(resolve_rules([rule]))
         else:
             resolved.append(rule)
+    # analyze() validates the trace once; the context, a report of the
+    # same trace, shares its analysis
+    analyze(trace)
     ctx = LintContext(trace)
     report = LintReport(
         label=label if label is not None else ctx.name,

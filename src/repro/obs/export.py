@@ -44,7 +44,11 @@ def parse_jsonl(text: str) -> tuple[MetricsRegistry, list[dict]]:
         if not isinstance(doc, dict):
             raise ValueError(f"line {lineno} is not a JSON object")
         if "metric" in doc:
-            snapshot[doc.pop("metric")] = doc
+            name = doc.pop("metric")
+            if not isinstance(name, str):
+                raise ValueError(
+                    f"line {lineno}: metric name {name!r} is not a string")
+            snapshot[name] = doc
         else:
             trace_records.append(doc)
     registry.merge(snapshot)

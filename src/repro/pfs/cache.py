@@ -44,12 +44,6 @@ class CacheStats:
         """Application writes per server transfer (1.0 = no benefit)."""
         return self.write_requests / self.flushes if self.flushes else 0.0
 
-    @property
-    def read_hit_rate(self) -> float:
-        if not self.read_requests:
-            return 0.0
-        return self.read_hits / self.read_requests
-
 
 @dataclass
 class _WriteBuffer:

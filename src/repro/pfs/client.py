@@ -169,21 +169,6 @@ class PFSimulator:
                        target=f"client:{event.client}",
                        detail=f"{len(lost)} dirty buffer(s)")
 
-    def fault_summary(self) -> dict[str, int]:
-        """Per-run fault tallies, from the stores (ground truth)."""
-        discarded = torn_visible = crash_records = 0
-        for st in self.files.values():
-            crash_records += len(st.crashes)
-            discarded += sum(len(r.discarded) + len(r.torn)
-                             for r in st.crashes)
-            torn_visible += sum(1 for e in st.extents
-                                if e.torn and e.live)
-        return {"crash_records": crash_records,
-                "extents_rolled_back": discarded,
-                "torn_extents_visible": torn_visible,
-                "retries": self.stats.retries,
-                "giveups": self.stats.giveups}
-
     # -- end-of-run ------------------------------------------------------------
 
     def settle(self) -> dict[str, bytes]:

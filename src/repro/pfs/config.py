@@ -110,9 +110,3 @@ class PFSConfig:
     def locks_for(self, path: str) -> int:
         """MDS lock round trips charged per read/write on ``path``."""
         return 1 if self.semantics_for(path) is Semantics.STRONG else 0
-
-    @property
-    def locks_per_data_op(self) -> int:
-        """MDS lock round trips charged per read/write under the base
-        model (per-path overrides may differ; see :meth:`locks_for`)."""
-        return 1 if self.semantics is Semantics.STRONG else 0

@@ -1,11 +1,10 @@
-"""Content-addressed result cache for study/chaos/crossvalidate cells.
+"""Content-addressed result cache for study and chaos cells.
 
 The study's evaluation matrix is embarrassingly parallel *and* highly
 repetitive: the same (application, configuration, seed) cell is re-run
-by ``study all``, the chaos matrix, cross-validation, benchmarks, and
-CI, even though its result is a pure function of the cell parameters
-and the analysis code.  This module makes that function memoizable on
-disk.
+by ``study all``, the chaos matrix, benchmarks, and CI, even though
+its result is a pure function of the cell parameters and the analysis
+code.  This module makes that function memoizable on disk.
 
 A cache key is the SHA-256 of a canonical-JSON *key material* document
 containing:

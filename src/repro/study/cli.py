@@ -8,7 +8,6 @@ Usage::
                               [--no-cache] [--stats]
     python -m repro.study lint <app|--all> [--format text|json]
     python -m repro.study chaos [--app NAME[/LIB]]... [--all] [--jobs N]
-    python -m repro.study crossvalidate <app|--all> [--jobs N]
     python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
@@ -23,8 +22,7 @@ from the content-addressed result cache (``.repro-cache/``), with
 byte-identical output for every jobs/cache combination.  The ``lint``
 subcommand runs the static consistency-semantics linter
 (:mod:`repro.lint`); ``chaos`` replays traces under a deterministic
-fault matrix (:mod:`repro.pfs.chaos`); ``crossvalidate`` checks the
-linter against the replay-based oracle; ``roundtrip`` checks the
+fault matrix (:mod:`repro.pfs.chaos`); ``roundtrip`` checks the
 ``.rtrc`` trace format is lossless; ``fingerprint`` prints the code
 fingerprint cache keys embed (CI keys its cache restore on it);
 ``cache`` inspects and prunes the content-addressed result store.
@@ -40,7 +38,7 @@ Exit codes are uniform across every subcommand:
 
 * **0** — ran to completion, nothing to report;
 * **1** — a real finding or failure (ERROR diagnostics, an unsound
-  chaos cell, a cross-validation false negative);
+  chaos cell, a damaged ``.rtrc`` file);
 * **2** — usage error (unknown application/library/plan/rule, bad
   flag combination, ``--nranks < 1``, ``--seed < 0`` or ``--jobs < 0``,
   an ``--out`` that cannot be written).
@@ -107,8 +105,8 @@ def _resolve_variants(entries: list[str] | None, all_flag: bool):
 
     Every subcommand resolves configurations through this one helper so
     unknown names and empty filters fail identically (message to
-    stderr, exit code 2) across ``lint``, ``chaos``, ``crossvalidate``
-    and the single-app default mode.
+    stderr, exit code 2) across ``lint``, ``chaos`` and the single-app
+    default mode.
     """
     from repro.apps.registry import APPLICATIONS, find_spec
 
@@ -276,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         "all": all_main,
         "lint": lint_main,
         "chaos": chaos_main,
-        "crossvalidate": crossvalidate_main,
         "fingerprint": fingerprint_main,
         "roundtrip": roundtrip_main,
         "metrics": metrics_main,
@@ -605,69 +602,6 @@ def chaos_main(argv: list[str] | None = None) -> int:
         text = (report.to_json() if args.format == "json"
                 else report.to_text())
         return _emit(args, text, ok=report.ok, run=run, cache=cache)
-
-
-@_usage_guard
-def crossvalidate_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study crossvalidate`` — lint vs replay oracle.
-
-    Exit codes: 0 no false negatives, 1 the linter missed a pair the
-    replay pipeline reports (its zero-false-negative contract is
-    broken), 2 usage.
-    """
-    import json
-
-    from repro.study.parallel import crossval_task, run_matrix, variant_cell
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study crossvalidate",
-        description="Cross-validate the static linter against the "
-                    "replay-based conflict and durability oracles.")
-    _add_selection_args(parser, "check")
-    _add_matrix_args(parser)
-    _add_output_args(parser)
-    args = parser.parse_args(argv)
-
-    variants = _selected_variants(args)
-    with _matrix_scope(args) as cache:
-        run = run_matrix(
-            "crossval-cell", [variant_cell(v, args.nranks, args.seed)
-                              for v in variants],
-            crossval_task, jobs=_matrix_jobs(args), cache=cache)
-        cells = run.payloads
-        ok = all(c["ok"] for c in cells)
-        if args.format == "json":
-            text = json.dumps({"nranks": args.nranks, "seed": args.seed,
-                               "cells": cells, "ok": ok},
-                              sort_keys=True, indent=2)
-        else:
-            text = _crossval_text(cells)
-        return _emit(args, text, ok=ok, run=run, cache=cache)
-
-
-def _crossval_text(cells: list[dict]) -> str:
-    lines = [f"{'configuration':<26} {'pairs':>6} {'missed':>7} "
-             f"{'extras':>7}  status"]
-    lines.append("-" * len(lines[0]))
-    for cell in cells:
-        pairs = (cell["hazards"]["checked_pairs"]
-                 + cell["durability"]["checked_pairs"])
-        missed = (len(cell["hazards"]["false_negatives"])
-                  + len(cell["durability"]["false_negatives"]))
-        extras = (len(cell["hazards"]["extras"])
-                  + len(cell["durability"]["extras"]))
-        status = "ok" if cell["ok"] else "FALSE NEGATIVES"
-        lines.append(f"{cell['label']:<26} {pairs:>6} {missed:>7} "
-                     f"{extras:>7}  {status}")
-    bad = [c for c in cells if not c["ok"]]
-    lines.append("")
-    lines.append(f"{len(cells)} configurations, "
-                 f"{len(bad)} with false negatives")
-    for cell in bad:
-        for msg in (cell["hazards"]["false_negatives"]
-                    + cell["durability"]["false_negatives"]):
-            lines.append(f"  {msg}")
-    return "\n".join(lines)
 
 
 @_usage_guard

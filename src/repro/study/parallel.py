@@ -25,9 +25,8 @@ path.
 
 Layered on the cache, :func:`run_matrix` gives every caller the same
 incremental contract: probe the cache in the parent, fan out only the
-misses, store what was computed.  ``study all``, ``study chaos``,
-``study crossvalidate``, the benchmarks, and CI all go through this one
-entry point.
+misses, store what was computed.  ``study all``, ``study chaos``, the
+benchmarks, and CI all go through this one entry point.
 """
 
 from __future__ import annotations
@@ -294,14 +293,6 @@ def chaos_variant_task(task: tuple) -> dict:
             "cells": [c.to_dict() for c in cells]}
 
 
-def crossval_task(task: tuple) -> dict:
-    """(variant, nranks, seed) -> lint-vs-replay cross-validation cell."""
-    from repro.lint.crossval import crossvalidate_variant
-
-    variant, nranks, seed = task
-    return crossvalidate_variant(variant, nranks=nranks, seed=seed)
-
-
 def workflow_task(task: tuple) -> dict:
     """(producer ranks, reader ranks, seed) -> workflow summary cell."""
     from repro.study.workflows import canonical_workflow, workflow_summary
@@ -317,7 +308,6 @@ __all__ = [
     "CellSpec",
     "MatrixRun",
     "chaos_variant_task",
-    "crossval_task",
     "resolve_jobs",
     "run_matrix",
     "study_cell_task",

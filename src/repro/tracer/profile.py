@@ -62,10 +62,6 @@ class FileProfile:
     def is_shared(self) -> bool:
         return len(self.ranks) > 1
 
-    @property
-    def total_ops(self) -> int:
-        return self.reads + self.writes + self.metadata_ops + self.opens
-
 
 @dataclass
 class TraceProfile:

@@ -101,19 +101,6 @@ class IntervalSet:
         self._stops = np.fromiter((i.stop for i in merged), dtype=np.int64,
                                   count=len(merged))
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def _from_arrays(cls, starts: np.ndarray, stops: np.ndarray) -> "IntervalSet":
-        out = cls()
-        out._starts = np.asarray(starts, dtype=np.int64)
-        out._stops = np.asarray(stops, dtype=np.int64)
-        return out
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "IntervalSet":
-        return cls(Interval(a, b) for a, b in pairs)
-
     # -- basic protocol --------------------------------------------------------
 
     def __iter__(self) -> Iterator[Interval]:

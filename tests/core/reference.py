@@ -599,17 +599,12 @@ def file_conflicts(table: AccessTable, vis, semantics: Semantics):
 
 
 def detect_conflicts_objects(vis, tables: dict[str, AccessTable],
-                             semantics: Semantics,
-                             max_conflicts_per_file: int | None = None,
-                             ) -> ReferenceConflictSet:
-    """Conflict detection with every kept pair built as an object, at
-    most ``max_conflicts_per_file`` per file, the earliest first."""
+                             semantics: Semantics) -> ReferenceConflictSet:
+    """Conflict detection with every pair built as an object."""
     out: list[Conflict] = []
-    keep = slice(max_conflicts_per_file)
     for path in sorted(tables):
         table = tables[path]
-        first, second, waw, same = (
-            a[keep] for a in file_conflicts(table, vis, semantics))
+        first, second, waw, same = file_conflicts(table, vis, semantics)
         if not len(first):
             continue
         rows, index = np.unique(np.r_[first, second], return_inverse=True)

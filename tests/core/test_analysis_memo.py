@@ -1,11 +1,11 @@
 """The analysis of a trace is computed once and holds no trace alive.
 
 ``analyze`` memoizes every ``RunReport`` stage on the trace's columnar
-form, so a study cell and a later race check of the same trace share
-offsets, tables, timelines and conflict sets.  Each conflict kernel runs
-once per trace, however many files the trace has.  The memo holds arrays,
-never the trace: a pass run with the cyclic collector off must free
-every trace it made.
+form, so a study cell, a later race check and a lint run of the same
+trace share offsets, tables, timelines, conflict sets and the
+happens-before order.  Each conflict kernel runs once per trace, however
+many files the trace has.  The memo holds arrays, never the trace: a
+pass run with the cyclic collector off must free every trace it made.
 """
 
 import gc
@@ -16,8 +16,10 @@ import pytest
 
 from repro.apps.registry import all_variants
 from repro.core import conflicts, report
+from repro.core.happens_before import HappensBefore
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
+from repro.lint import lint_trace
 from repro.study.runner import SUMMARY_SEMANTICS, cell_summary
 from repro.tracer.trace import Trace
 
@@ -31,8 +33,9 @@ STAGES = [(report, name) for name in (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of the stage functions (and of ``Trace.validate``),
-    keyed by name; ``detect_conflicts`` is keyed by model too."""
+    """Call counts of the stage functions (and of ``Trace.validate`` and
+    of every ``HappensBefore`` build, however it is reached), keyed by
+    name; ``detect_conflicts`` is keyed by model too."""
     counted = Counter()
 
     def counting(name, fn):
@@ -49,6 +52,8 @@ def calls(monkeypatch):
                             counting(name, getattr(module, name)))
     monkeypatch.setattr(Trace, "validate",
                         counting("validate", Trace.validate))
+    monkeypatch.setattr(HappensBefore, "__init__",
+                        counting("HappensBefore", HappensBefore.__init__))
     return counted
 
 
@@ -65,9 +70,28 @@ def test_analyzing_a_trace_twice_runs_each_stage_once(variant_by_label,
         "validate": 1, "reconstruct_offsets": 1, "group_by_path": 1,
         "VisibilityIndex": 1, "classify_sharing": 1,
         "detect_metadata_conflicts": 1, "validate_race_freedom": 1,
+        "HappensBefore": 1,
         # one overlap sweep per trace, shared by the byte-level models
         "find_overlaps": 1,
         **{("detect_conflicts", s): 1 for s in SUMMARY_SEMANTICS}})
+
+
+def test_a_summarized_race_checked_and_linted_trace_is_analyzed_once(
+        variant_by_label, calls):
+    """Lint reads the report's conflict sets and happens-before order:
+    it runs no conflict model and builds no order of its own."""
+    variant = variant_by_label["FLASH-HDF5 fbs"]
+    trace = variant.run(nranks=4, seed=7)
+    cell_summary(variant, trace, seed=7)
+    analyze(trace).validate(Semantics.SESSION)
+    assert lint_trace(trace).for_rule("session-hazard")
+    # detect_conflicts is the one stage counted per (name, model)
+    assert {k: n for k, n in calls.items() if isinstance(k, tuple)} == {
+        ("detect_conflicts", s): 1 for s in SUMMARY_SEMANTICS}
+    assert calls["HappensBefore"] == 1
+    assert calls["find_overlaps"] == 1
+    # the race check, then lint's unordered-race rule
+    assert calls["validate_race_freedom"] == 2
 
 
 #: the conflict kernels, each run once per trace (and per model)
@@ -104,16 +128,14 @@ def test_reports_of_one_trace_share_stage_results(variant_by_label):
     assert a is not b
     assert a.tables is b.tables and a.visibility is b.visibility
     assert a.conflicts(Semantics.COMMIT) is b.conflicts(Semantics.COMMIT)
-    # a different cap is a different set, over the same candidates
-    uncapped = a.conflicts(Semantics.COMMIT, max_per_file=None)
-    assert uncapped is not a.conflicts(Semantics.COMMIT)
-    assert list(uncapped) == list(a.conflicts(Semantics.COMMIT))
+    assert a.happens_before is b.happens_before
 
 
 def test_a_pass_with_the_cyclic_collector_off_frees_its_traces():
     """One ``campaign`` pass at a small scale: each configuration traced,
     summarized and race-checked, with the cyclic collector off, as the
-    benchmark runs it.  No trace of the pass may outlive it."""
+    benchmark runs it, then linted.  No trace of the pass may outlive
+    it."""
     alive = []
 
     def unit(variant):
@@ -121,6 +143,7 @@ def test_a_pass_with_the_cyclic_collector_off_frees_its_traces():
         alive.append(weakref.ref(trace.columnar))
         cell_summary(variant, trace, seed=7)
         analyze(trace).validate(Semantics.SESSION)
+        lint_trace(trace)
 
     gc.collect()
     gc.disable()

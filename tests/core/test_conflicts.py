@@ -58,8 +58,7 @@ class TraceBuilder:
         return self
 
     def conflicts(self, semantics):
-        return analyze(self.rec.build_trace()).conflicts(
-            semantics, max_per_file=None)
+        return analyze(self.rec.build_trace()).conflicts(semantics)
 
 
 class TestPotentialConflictShape:
@@ -264,16 +263,6 @@ class TestConflictSet:
         cross = cs.cross_process_only
         assert len(cs) > len(cross)
         assert all(c.scope is ConflictScope.DIFFERENT for c in cross)
-
-    def test_max_per_file_cap(self):
-        b = TraceBuilder()
-        b.open(0, "/f").open(1, "/f")
-        for _ in range(10):
-            b.write(0, "/f", 0, 10)
-            b.write(1, "/f", 0, 10)
-        capped = analyze(b.rec.build_trace()).conflicts(
-            Semantics.SESSION, max_per_file=5)
-        assert len(capped) == 5
 
 
 class TestVisibilityIndex:

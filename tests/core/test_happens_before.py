@@ -2,6 +2,7 @@
 
 from repro.core.happens_before import HappensBefore, validate_race_freedom
 from repro.core.records import AccessRecord
+from repro.core.report import analyze
 from repro.errors import AnalysisError, RaceConditionError
 from repro.tracer.recorder import Recorder
 from repro.tracer.trace import Trace
@@ -192,7 +193,7 @@ class TestDegenerateCommunication:
         # send: the cross-rank pair counts as unsynchronized
         trace = EventBuilder().send(0, 1, 1.0).trace()
         report = validate_race_freedom(
-            trace, [(access(0, 0.5), access(1, 2.0))])
+            HappensBefore(trace), [(access(0, 0.5), access(1, 2.0))])
         assert report.checked_pairs == 1
         assert not report.race_free
 
@@ -213,8 +214,7 @@ class TestDegenerateCommunication:
                   if f"rank {e.rank} {e.kind} (eid {e.eid})" in message)
         assert ev.kind in ("send", "recv")
         with pytest.raises(AnalysisError):
-            validate_race_freedom(trace, [(access(0, 0.5),
-                                           access(1, 3.0))])
+            analyze(trace).validate()
 
     def test_overlapping_events_on_one_rank_are_a_one_line_analysis_error(
             self):
@@ -232,8 +232,7 @@ class TestDegenerateCommunication:
             if ev.rank == 0:
                 assert f"eid {ev.eid}" in message
         with pytest.raises(AnalysisError):
-            validate_race_freedom(trace, [(access(0, 0.5),
-                                           access(1, 3.0))])
+            analyze(trace).validate()
 
     def test_touching_events_are_legal(self):
         # one event may start exactly when the previous one ends (a
@@ -277,19 +276,20 @@ class TestValidateRaceFreedom:
     def test_synchronized_pairs_pass(self):
         trace = EventBuilder().barrier([2.0, 2.0]).trace()
         report = validate_race_freedom(
-            trace, [(access(0, 1.0), access(1, 3.0, write=False))])
+            HappensBefore(trace),
+            [(access(0, 1.0), access(1, 3.0, write=False))])
         assert report.race_free
         assert report.timestamps_trustworthy
         assert report.checked_pairs == 1
 
     def test_unsynchronized_pairs_flagged(self):
-        trace = EventBuilder().trace()
+        hb = HappensBefore(EventBuilder().trace())
         report = validate_race_freedom(
-            trace, [(access(0, 1.0), access(1, 2.0))])
+            hb, [(access(0, 1.0), access(1, 2.0))])
         assert not report.race_free
         with pytest.raises(RaceConditionError):
             validate_race_freedom(
-                trace, [(access(0, 1.0), access(1, 2.0))],
+                hb, [(access(0, 1.0), access(1, 2.0))],
                 raise_on_race=True)
 
     def test_timestamp_disagreement_flagged(self):
@@ -300,7 +300,8 @@ class TestValidateRaceFreedom:
         trace = EventBuilder().send(1, 0, 2.0).recv(0, 1, 3.0).trace()
         early1 = access(1, 1.0)         # before its send at t=2.0
         late0 = access(0, 4.0)          # after its recv at t=3.0
-        report = validate_race_freedom(trace, [(late0, early1)])
+        report = validate_race_freedom(HappensBefore(trace),
+                                       [(late0, early1)])
         assert report.timestamp_disagreements
         assert report.race_free
 

@@ -1,6 +1,5 @@
 """Tests for metadata-usage analysis (Fig. 3) and the run report."""
 
-from repro.apps.registry import find_variant
 from repro.core.metadata import (
     LayerGroup,
     group_of,
@@ -78,18 +77,6 @@ class TestRunReport:
         assert report.conflicts(Semantics.SESSION) is \
             report.conflicts(Semantics.SESSION)
         assert report.accesses is report.accesses
-
-    def test_conflict_memo_is_keyed_by_cap(self):
-        trace = find_variant("FLASH", "HDF5", "fbs").run(nranks=8, seed=7)
-        for caps in ((1, 10_000), (10_000, 1)):
-            report = analyze(trace)
-            got = {cap: report.conflicts(Semantics.EVENTUAL,
-                                         max_per_file=cap)
-                   for cap in caps}
-            assert len(got[1]) == len(got[1].paths)  # one per file
-            assert len(got[10_000]) > len(got[1])
-            assert report.conflicts(Semantics.EVENTUAL,
-                                    max_per_file=1) is got[1]
 
     def test_verdict_and_compatibility(self, harness):
         report = self.build_report(harness)

@@ -143,8 +143,3 @@ class TestOnRealApps:
         mc = study8.find("FLASH-HDF5 fbs").report.metadata_conflicts
         grouped = mc.by_path()
         assert sum(len(v) for v in grouped.values()) == len(mc)
-
-    def test_cap(self, study8):
-        trace = study8.find("FLASH-HDF5 fbs").trace
-        capped = detect_metadata_conflicts(trace, max_conflicts=3)
-        assert len(capped) == 3

@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
+from repro.study.runner import cell_summary
 from repro.tracer.trace import Trace
 
 
@@ -44,6 +45,18 @@ class TestLargerScale:
         primary = report.sharing[0]
         assert primary.xy(32) == "M-1"
         assert str(primary.pattern) == "strided cyclic"
+
+    @pytest.mark.parametrize("label,count", [
+        # one shared checkpoint file: 2p(p-1) WAW-D pairs
+        ("Ckpt-IO-POSIX shared", 50_880),
+        # two restart files, p(p-1)/2 WAW-D pairs each
+        ("ParaDiS-POSIX", 25_440)])
+    def test_object_conflicts_are_counted_in_full_at_160_ranks(
+            self, variant_by_label, label, count):
+        """A cell counts every whole-object pair, though each of these
+        files holds more than 10,000 of them."""
+        cell = cell_summary(variant_by_label[label], nranks=160, seed=7)
+        assert cell["conflicts"]["object"]["count"] == count
 
     def test_clean_app_at_32_ranks(self):
         report = analyze(repro.run("VPIC-IO", nranks=32))

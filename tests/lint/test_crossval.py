@@ -1,20 +1,87 @@
-"""The linter's zero-false-negative contract vs the replay pipeline.
+"""The lint rules against the analyses they report.
 
-Every commit/session conflict pair the Table 4 pipeline reports must
-also be flagged by the corresponding hazard rule, for every registered
-configuration.  This is the tier-1 guarantee that the static analysis
-never understates an application's semantics requirement.
+The hazard rules L001/L002 render the run report's commit and session
+conflict sets: every pair of each set must be flagged, and no other,
+for every registered configuration.  L010 (data-at-risk-on-crash) is
+held to an independent oracle, a fault-free replay of the trace on the
+simulated PFS (:func:`durability_mismatches`).
 """
 
-import pytest
-
+from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.lint import lint_trace, lint_variant
-from repro.lint.crossval import (
-    crossvalidate_durability,
-    crossvalidate_trace,
-    lint_hazard_pairs,
-)
+from repro.pfs.config import PFSConfig
+from repro.pfs.replay import replay_trace
+
+#: which lint rule answers for which semantics model
+HAZARD_RULES = {Semantics.COMMIT: "commit-hazard",
+                Semantics.SESSION: "session-hazard"}
+
+
+def lint_hazard_pairs(report, semantics) -> set[tuple[int, int]]:
+    """All (writer rid, second rid) pairs a hazard rule flagged."""
+    return {(int(a), int(b))
+            for diag in report.for_rule(HAZARD_RULES[semantics])
+            for a, b in diag.data.get("pairs", ())}
+
+
+def hazard_mismatches(trace, report, label: str) -> list[str]:
+    """Pairs the report's conflict sets hold but the hazard rules do
+    not flag, and the other way round."""
+    out = []
+    for semantics, rule in HAZARD_RULES.items():
+        oracle = {(c.first.rid, c.second.rid)
+                  for c in analyze(trace).conflicts(semantics)}
+        flagged = lint_hazard_pairs(report, semantics)
+        name = semantics.name.lower()
+        out += [f"{label}: {name} conflict pair rid{pair} not flagged by "
+                f"{rule}" for pair in sorted(oracle - flagged)]
+        out += [f"{label}: {rule} flagged pair rid{pair}, which is no "
+                f"{name} conflict" for pair in sorted(flagged - oracle)]
+    return out
+
+
+def durability_mismatches(trace, label: str) -> tuple[list[str], int]:
+    """L010 against fault-free replay, exact in both directions at
+    (rank, path) granularity.
+
+    The oracle is :meth:`FileStore.unpublished_extents` after a full
+    replay: a (rank, path) stream holds unpublished bytes at
+    end-of-trace exactly when a crash there would lose data.  Under
+    commit semantics both fsync and close publish, so the oracle must
+    match L010's WARNING tier ("uncommitted"); under session semantics
+    only close publishes, so it must match WARNING ∪ INFO ("unclosed").
+    Returns the mismatches and the number of unpublished streams the
+    replays found.
+    """
+    report = lint_trace(trace, label=label)
+    flagged: dict[str, set[tuple[int, str]]] = {"uncommitted": set(),
+                                                "unclosed": set()}
+    for diag in report.for_rule("data-at-risk-on-crash"):
+        if diag.kind in flagged and diag.path is not None:
+            flagged[diag.kind].add((diag.ranks[0], diag.path))
+    oracles = (
+        (Semantics.COMMIT, flagged["uncommitted"]),
+        (Semantics.SESSION,
+         flagged["uncommitted"] | flagged["unclosed"]),
+    )
+    mismatches, checked = [], 0
+    for semantics, predicted in oracles:
+        sim = replay_trace(trace, PFSConfig(semantics=semantics)).simulator
+        unpublished = {(e.writer, path)
+                       for path, store in sim.files.items()
+                       for e in store.unpublished_extents()}
+        checked += len(unpublished)
+        name = semantics.name.lower()
+        mismatches += [
+            f"{label}: rank {rank} leaves unpublished bytes in {path} "
+            f"under {name} replay but L010 did not flag the stream"
+            for rank, path in sorted(unpublished - predicted)]
+        mismatches += [
+            f"{label}: L010 flagged rank {rank} on {path} but {name} "
+            f"replay shows no unpublished bytes"
+            for rank, path in sorted(predicted - unpublished)]
+    return mismatches, checked
 
 
 class TestCrossValidation:
@@ -22,12 +89,10 @@ class TestCrossValidation:
         failures = []
         checked = 0
         for run in study8:
-            result = crossvalidate_trace(run.trace, label=run.label)
-            checked += result.checked_pairs
-            failures.extend(result.false_negatives)
-            # today the hazard rules reuse the exact §5.2 conditions,
-            # so the comparison is pair-exact, not merely a superset
-            failures.extend(result.extras)
+            report = lint_trace(run.trace, label=run.label)
+            failures += hazard_mismatches(run.trace, report, run.label)
+            checked += sum(len(run.report.conflicts(s))
+                           for s in HAZARD_RULES)
         assert not failures, "\n".join(failures[:20])
         assert checked > 0, "study produced no conflict pairs at all"
 
@@ -71,8 +136,9 @@ class TestFlashVariants:
 
     def test_crossval_ok_for_both_flash_variants(self, flash_reports):
         for label, (_, trace, _) in flash_reports.items():
-            result = crossvalidate_trace(trace, label=label)
-            assert result.ok, result.false_negatives[:5]
+            report = lint_trace(trace, label=label)
+            mismatches = hazard_mismatches(trace, report, label)
+            assert not mismatches, mismatches[:5]
 
 
 class TestDurabilityCrossValidation:
@@ -84,10 +150,7 @@ class TestDurabilityCrossValidation:
     def test_exact_in_both_directions_across_the_study(self, study8):
         failures = []
         for run in study8:
-            result = crossvalidate_durability(run.trace,
-                                              label=run.label)
-            failures.extend(result.false_negatives)
-            failures.extend(result.extras)
+            failures += durability_mismatches(run.trace, run.label)[0]
         assert not failures, "\n".join(failures[:20])
 
     def test_synthetic_risky_program_round_trips(self, run_traced):
@@ -102,15 +165,7 @@ class TestDurabilityCrossValidation:
                 ctx.posix.fsync(fd)       # committed, never closed
 
         trace, _ = run_traced(program, nranks=3)
-        result = crossvalidate_durability(trace, label="synthetic")
-        assert result.ok and not result.extras
+        mismatches, checked = durability_mismatches(trace, "synthetic")
+        assert not mismatches
         # rank 2 risky under both models, rank 1 under session only
-        assert result.checked_pairs == 3
-    @pytest.mark.parametrize("cap", [1, 5, None])
-    def test_superset_holds_for_any_pipeline_cap(self, study8, cap):
-        # the lint side is uncapped, so it must dominate the replay
-        # pipeline whatever per-file cap the pipeline applies
-        run = study8.find("FLASH-HDF5 fbs")
-        result = crossvalidate_trace(run.trace, label=run.label,
-                                     max_conflicts_per_file=cap)
-        assert result.ok, result.false_negatives[:5]
+        assert checked == 3

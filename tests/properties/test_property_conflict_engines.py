@@ -50,7 +50,7 @@ def pair_set(conflicts):
 def assert_matches_reference(trace, semantics_list):
     report = analyze(trace)
     for semantics in semantics_list:
-        fast = report.conflicts(semantics, max_per_file=None)
+        fast = report.conflicts(semantics)
         slow = reference_conflicts(report.visibility, report.tables,
                                    semantics)
         assert pair_set(fast) == pair_set(slow), semantics
@@ -79,9 +79,7 @@ def test_counting_fast_path_matches_detection(events):
     for semantics in Semantics:
         counts = count_conflicts(report.visibility, report.tables,
                                  semantics)
-        expected = Counter(
-            c.label
-            for c in report.conflicts(semantics, max_per_file=None))
+        expected = Counter(c.label for c in report.conflicts(semantics))
         assert counts == {"WAW-S": expected.get("WAW-S", 0),
                           "WAW-D": expected.get("WAW-D", 0),
                           "RAW-S": expected.get("RAW-S", 0),
@@ -138,23 +136,15 @@ def verdicts(by_model):
                for cs in by_model.values() for spo in (True, False)])
 
 
-@given(st.lists(timed_op, min_size=4, max_size=40),
-       st.sampled_from((None, 1, 2, 5)))
+@given(st.lists(timed_op, min_size=4, max_size=40))
 @settings(max_examples=100, deadline=None)
-# the cap keeps a file's earliest *conflicts*: here the earliest
-# candidates are cleared by the fsync under commit semantics
-@example(ops=[("write", 0, "/a", 0, 10, False),
-              ("fsync", 0, "/a", 0, 1, False),
-              ("read", 1, "/a", 0, 10, False),
-              ("write", 1, "/a", 0, 10, False),
-              ("read", 2, "/a", 0, 10, True)], cap=1)
-def test_array_set_equals_object_detector(ops, cap):
+def test_array_set_equals_object_detector(ops):
     report = analyze(build_tied_trace(ops))
     vis, tables = report.visibility, report.tables
     fast_by_model, slow_by_model = {}, {}
     for semantics in Semantics:
-        fast = report.conflicts(semantics, max_per_file=cap)
-        slow = detect_conflicts_objects(vis, tables, semantics, cap)
+        fast = report.conflicts(semantics)
+        slow = detect_conflicts_objects(vis, tables, semantics)
         assert list(fast) == list(slow), semantics
         assert len(fast) == len(slow)
         assert bool(fast) == bool(slow)
@@ -166,8 +156,7 @@ def test_array_set_equals_object_detector(ops, cap):
             p: [c for c in slow if c.path == p] for p in slow.paths}
         fast_by_model[semantics] = fast
         slow_by_model[semantics] = slow
-        counts = Counter(c.label for c in detect_conflicts_objects(
-            vis, tables, semantics))
+        counts = Counter(c.label for c in slow)
         assert count_conflicts(vis, tables, semantics) == {
             label: counts.get(label, 0)
             for label in ("WAW-S", "WAW-D", "RAW-S", "RAW-D")}
@@ -227,8 +216,7 @@ def build_object_trace(ops, first_open):
     return rec.build_trace()
 
 
-@given(st.lists(object_op, min_size=2, max_size=40), first_opens,
-       st.sampled_from((None, 1, 3)))
+@given(st.lists(object_op, min_size=2, max_size=40), first_opens)
 @settings(max_examples=150, deadline=None)
 # rank 0 writes /a again after its close, with no new open: the session
 # publishes at its *last* access's close, after rank 1's open
@@ -237,15 +225,15 @@ def build_object_trace(ops, first_open):
               ("open", 1, "/a", 0, 1, False),
               ("read", 1, "/a", 0, 4, False),
               ("write", 0, "/a", 0, 4, False)],
-         first_open=[0] + [16] * 7, cap=None)
+         first_open=[0] + [16] * 7)
 # rank 1 opens /a at the very time rank 0's PUT closes it, and each
 # rank's access ties with its own open: nothing is cleared
 @example(ops=[("write", 0, "/a", 0, 4, False),
               ("close", 0, "/a", 0, 1, False),
               ("open", 1, "/a", 0, 1, True),
               ("read", 1, "/a", 0, 4, True)],
-         first_open=[0] + [16] * 7, cap=None)
-def test_object_model_equals_rank_by_rank_oracle(ops, first_open, cap):
+         first_open=[0] + [16] * 7)
+def test_object_model_equals_rank_by_rank_oracle(ops, first_open):
     report = analyze(build_object_trace(ops, first_open))
     vis, tables = report.visibility, report.tables
     shared = _Shared(tables, vis)
@@ -264,8 +252,8 @@ def test_object_model_equals_rank_by_rank_oracle(ops, first_open, cap):
         for fast, slow in zip(local, object_conflict_pairs(table, vis)):
             assert fast.dtype == slow.dtype, path
             assert np.array_equal(fast[p_file == f], slow), path
-    fast = report.conflicts(Semantics.OBJECT, max_per_file=cap)
-    slow = detect_conflicts_objects(vis, tables, Semantics.OBJECT, cap)
+    fast = report.conflicts(Semantics.OBJECT)
+    slow = detect_conflicts_objects(vis, tables, Semantics.OBJECT)
     assert list(fast) == list(slow)
 
 
@@ -392,25 +380,25 @@ def test_trace_wide_stages_equal_the_per_file_oracle(ops, singles):
             a, b = getattr(table, name), getattr(slow, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (path, name)
         assert table.records == slow.records
-    # every model, capped and not: each file's arrays, order, counts
-    # and flags come out as the file's own sweep gives them
-    for semantics, cap in product(Semantics, (None, 1, 2)):
-        fast = report.conflicts(semantics, max_per_file=cap)
+    # every model: each file's arrays, order, counts and flags come out
+    # as the file's own sweep gives them
+    for semantics in Semantics:
+        fast = report.conflicts(semantics)
         got = {f.table.path: f for f in fast.files}
         labels = Counter()
         for path, table in tables.items():
-            slow = [a[:cap] for a in file_conflicts(table, vis, semantics)]
+            slow = file_conflicts(table, vis, semantics)
             if not len(slow[0]):
-                assert path not in got, (semantics, cap, path)
+                assert path not in got, (semantics, path)
                 continue
             f = got[path]
             assert f.table is table
             for a, b in zip(f[1:], slow):
                 assert a.dtype == b.dtype and np.array_equal(a, b), \
-                    (semantics, cap, path)
+                    (semantics, path)
             labels.update((2 * ~slow[2] + ~slow[3]).tolist())
         counts = [labels[i] for i in range(4)]
-        assert list(fast.counts.values()) == counts, (semantics, cap)
+        assert list(fast.counts.values()) == counts, semantics
         assert list(fast.flags.values()) == [n > 0 for n in counts]
     # sharing and both pattern mixes
     assert classify_sharing(tables, WIDE_RANKS) == \

@@ -67,7 +67,7 @@ def build_trace(events):
 
 
 def conflicts_for(trace, semantics):
-    cs = analyze(trace).conflicts(semantics, max_per_file=None)
+    cs = analyze(trace).conflicts(semantics)
     return {(c.first.rid, c.second.rid) for c in cs}, cs
 
 

@@ -71,7 +71,10 @@ class TestAlignmentMethod:
     def test_validation_detects_unaligned_inversion(self):
         """The §5.2 race validator flags timestamp/HB disagreement on a
         skew-inverted pair."""
-        from repro.core.happens_before import validate_race_freedom
+        from repro.core.happens_before import (
+            HappensBefore,
+            validate_race_freedom,
+        )
         from repro.core.offsets import reconstruct_offsets
 
         inverted_seed = None
@@ -85,5 +88,6 @@ class TestAlignmentMethod:
             pytest.skip("no inverting skew draw in range")
         accs = sorted(reconstruct_offsets(trace),
                       key=lambda a: a.tstart)
-        report = validate_race_freedom(trace, [(accs[0], accs[1])])
+        report = validate_race_freedom(HappensBefore(trace),
+                                       [(accs[0], accs[1])])
         assert report.timestamp_disagreements

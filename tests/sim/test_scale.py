@@ -26,7 +26,7 @@ import pytest
 
 from repro.apps.base import AppConfig, run_application
 from repro.apps.registry import find_variant
-from repro.core.happens_before import validate_race_freedom
+from repro.core.happens_before import HappensBefore, validate_race_freedom
 from repro.core.report import analyze
 from repro.core.semantics import Semantics
 from repro.obs import registry as obs
@@ -143,7 +143,7 @@ def test_race_validation_at_1024_ranks_in_one_process():
 
     tracemalloc.start()
     try:
-        race = validate_race_freedom(trace, pairs)
+        race = validate_race_freedom(HappensBefore(trace), pairs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

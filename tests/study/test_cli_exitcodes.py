@@ -1,8 +1,8 @@
 """The uniform exit-code contract of ``python -m repro.study``.
 
 Every subcommand exits 0 on success, 1 when the analysis itself finds a
-real problem (lint errors, chaos soundness breaks, cross-validation
-false negatives), and 2 for usage errors — no other codes.  CI relies
+real problem (lint errors, chaos soundness breaks, damaged ``.rtrc``
+files), and 2 for usage errors — no other codes.  CI relies
 on the distinction: a 1 is a finding worth a red build with artifacts,
 a 2 is a broken invocation.
 """
@@ -47,47 +47,44 @@ class TestSuccessExits:
                        "--no-cache"])
         assert rc == EXIT_OK
 
-    def test_crossvalidate_single_app(self, capsys):
-        rc = cli_main(["crossvalidate", "FLASH", "--nranks", "4",
-                       "--no-cache"])
-        assert rc == EXIT_OK
-
 
 class TestFindingExits:
     def test_lint_app_with_errors(self, capsys):
         rc = cli_main(["lint", "FLASH", "--nranks", "4"])
         assert rc == EXIT_FINDINGS
 
-    def test_crossvalidate_false_negative_exits_1(self, capsys,
-                                                   tmp_path):
-        # seed the cache with a fabricated cell whose hazard check
-        # missed a pair: the CLI must surface it as a finding (exit 1)
-        # with the status and the missed pair listed
+    def test_unsound_cached_chaos_cell_exits_1(self, capsys, tmp_path):
+        # seed the cache with a fabricated chaos column whose one cell
+        # holds a corruption no predicted conflict or fault explains:
+        # the CLI must surface it as a finding (exit 1), cell named
         from repro.apps.registry import find_spec
+        from repro.pfs.chaos import (
+            CHAOS_SEMANTICS,
+            CHAOS_STRIPE_SIZE,
+            ChaosCell,
+        )
         from repro.study.cache import ResultCache, cache_key
+        from repro.study.parallel import variant_cell
 
         variant = find_spec("GTC").variants[0]
-        key = cache_key("crossval-cell", label=variant.label,
-                        options=dict(sorted(variant.options.items())),
-                        nranks=2, seed=7)
-        missed = (f"{variant.label}: session conflict pair rid(3, 9) "
-                  f"reported by the replay pipeline but not flagged by "
-                  f"session-hazard")
-        ResultCache(root=tmp_path).put(key, {
-            "label": variant.label, "nranks": 2, "seed": 7,
-            "hazards": {"label": variant.label, "checked_pairs": 1,
-                        "false_negatives": [missed], "extras": [],
-                        "ok": False},
-            "durability": {"label": variant.label, "checked_pairs": 0,
-                           "false_negatives": [], "extras": [],
-                           "ok": True},
-            "ok": False})
-        rc = cli_main(["crossvalidate", "GTC", "--nranks", "2",
+        spec = variant_cell(
+            variant, 2, 7, plans=("fault-free",),
+            semantics=tuple(s.name.lower() for s in CHAOS_SEMANTICS),
+            stripe=CHAOS_STRIPE_SIZE)
+        cell = ChaosCell(label=variant.label, plan="fault-free",
+                         semantics="session",
+                         unattributed=["/gtc/restart.0"])
+        ResultCache(root=tmp_path).put(
+            cache_key("chaos-variant", **spec.key_fields),
+            {"label": variant.label, "cells": [cell.to_dict()]})
+        rc = cli_main(["chaos", "--app", "GTC", "--nranks", "2",
+                       "--plans", "fault-free",
                        "--cache-dir", str(tmp_path)])
         assert rc == EXIT_FINDINGS
         out = capsys.readouterr().out
-        assert "FALSE NEGATIVES" in out
-        assert f"  {missed}" in out.splitlines()
+        assert "UNATTRIBUTED" in out
+        assert out.strip().endswith(
+            f"1 cells, 1 unsound — {variant.label}/fault-free/session")
 
 
 class TestUsageExits:
@@ -100,8 +97,6 @@ class TestUsageExits:
         ["chaos"],
         ["chaos", "--app", "NoSuchApp"],
         ["chaos", "--app", "FLASH/HDF5", "--plans", "nope"],
-        ["crossvalidate"],
-        ["crossvalidate", "NoSuchApp"],
         ["metrics"],
         ["metrics", "/no/such/metrics.json"],
         ["cache"],
@@ -114,14 +109,12 @@ class TestUsageExits:
           for flag, value in (("--nranks", "0"), ("--seed", "-1"))
           for cmd in (["all", "--no-cache"],
                       ["lint", "GTC"],
-                      ["crossvalidate", "GTC", "--no-cache"],
                       ["chaos", "--app", "GTC", "--no-cache"],
                       ["roundtrip", "GTC"],
                       ["metrics", "--collect"],
                       ["--app", "GTC"])),
         *([*cmd, "--jobs", "-1"]
           for cmd in (["all", "--no-cache"],
-                      ["crossvalidate", "GTC", "--no-cache"],
                       ["chaos", "--app", "GTC", "--no-cache"],
                       ["metrics", "--collect"],
                       ["--app", "GTC"])),
@@ -129,6 +122,13 @@ class TestUsageExits:
         ["lint", "GTC", "--nranks", "2", "--out", "."],
         ["chaos", "--app", "GTC", "--nranks", "2", "--no-cache",
          "--out", "."],
+        # the retired crossvalidate subcommand falls through to the
+        # default-mode parser, whatever follows it
+        ["crossvalidate"],
+        ["crossvalidate", "NoSuchApp"],
+        *(["crossvalidate", "GTC", "--no-cache", flag, value]
+          for flag, value in (("--nranks", "0"), ("--seed", "-1"),
+                              ("--jobs", "-1"))),
         ["crossvalidate", "GTC", "--nranks", "2", "--no-cache",
          "--out", "."],
     ], ids=lambda argv: " ".join(argv))
@@ -159,11 +159,12 @@ class TestUsageExits:
         ["request", "healthz", "--port", "1"],
         ["loadtest", "--port", "1"],
         ["staticcheck", "GTC"],
+        ["crossvalidate", "FLASH"],
     ], ids=lambda argv: " ".join(argv))
     def test_retired_subcommands_and_flags(self, capsys, argv):
-        """The partitioned engine, the analysis service and the static
-        plan checker are gone: their words fall through to the
-        default-mode parser."""
+        """The partitioned engine, the analysis service, the static plan
+        checker and the lint cross-validation matrix are gone: their
+        words fall through to the default-mode parser."""
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == EXIT_USAGE
@@ -178,7 +179,8 @@ class TestUsageExits:
 
     def test_metrics_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "m.json"
-        for content in ("this is not json lines\n", "[1, 2]\n", '"x"\n'):
+        for content in ("this is not json lines\n", "[1, 2]\n", '"x"\n',
+                        '{"metric": 5, "type": "counter", "value": 1}\n'):
             f.write_text(content)
             assert cli_main(["metrics", str(f)]) == EXIT_USAGE
             err = capsys.readouterr().err.strip()
@@ -327,13 +329,6 @@ class TestMetricsFlag:
         names = {json.loads(line).get("metric")
                  for line in out.read_text().splitlines()}
         assert any(n and n.startswith("pfs.") for n in names)
-
-    def test_crossvalidate_with_metrics(self, capsys, tmp_path):
-        out = tmp_path / "metrics.json"
-        rc = cli_main(["crossvalidate", "FLASH", "--nranks", "4",
-                       "--metrics", str(out)])
-        assert rc == EXIT_OK
-        assert out.exists()
 
     def test_usage_error_leaves_no_metrics_file(self, capsys,
                                                 tmp_path):

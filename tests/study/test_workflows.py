@@ -104,8 +104,12 @@ class TestCrossStageAnalysis:
         report = analyze(pipeline_result.trace)
         pairs = [(c.first, c.second)
                  for c in report.conflicts(Semantics.EVENTUAL)]
-        from repro.core.happens_before import validate_race_freedom
-        linked = validate_race_freedom(pipeline_result.trace, pairs)
+        from repro.core.happens_before import (
+            HappensBefore,
+            validate_race_freedom,
+        )
+        linked = validate_race_freedom(
+            HappensBefore(pipeline_result.trace), pairs)
         assert linked.race_free
 
         unlinked = run_workflow([
@@ -118,7 +122,7 @@ class TestCrossStageAnalysis:
         report2 = analyze(unlinked.trace)
         pairs2 = [(c.first, c.second)
                   for c in report2.conflicts(Semantics.EVENTUAL)]
-        raced = validate_race_freedom(unlinked.trace, pairs2)
+        raced = validate_race_freedom(HappensBefore(unlinked.trace), pairs2)
         assert not raced.race_free
 
     def test_registered_app_as_producer_stage(self):

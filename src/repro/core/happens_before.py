@@ -361,13 +361,15 @@ def validate_race_freedom(
         *, raise_on_race: bool = False) -> RaceReport:
     """Check §5.2's two assumptions on conflicting access pairs.
 
-    ``order`` is the run's :class:`HappensBefore`.  ``pairs`` should be
-    timestamp-ordered (first.tstart <= second.tstart), e.g. the (first,
-    second) pairs of detected conflicts, given as record pairs or as
-    :class:`~repro.core.records.AccessPairs` columns (then records are
-    built only for the pairs the report lists).  For each pair we verify
-    the program's synchronization orders the two accesses, and that the
-    order matches timestamp order.
+    ``order`` is the run's :class:`HappensBefore`.  ``pairs`` are e.g.
+    the (first, second) pairs of detected conflicts, given as record
+    pairs or as :class:`~repro.core.records.AccessPairs` columns (then
+    records are built only for the pairs the report lists, as given).
+    For each pair we verify the program's synchronization orders the two
+    accesses, and that the order matches timestamp order.  Each pair is
+    checked with its earlier-starting access first, so a pair listed
+    later access first (the object model lists its exemplars in session
+    order) is no clock-skew disagreement.
     """
     if not isinstance(pairs, AccessPairs):
         pairs = AccessPairs.of(pairs)
@@ -376,6 +378,8 @@ def validate_race_freedom(
     for k, (ra, rb, sa, sb, ea, eb) in enumerate(zip(
             *pairs.rank.tolist(), *pairs.tstart.tolist(),
             *pairs.tend.tolist())):
+        if sb < sa:
+            ra, rb, sa, sb, ea, eb = rb, ra, sb, sa, eb, ea
         forward = ordered(ra, sa, ea, rb, sb)
         backward = ordered(rb, sb, eb, ra, sa)
         if not forward and not backward:

@@ -15,12 +15,17 @@ Mechanisms reproduced from the paper:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.errors import AnalysisError
 from repro.mpi.comm import Communicator
 from repro.posix import flags as F
 from repro.posix.api import PosixAPI
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
+
+#: the layer of every record an ADIOS stream emits
+_LAYER = Layer.ADIOS
 
 IDX_FLAG_SIZE = 1
 IDX_RECORD_SIZE = 64
@@ -47,9 +52,13 @@ class AdiosStream:
         self._closed = False
         self.data_fd: int | None = None
         self.idx_fd: int | None = None
+        self._clock = posix.ctx.clock
+        #: entered around every call the handle issues to a lower layer
+        self._in_layer = (nullcontext() if recorder is None else
+                          recorder.in_layer(self.rank, _LAYER))
 
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             posix.getcwd()
             if self.rank == 0:
                 posix.mkdir(self.dirpath)
@@ -72,28 +81,20 @@ class AdiosStream:
                 posix.close(lock)
         self._record("adios2_open", t0)
 
-    def _now(self) -> float:
-        return self.posix.ctx.clock.local_time
-
-    def _as_layer(self):
-        if self.recorder is None:
-            import contextlib
-            return contextlib.nullcontext()
-        return self.recorder.in_layer(self.rank, Layer.ADIOS)
-
     def _record(self, func: str, tstart: float,
                 count: int | None = None) -> None:
         if self.recorder is not None:
-            self.recorder.record(self.rank, Layer.ADIOS, func, tstart,
-                                 self._now(), path=self.dirpath, count=count)
+            self.recorder.record(self.rank, _LAYER, func, tstart,
+                                 self._clock.local_time, path=self.dirpath,
+                                 count=count)
 
     def write_step(self, nbytes: int) -> None:
         """One output step: members ship data to the aggregator, the
         aggregator appends to its subfile, rank 0 updates the index."""
         if self._closed:
             raise AnalysisError(f"ADIOS stream {self.dirpath!r} closed")
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             # the group gathers its block sizes at the aggregator
             # (sub-rank 0 = the group's lowest world rank)
             sizes = self.group_comm.gather(nbytes, root=0)
@@ -118,8 +119,8 @@ class AdiosStream:
     def close(self) -> None:
         if self._closed:
             return
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             if self.data_fd is not None:
                 self.posix.close(self.data_fd)
             if self.idx_fd is not None:

@@ -34,6 +34,7 @@ is also how the analysis sees real HDF5: only through its I/O).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
@@ -43,6 +44,9 @@ from repro.posix import flags as F
 from repro.posix.api import PosixAPI
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
+
+#: the layer of every record an HDF5 handle emits
+_LAYER = Layer.HDF5
 
 SUPERBLOCK = (0, 96)
 ROOT_ENTRY = (96, 64)
@@ -123,9 +127,13 @@ class H5File:
         self._closed = False
         self.mpifile: MPIFile | None = None
         self.fd: int | None = None
+        self._clock = posix.ctx.clock
+        #: entered around every call the handle issues to a lower layer
+        self._in_layer = (nullcontext() if recorder is None else
+                          recorder.in_layer(self.rank, _LAYER))
 
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             if comm is None:
                 if mode == "w":
                     # HDF5 probes the target before creating it...
@@ -171,21 +179,12 @@ class H5File:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _now(self) -> float:
-        return self.posix.ctx.clock.local_time
-
-    def _as_layer(self):
-        if self.recorder is None:
-            import contextlib
-            return contextlib.nullcontext()
-        return self.recorder.in_layer(self.rank, Layer.HDF5)
-
     def _record(self, func: str, tstart: float, *, count: int | None = None,
                 args: dict | None = None) -> None:
         if self.recorder is not None:
-            self.recorder.record(self.rank, Layer.HDF5, func, tstart,
-                                 self._now(), path=self.path, count=count,
-                                 args=args)
+            self.recorder.record(self.rank, _LAYER, func, tstart,
+                                 self._clock.local_time, path=self.path,
+                                 count=count, args=args)
 
     def _meta_owner(self, slot_index: int) -> int:
         """The rank that writes metadata piece ``slot_index``, in O(1).
@@ -235,9 +234,9 @@ class H5File:
         self._check_open()
         if name in self.datasets:
             raise AnalysisError(f"dataset {name!r} already exists")
-        t0 = self._now()
+        t0 = self._clock.local_time
         header_slot = self._meta_cursor
-        with self._as_layer():
+        with self._in_layer:
             for piece in range(PIECES_PER_CREATE):
                 slot = self._meta_cursor
                 slot_index = (slot - FIRST_DSET_SLOT) // META_SLOT_SIZE
@@ -267,9 +266,9 @@ class H5File:
         self._check_open()
         if name in self.datasets:
             raise AnalysisError(f"dataset {name!r} already exists")
-        t0 = self._now()
+        t0 = self._clock.local_time
         header_slot = self._meta_cursor
-        with self._as_layer():
+        with self._in_layer:
             for piece in range(PIECES_PER_CREATE):
                 slot = self._meta_cursor
                 slot_index = (slot - FIRST_DSET_SLOT) // META_SLOT_SIZE
@@ -304,7 +303,7 @@ class H5File:
         self._check_open()
         if ds.name not in self.datasets:
             raise AnalysisError(f"unknown dataset {ds.name!r}")
-        t0 = self._now()
+        t0 = self._clock.local_time
         if data is None:
             data = ds.chunk_bytes
         if isinstance(data, int):
@@ -315,7 +314,7 @@ class H5File:
                 f"({ds.chunk_bytes} B)")
         offset = self._data_cursor
         self._data_cursor += ds.chunk_bytes
-        with self._as_layer():
+        with self._in_layer:
             if self.comm is None:
                 self.posix.pwrite(self.fd, data, offset)
                 # B-tree index node rewrite (same slot every time)
@@ -339,8 +338,8 @@ class H5File:
         if not (0 <= index < len(ds.chunks)):
             raise AnalysisError(
                 f"chunk {index} of {ds.name!r} not written yet")
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             # the library consults the B-tree index first
             self._read_meta(ds.index_slot, META_SLOT_SIZE)
             if self.comm is None:
@@ -365,8 +364,8 @@ class H5File:
         ds = self.datasets.get(name)
         if ds is None:
             raise AnalysisError(f"no dataset {name!r} in {self.path!r}")
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             self._read_meta(ds.header_slot, META_SLOT_SIZE)
         self._record("H5Dopen", t0, args={"name": name})
         return ds
@@ -377,10 +376,10 @@ class H5File:
                       data: "bytes | int") -> int:
         """Independent write of ``data`` at ``offset`` within the dataset."""
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         if isinstance(data, int):
             data = self.posix.payload(data)
-        with self._as_layer():
+        with self._in_layer:
             if self.comm is None:
                 n = self.posix.pwrite(self.fd, data, ds.offset + offset)
             else:
@@ -397,9 +396,9 @@ class H5File:
         self._check_open()
         if self.comm is None:
             raise AnalysisError("collective write requires a communicator")
-        t0 = self._now()
+        t0 = self._clock.local_time
         data = self.posix.payload(nbytes) if nbytes else b""
-        with self._as_layer():
+        with self._in_layer:
             assert self.mpifile is not None
             self.mpifile.write_at_all(ds.offset + offset, data)
         self._dirty = True
@@ -409,8 +408,8 @@ class H5File:
 
     def read_dataset(self, ds: H5Dataset, offset: int, nbytes: int) -> bytes:
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             if self.comm is None:
                 data = self.posix.pread(self.fd, nbytes, ds.offset + offset)
             else:
@@ -430,8 +429,8 @@ class H5File:
         conflicts under commit semantics.
         """
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             if self._dirty and self.mode == "w":
                 root_idx = 0
                 self._write_root_and_eoa(root_idx)
@@ -460,8 +459,8 @@ class H5File:
     def close(self) -> None:
         """``H5Fclose``: final metadata write-out, truncate to EOA, close."""
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             if self._dirty and self.mode == "w":
                 self._write_root_and_eoa(0)
                 self._dirty = False

@@ -9,11 +9,16 @@ Table 4).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.errors import AnalysisError
 from repro.posix import flags as F
 from repro.posix.api import PosixAPI
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
+
+#: the layer of every record a NetCDF file emits
+_LAYER = Layer.NETCDF
 
 HEADER_SIZE = 256
 NUMRECS_OFFSET = 4
@@ -31,8 +36,12 @@ class NetCDFFile:
         self.rank = posix.rank
         self._nrecs = 0
         self._closed = False
-        t0 = self._now()
-        with self._as_layer():
+        self._clock = posix.ctx.clock
+        #: entered around every call the handle issues to a lower layer
+        self._in_layer = (nullcontext() if recorder is None else
+                          recorder.in_layer(self.rank, _LAYER))
+        t0 = self._clock.local_time
+        with self._in_layer:
             # real netCDF checks the target location before creating
             posix.access(path)
             posix.getcwd()
@@ -41,27 +50,19 @@ class NetCDFFile:
             posix.pwrite(self.fd, HEADER_SIZE, 0)
         self._record("nc_create", t0)
 
-    def _now(self) -> float:
-        return self.posix.ctx.clock.local_time
-
-    def _as_layer(self):
-        if self.recorder is None:
-            import contextlib
-            return contextlib.nullcontext()
-        return self.recorder.in_layer(self.rank, Layer.NETCDF)
-
     def _record(self, func: str, tstart: float,
                 count: int | None = None) -> None:
         if self.recorder is not None:
-            self.recorder.record(self.rank, Layer.NETCDF, func, tstart,
-                                 self._now(), path=self.path, count=count)
+            self.recorder.record(self.rank, _LAYER, func, tstart,
+                                 self._clock.local_time, path=self.path,
+                                 count=count)
 
     def append_record(self, nbytes: int) -> None:
         """Write one record's data, then bump ``numrecs`` in the header."""
         if self._closed:
             raise AnalysisError(f"NetCDF file {self.path!r} already closed")
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             offset = HEADER_SIZE + self._nrecs * nbytes
             self.posix.pwrite(self.fd, nbytes, offset)
             # header update: the WAW-S mechanism
@@ -72,8 +73,8 @@ class NetCDFFile:
     def close(self) -> None:
         if self._closed:
             return
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             self.posix.close(self.fd)
         self._closed = True
         self._record("nc_close", t0)

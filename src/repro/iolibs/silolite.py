@@ -17,12 +17,17 @@ Consistency-relevant mechanisms (Table 4, MACSio row):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.errors import AnalysisError
 from repro.mpi.comm import Communicator
 from repro.posix import flags as F
 from repro.posix.api import PosixAPI
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
+
+#: the layer of every record a Silo group writer emits
+_LAYER = Layer.SILO
 
 TOC_SIZE = 512
 
@@ -46,21 +51,17 @@ class SiloGroupWriter:
                          if r % self.nfiles == self.group]
         self._turn = self._members.index(self.rank)
         self._dump = 0
-
-    def _now(self) -> float:
-        return self.posix.ctx.clock.local_time
-
-    def _as_layer(self):
-        if self.recorder is None:
-            import contextlib
-            return contextlib.nullcontext()
-        return self.recorder.in_layer(self.rank, Layer.SILO)
+        self._clock = posix.ctx.clock
+        #: entered around every call the handle issues to a lower layer
+        self._in_layer = (nullcontext() if recorder is None else
+                          recorder.in_layer(self.rank, _LAYER))
 
     def _record(self, func: str, tstart: float, path: str,
                 count: int | None = None) -> None:
         if self.recorder is not None:
-            self.recorder.record(self.rank, Layer.SILO, func, tstart,
-                                 self._now(), path=path, count=count)
+            self.recorder.record(self.rank, _LAYER, func, tstart,
+                                 self._clock.local_time, path=path,
+                                 count=count)
 
     def _path(self) -> str:
         return f"{self.basename}.{self.group}.silo"
@@ -73,8 +74,8 @@ class SiloGroupWriter:
         if self._turn > 0:
             self.comm.recv(self._members[self._turn - 1], tag=1000 + self.group)
 
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             if self._turn == 0 and self._dump == 0:
                 self.posix.stat("/")  # silo probes the target directory
                 fd = self.posix.open(path,

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from collections import deque
 from enum import Enum
+from functools import reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -56,26 +58,22 @@ class ReduceOp(Enum):
     PROD = "prod"
 
     def apply(self, values: list[Any]) -> Any:
-        if self is ReduceOp.SUM:
-            return _fold(values, lambda a, b: a + b)
-        if self is ReduceOp.MAX:
-            return _fold(values, lambda a, b: np.maximum(a, b)
-                         if _is_array(a) else max(a, b))
-        if self is ReduceOp.MIN:
-            return _fold(values, lambda a, b: np.minimum(a, b)
-                         if _is_array(a) else min(a, b))
-        return _fold(values, lambda a, b: a * b)
+        """Fold ``values`` left to right (rank order) with this operator."""
+        return reduce(_FOLDS[self._value_], values)
 
 
-def _is_array(x: Any) -> bool:
-    return isinstance(x, np.ndarray)
+def _max(a: Any, b: Any) -> Any:
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
 
 
-def _fold(values: list[Any], fn: Callable[[Any, Any], Any]) -> Any:
-    acc = values[0]
-    for v in values[1:]:
-        acc = fn(acc, v)
-    return acc
+def _min(a: Any, b: Any) -> Any:
+    return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
+
+
+#: a ReduceOp's value -> its binary operator; keyed by value, not by
+#: member, because each enum-member lookup costs about 100 ns
+_FOLDS: dict[str, Callable[[Any, Any], Any]] = {
+    "sum": operator.add, "max": _max, "min": _min, "prod": operator.mul}
 
 
 def _sizeof(obj: Any) -> int:
@@ -267,7 +265,9 @@ class MPIWorld:
         self.nranks = engine.nranks
         self._mailboxes: dict[tuple[int, int, int], deque[_Message]] = {}
         self._p2p_seq: dict[tuple[int, int, int], int] = {}
-        self._slots: dict[int, _CollectiveSlot] = {}
+        #: collective index -> its slot while members pass it
+        self.slots: dict[int, _CollectiveSlot] = {}
+        self._clocks = [engine.clock(r) for r in range(self.nranks)]
         #: what a collective adds to its latest arrival's time
         self._exit_cost = BARRIER_COST * collective_depth(self.nranks)
 
@@ -284,22 +284,16 @@ class MPIWorld:
         self.mailbox(src, dest, tag).append(msg)
         self.engine.notify(_mailbox_key(src, dest, tag))
 
-    def slot(self, index: int, rank: int, kind: str, root: int | None,
-             op: ReduceOp | None = None,
-             combine: Callable[[list[Any]], Any] | None = None,
-             ) -> _CollectiveSlot:
-        """Collective ``index`` as ``rank`` enters it; all must agree."""
-        s = self._slots.get(index)
-        if s is None:
-            s = self._slots[index] = _CollectiveSlot(
-                index, kind, root, op, self.nranks, combine)
-        elif s.kind != kind or s.root != root or s.op is not op:
-            raise CollectiveMismatchError(
-                f"collective #{index}: rank {rank} entered "
-                f"{kind}(root={root}, op={_op_name(op)}) but rank "
-                f"{s.members[0]} entered {s.kind}(root={s.root}, "
-                f"op={_op_name(s.op)})")
-        return s
+    def mismatch(self, slot: _CollectiveSlot, rank: int, kind: str,
+                 root: int | None, op: ReduceOp | None
+                 ) -> CollectiveMismatchError:
+        """The error of ``rank`` entering ``slot`` as another collective
+        than its first member did."""
+        return CollectiveMismatchError(
+            f"collective #{slot.index}: rank {rank} entered "
+            f"{kind}(root={root}, op={_op_name(op)}) but rank "
+            f"{slot.members[0]} entered {slot.kind}(root={slot.root}, "
+            f"op={_op_name(slot.op)})")
 
     def complete_collective(self, slot: _CollectiveSlot) -> None:
         """Finish a fully-arrived collective and wake its members.
@@ -311,17 +305,11 @@ class MPIWorld:
         """
         exit_true = slot.latest + self._exit_cost
         slot.finish()
-        clock = self.engine.clock
+        clocks = self._clocks
         for rank in slot.members:
-            clock(rank).sync_to(exit_true)
+            clocks[rank].sync_to(exit_true)
         slot.complete = True
         self.engine.notify(slot.wait_key)
-
-    def release_slot(self, slot: _CollectiveSlot) -> None:
-        """One member has taken its result; the last one frees the slot."""
-        slot.departed += 1
-        if slot.departed == self.nranks:
-            del self._slots[slot.index]
 
 
 class SubComm:
@@ -430,20 +418,10 @@ class Communicator:
         self.rank = ctx.rank
         self.size = ctx.nranks
         self._coll_seq = 0
+        self._clock = ctx.clock
+        self._engine = world.engine
 
     # -- helpers ---------------------------------------------------------------
-
-    def _charge(self, dt: float) -> None:
-        self.ctx.clock.advance(dt)
-
-    def _checkpoint(self) -> None:
-        self.world.engine.checkpoint(self.rank)
-
-    def _record(self, kind: str, match_key: tuple, role: str,
-                tstart: float, tend: float) -> None:
-        if self.world.recorder is not None:
-            self.world.recorder.record_mpi(
-                self.rank, kind, match_key, role, tstart, tend)
 
     def _check_rank(self, r: int, what: str) -> None:
         if not (0 <= r < self.size):
@@ -456,14 +434,17 @@ class Communicator:
         self._check_rank(dest, "destination")
         if dest == self.rank:
             raise MPIError("send to self would deadlock a blocking recv")
-        t0 = self.ctx.clock.local_time
-        nbytes = _sizeof(payload)
-        self._charge(NET_LATENCY + nbytes * NET_BYTE_COST)
-        key = self.world.next_p2p_key(self.rank, dest, tag)
-        msg = _Message(_isolated(payload), self.ctx.clock.true_time, key)
-        self.world.post_send(self.rank, dest, tag, msg)
-        self._record("send", key, "sender", t0, self.ctx.clock.local_time)
-        self._checkpoint()
+        world, clock, rank = self.world, self._clock, self.rank
+        t0 = clock.local_time
+        clock.advance(NET_LATENCY + _sizeof(payload) * NET_BYTE_COST)
+        key = world.next_p2p_key(rank, dest, tag)
+        world.post_send(rank, dest, tag, _Message(
+            _isolated(payload), clock.true_time, key))
+        recorder = world.recorder
+        if recorder is not None:
+            recorder.record_mpi(rank, "send", key, "sender", t0,
+                                clock.local_time)
+        self._engine.checkpoint(rank)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive of the next message from ``source``.
@@ -473,19 +454,20 @@ class Communicator:
         channel arrive in send order.
         """
         self._check_rank(source, "source")
-        world = self.world
-        t0 = self.ctx.clock.local_time
-        box = world.mailbox(source, self.rank, tag)
-        world.engine.wait_until(
-            self.rank, lambda: bool(box),
-            f"recv(source={source}, tag={tag})",
-            key=_mailbox_key(source, self.rank, tag))
+        world, clock, rank = self.world, self._clock, self.rank
+        t0 = clock.local_time
+        box = world.mailbox(source, rank, tag)
+        self._engine.wait_until(
+            rank, lambda: bool(box), f"recv(source={source}, tag={tag})",
+            key=_mailbox_key(source, rank, tag))
         msg = box.popleft()
-        self.ctx.clock.sync_to(msg.send_done_true)
-        self._charge(NET_LATENCY + _sizeof(msg.payload) * NET_BYTE_COST)
-        self._record("recv", msg.match_key, "receiver",
-                     t0, self.ctx.clock.local_time)
-        self._checkpoint()
+        clock.sync_to(msg.send_done_true)
+        clock.advance(NET_LATENCY + _sizeof(msg.payload) * NET_BYTE_COST)
+        recorder = world.recorder
+        if recorder is not None:
+            recorder.record_mpi(rank, "recv", msg.match_key, "receiver", t0,
+                                clock.local_time)
+        self._engine.checkpoint(rank)
         return msg.payload
 
     # -- communicator management ---------------------------------------------------
@@ -512,21 +494,38 @@ class Communicator:
                     role: str, op: ReduceOp | None = None,
                     combine: Callable[[list[Any]], Any] | None = None,
                     ) -> Any:
+        """Enter the next collective, wait for every member, and leave.
+
+        The first member to arrive creates the slot, every later one must
+        enter the same kind, root and operator, and the last to leave
+        frees the slot.
+        """
         index = self._coll_seq
-        self._coll_seq += 1
-        world, clock = self.world, self.ctx.clock
+        self._coll_seq = index + 1
+        world, clock, rank = self.world, self._clock, self.rank
         t0 = clock.local_time
-        slot = world.slot(index, self.rank, kind, root, op, combine)
-        slot.arrive(self.rank, clock.true_time, payload)
+        slots = world.slots
+        slot = slots.get(index)
+        if slot is None:
+            slot = slots[index] = _CollectiveSlot(
+                index, kind, root, op, self.size, combine)
+        elif slot.kind != kind or slot.root != root or slot.op is not op:
+            raise world.mismatch(slot, rank, kind, root, op)
+        slot.arrive(rank, clock.true_time, payload)
         if len(slot.members) == self.size:
             world.complete_collective(slot)
         else:
-            world.engine.wait_until(self.rank, slot.is_complete,
-                                    slot.waiting, key=slot.wait_key)
-        result = slot.result(self.rank)
-        world.release_slot(slot)
-        self._record(kind, slot.match_key, role, t0, clock.local_time)
-        self._checkpoint()
+            self._engine.wait_until(rank, slot.is_complete, slot.waiting,
+                                    slot.wait_key)
+        result = slot.result(rank)
+        slot.departed += 1
+        if slot.departed == self.size:
+            del slots[index]
+        recorder = world.recorder
+        if recorder is not None:
+            recorder.record_mpi(rank, kind, slot.match_key, role, t0,
+                                clock.local_time)
+        self._engine.checkpoint(rank)
         return result
 
     def barrier(self) -> None:

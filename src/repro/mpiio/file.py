@@ -9,6 +9,7 @@ as Recorder does.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -21,6 +22,9 @@ from repro.posix import flags as F
 from repro.posix.api import PosixAPI
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
+
+#: the layer of every record an MPI-IO handle emits
+_LAYER = Layer.MPIIO
 
 
 @dataclass
@@ -81,8 +85,12 @@ class MPIFile:
         self.trace_rank = posix.rank   # global rank, for trace attribution
         self.nranks = comm.size
         self._closed = False
-        t0 = self._now()
-        with self._as_layer():
+        self._clock = posix.ctx.clock
+        #: entered around every POSIX call the handle issues
+        self._in_layer = (nullcontext() if recorder is None else
+                          recorder.in_layer(self.trace_rank, _LAYER))
+        t0 = self._clock.local_time
+        with self._in_layer:
             self.fd = posix.open(path, amode)
         self.comm.barrier()
         self._record("MPI_File_open", t0)
@@ -96,21 +104,12 @@ class MPIFile:
         """Collective open (every rank of ``comm`` must call)."""
         return cls(comm, posix, path, amode, recorder, hints)
 
-    def _now(self) -> float:
-        return self.posix.ctx.clock.local_time
-
-    def _as_layer(self):
-        if self.recorder is None:
-            import contextlib
-            return contextlib.nullcontext()
-        return self.recorder.in_layer(self.trace_rank, Layer.MPIIO)
-
     def _record(self, func: str, tstart: float, *, offset: int | None = None,
                 count: int | None = None) -> None:
         if self.recorder is not None:
-            self.recorder.record(self.trace_rank, Layer.MPIIO, func, tstart,
-                                 self._now(), path=self.path, fd=self.fd,
-                                 offset=offset, count=count)
+            self.recorder.record(self.trace_rank, _LAYER, func, tstart,
+                                 self._clock.local_time, path=self.path,
+                                 fd=self.fd, offset=offset, count=count)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -140,18 +139,18 @@ class MPIFile:
 
     def write_at(self, offset: int, data: "bytes | int") -> int:
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         if isinstance(data, int):
             data = self.posix.payload(data)
-        with self._as_layer():
+        with self._in_layer:
             n = self.posix.pwrite(self.fd, data, offset)
         self._record("MPI_File_write_at", t0, offset=offset, count=n)
         return n
 
     def read_at(self, offset: int, count: int) -> bytes:
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             data = self.posix.pread(self.fd, count, offset)
         self._record("MPI_File_read_at", t0, offset=offset, count=len(data))
         return data
@@ -159,26 +158,26 @@ class MPIFile:
     def write(self, data: "bytes | int") -> int:
         """Independent write at the file pointer (shared per handle)."""
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         if isinstance(data, int):
             data = self.posix.payload(data)
-        with self._as_layer():
+        with self._in_layer:
             n = self.posix.write(self.fd, data)
         self._record("MPI_File_write", t0, count=n)
         return n
 
     def read(self, count: int) -> bytes:
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             data = self.posix.read(self.fd, count)
         self._record("MPI_File_read", t0, count=len(data))
         return data
 
     def seek(self, offset: int, whence: int = F.SEEK_SET) -> int:
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             pos = self.posix.lseek(self.fd, offset, whence)
         self._record("MPI_File_seek", t0, offset=offset)
         return pos
@@ -191,7 +190,7 @@ class MPIFile:
         address the file through ``filetype`` tiles starting at
         ``displacement``.  Resets the view pointer."""
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.view = FileView(displacement=displacement,
                              filetype=filetype)
         self._view_pointer = 0
@@ -201,7 +200,7 @@ class MPIFile:
         """Collective write at the view pointer: each rank's bytes land
         at the strided file positions its view exposes."""
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         if isinstance(data, int):
             data = self.posix.payload(data)
         data = bytes(data)
@@ -229,7 +228,7 @@ class MPIFile:
         file domain with large consecutive ``pwrite`` calls.
         """
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         if isinstance(data, int):
             data = self.posix.payload(data)
         self._exchange_and_write(self.comm.allgather(
@@ -244,7 +243,7 @@ class MPIFile:
         """Collective write where each rank contributes several extents
         (the effect of a strided file view)."""
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         mine = []
         total = 0
         for off, data in extents:
@@ -284,7 +283,7 @@ class MPIFile:
             return
         lo, hi = starts[0], ends[-1]
         cb = self.hints.cb_buffer_size
-        with self._as_layer():
+        with self._in_layer:
             round_no = 0
             while True:
                 stripe_lo = lo + (round_no * n_agg + my_index) * cb
@@ -324,7 +323,7 @@ class MPIFile:
     def read_at_all(self, offset: int, count: int) -> bytes:
         """Collective read; data is served with large aggregator reads."""
         self._check_open()
-        t0 = self._now()
+        t0 = self._clock.local_time
         wants: list[tuple[int, int]] = self.comm.allgather(
             (int(offset), int(count)))
         i, n_agg = self._aggregator_index()
@@ -336,7 +335,7 @@ class MPIFile:
             dom_lo = lo + ((hi - lo) * i) // n_agg
             dom_hi = lo + ((hi - lo) * (i + 1)) // n_agg
             if dom_hi > dom_lo:
-                with self._as_layer():
+                with self._in_layer:
                     self.posix.pread(self.fd, dom_hi - dom_lo, dom_lo)
         self.comm.barrier()
         # Aggregator exchange is modelled by the barrier; every rank then
@@ -344,7 +343,8 @@ class MPIFile:
         data = b""
         if count > 0:
             inode = self.posix.fds.get(self.fd).inode
-            data = self.posix.vfs.read_at(inode, offset, count, self._now())
+            data = self.posix.vfs.read_at(inode, offset, count,
+                                          self._clock.local_time)
         self._record("MPI_File_read_at_all", t0, offset=offset,
                      count=len(data))
         return data
@@ -354,16 +354,16 @@ class MPIFile:
     def sync(self) -> None:
         """Collective MPI_File_sync: every rank fsyncs its descriptor."""
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             self.posix.fsync(self.fd)
         self.comm.barrier()
         self._record("MPI_File_sync", t0)
 
     def close(self) -> None:
         self._check_open()
-        t0 = self._now()
-        with self._as_layer():
+        t0 = self._clock.local_time
+        with self._in_layer:
             self.posix.close(self.fd)
         self.comm.barrier()
         self._closed = True

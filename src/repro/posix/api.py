@@ -33,6 +33,8 @@ from repro.tracer.recorder import Recorder
 IO_META_COST = 50e-6
 #: virtual seconds per byte a data call moves, on top of the call cost
 IO_BYTE_COST = 5e-9
+#: the layer of every record this module emits
+_LAYER = Layer.POSIX
 
 
 class PosixAPI:
@@ -47,6 +49,8 @@ class PosixAPI:
         self.fds = FdTable()
         self.cwd = "/"
         self._fill_seq = 0
+        self._clock = ctx.clock
+        self._engine = ctx.engine
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -56,22 +60,20 @@ class PosixAPI:
             path = f"{base}/{path}"
         return normalize(path)
 
-    def _now(self) -> float:
-        return self.ctx.clock.local_time
-
     def _trace(self, func: str, tstart: float, *, path: str | None = None,
                fd: int | None = None, offset: int | None = None,
                count: int | None = None, args: dict[str, Any] | None = None,
                result: Any = None, gt_offset: int | None = None,
                nbytes: int = 0) -> None:
-        cost = IO_META_COST + nbytes * IO_BYTE_COST
-        self.ctx.clock.advance(cost)
-        if self.recorder is not None:
-            self.recorder.record(
-                self.rank, Layer.POSIX, func, tstart, self._now(),
+        clock = self._clock
+        clock.advance(IO_META_COST + nbytes * IO_BYTE_COST)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(
+                self.rank, _LAYER, func, tstart, clock.local_time,
                 path=path, fd=fd, offset=offset, count=count, args=args,
                 result=result, gt_offset=gt_offset)
-        self.ctx.engine.checkpoint(self.rank)
+        self._engine.checkpoint(self.rank)
 
     def payload(self, n: int) -> bytes:
         """Deterministic, per-rank-unique synthetic file content.
@@ -83,19 +85,15 @@ class PosixAPI:
         token = (self.rank * 131071 + self._fill_seq) % 251 + 1
         return bytes([token]) * n
 
-    @staticmethod
-    def _as_bytes(data: "bytes | bytearray | memoryview") -> bytes:
-        return bytes(data)
-
     # -- open / close -----------------------------------------------------------------
 
     def open(self, path: str, open_flags: int, *, _func: str = "open",
              _stream: bool = False) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         existed = self.vfs.is_file(p)
         size_before = self.vfs.file_size(p) if existed else 0
-        inode = self.vfs.open_inode(p, open_flags, self._now())
+        inode = self.vfs.open_inode(p, open_flags, t0)
         ofd = OpenFileDescription(p, inode, open_flags, stream=_stream)
         fd = self.fds.install(ofd)
         self._trace(_func, t0, path=p, fd=fd,
@@ -111,7 +109,7 @@ class PosixAPI:
                          _func="creat")
 
     def close(self, fd: int, *, _func: str = "close") -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.remove(fd)
         if ofd.refcount == 0:
             self.vfs.release_inode(ofd.inode)
@@ -119,7 +117,7 @@ class PosixAPI:
         return 0
 
     def dup(self, fd: int) -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         new_fd = self.fds.dup(fd)
         ofd = self.fds.get(new_fd)
         self._trace("dup", t0, path=ofd.path, fd=fd,
@@ -132,23 +130,23 @@ class PosixAPI:
               _func: str = "write") -> int:
         if isinstance(data, int):
             data = self.payload(data)
-        buf = self._as_bytes(data)
-        t0 = self._now()
+        buf = bytes(data)
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         ofd.check_writable()
         pos = ofd.inode.size if (ofd.flags & F.O_APPEND) else ofd.offset
-        n = self.vfs.write_at(ofd.inode, pos, buf, self._now())
+        n = self.vfs.write_at(ofd.inode, pos, buf, t0)
         ofd.offset = pos + n
         self._trace(_func, t0, path=ofd.path, fd=fd, count=n,
                     gt_offset=pos, result=n, nbytes=n)
         return n
 
     def read(self, fd: int, count: int, *, _func: str = "read") -> bytes:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         ofd.check_readable()
         pos = ofd.offset
-        data = self.vfs.read_at(ofd.inode, pos, count, self._now())
+        data = self.vfs.read_at(ofd.inode, pos, count, t0)
         ofd.offset = pos + len(data)
         self._trace(_func, t0, path=ofd.path, fd=fd, count=len(data),
                     args={"requested": count}, gt_offset=pos,
@@ -160,20 +158,20 @@ class PosixAPI:
     def pwrite(self, fd: int, data: "bytes | int", offset: int) -> int:
         if isinstance(data, int):
             data = self.payload(data)
-        buf = self._as_bytes(data)
-        t0 = self._now()
+        buf = bytes(data)
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         ofd.check_writable()
-        n = self.vfs.write_at(ofd.inode, offset, buf, self._now())
+        n = self.vfs.write_at(ofd.inode, offset, buf, t0)
         self._trace("pwrite", t0, path=ofd.path, fd=fd, offset=offset,
                     count=n, gt_offset=offset, result=n, nbytes=n)
         return n
 
     def pread(self, fd: int, count: int, offset: int) -> bytes:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         ofd.check_readable()
-        data = self.vfs.read_at(ofd.inode, offset, count, self._now())
+        data = self.vfs.read_at(ofd.inode, offset, count, t0)
         self._trace("pread", t0, path=ofd.path, fd=fd, offset=offset,
                     count=len(data), args={"requested": count},
                     gt_offset=offset, result=len(data), nbytes=len(data))
@@ -183,7 +181,7 @@ class PosixAPI:
 
     def lseek(self, fd: int, offset: int, whence: int = F.SEEK_SET, *,
               _func: str = "lseek") -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         if whence == F.SEEK_SET:
             new = offset
@@ -203,7 +201,7 @@ class PosixAPI:
     # -- sync / truncate -----------------------------------------------------------------------------
 
     def fsync(self, fd: int, *, _func: str = "fsync") -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         self._trace(_func, t0, path=ofd.path, fd=fd, result=0)
         return 0
@@ -212,18 +210,18 @@ class PosixAPI:
         return self.fsync(fd, _func="fdatasync")
 
     def ftruncate(self, fd: int, length: int) -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         ofd.check_writable()
-        self.vfs._truncate_inode(ofd.inode, length, self._now())
+        self.vfs._truncate_inode(ofd.inode, length, t0)
         self._trace("ftruncate", t0, path=ofd.path, fd=fd,
                     args={"length": length}, result=0)
         return 0
 
     def truncate(self, path: str, length: int) -> int:
         p = self._resolve(path)
-        t0 = self._now()
-        self.vfs.truncate(p, length, self._now())
+        t0 = self._clock.local_time
+        self.vfs.truncate(p, length, t0)
         self._trace("truncate", t0, path=p, args={"length": length},
                     result=0)
         return 0
@@ -253,20 +251,20 @@ class PosixAPI:
 
     def stat(self, path: str) -> StatResult:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         st = self.vfs.stat(p)
         self._trace("stat", t0, path=p, result=st.st_size)
         return st
 
     def lstat(self, path: str) -> StatResult:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         st = self.vfs.stat(p)
         self._trace("lstat", t0, path=p, result=st.st_size)
         return st
 
     def fstat(self, fd: int) -> StatResult:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         st = self.vfs.stat_inode(ofd.inode)
         self._trace("fstat", t0, path=ofd.path, fd=fd, result=st.st_size)
@@ -274,21 +272,21 @@ class PosixAPI:
 
     def access(self, path: str) -> bool:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         ok = self.vfs.exists(p)
         self._trace("access", t0, path=p, result=ok)
         return ok
 
     def unlink(self, path: str) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.unlink(p)
         self._trace("unlink", t0, path=p, result=0)
         return 0
 
     def remove(self, path: str) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.unlink(p)
         self._trace("remove", t0, path=p, result=0)
         return 0
@@ -296,14 +294,14 @@ class PosixAPI:
     def rename(self, old: str, new: str) -> int:
         src = self._resolve(old)
         dst = self._resolve(new)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.rename(src, dst)
         self._trace("rename", t0, path=src, args={"to": dst}, result=0)
         return 0
 
     def mkdir(self, path: str) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         if not self.vfs.is_dir(p):
             self.vfs.mkdir(p)
         self._trace("mkdir", t0, path=p, result=0)
@@ -311,19 +309,19 @@ class PosixAPI:
 
     def rmdir(self, path: str) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.rmdir(p)
         self._trace("rmdir", t0, path=p, result=0)
         return 0
 
     def getcwd(self) -> str:
-        t0 = self._now()
+        t0 = self._clock.local_time
         self._trace("getcwd", t0, path=self.cwd, result=self.cwd)
         return self.cwd
 
     def chdir(self, path: str) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         if not self.vfs.is_dir(p):
             from repro.errors import PosixError
             import errno as _errno
@@ -334,26 +332,26 @@ class PosixAPI:
 
     def opendir(self, path: str) -> list[str]:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         entries = self.vfs.listdir(p)
         self._trace("opendir", t0, path=p, result=len(entries))
         return entries
 
     def readdir(self, path: str) -> list[str]:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         entries = self.vfs.listdir(p)
         self._trace("readdir", t0, path=p, result=len(entries))
         return entries
 
     def closedir(self, path: str) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self._trace("closedir", t0, path=p, result=0)
         return 0
 
     def fcntl(self, fd: int, cmd: str) -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         self._trace("fcntl", t0, path=ofd.path, fd=fd,
                     args={"cmd": cmd}, result=0)
@@ -361,14 +359,14 @@ class PosixAPI:
 
     def chmod(self, path: str, mode: int) -> int:
         p = self._resolve(path)
-        t0 = self._now()
-        self.vfs.chmod(p, mode, self._now())
+        t0 = self._clock.local_time
+        self.vfs.chmod(p, mode, t0)
         self._trace("chmod", t0, path=p, args={"mode": mode}, result=0)
         return 0
 
     def utime(self, path: str, atime: float, mtime: float) -> int:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.utime(p, atime, mtime)
         self._trace("utime", t0, path=p,
                     args={"atime": atime, "mtime": mtime}, result=0)
@@ -377,14 +375,14 @@ class PosixAPI:
     def link(self, existing: str, new: str) -> int:
         src = self._resolve(existing)
         dst = self._resolve(new)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.link(src, dst)
         self._trace("link", t0, path=src, args={"to": dst}, result=0)
         return 0
 
     def symlink(self, target: str, linkpath: str) -> int:
         dst = self._resolve(linkpath)
-        t0 = self._now()
+        t0 = self._clock.local_time
         self.vfs.symlink(target, dst)
         self._trace("symlink", t0, path=dst,
                     args={"target": target}, result=0)
@@ -392,33 +390,33 @@ class PosixAPI:
 
     def readlink(self, path: str) -> str:
         p = self._resolve(path)
-        t0 = self._now()
+        t0 = self._clock.local_time
         target = self.vfs.readlink(p)
         self._trace("readlink", t0, path=p, result=target)
         return target
 
     def mmap(self, fd: int, length: int, offset: int = 0) -> bytes:
         """Map a region: modelled as a traced bulk read."""
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
-        data = self.vfs.read_at(ofd.inode, offset, length, self._now())
+        data = self.vfs.read_at(ofd.inode, offset, length, t0)
         self._trace("mmap", t0, path=ofd.path, fd=fd, offset=offset,
                     count=length, result=len(data), nbytes=len(data))
         return data
 
     def msync(self, fd: int) -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         self._trace("msync", t0, path=ofd.path, fd=fd, result=0)
         return 0
 
     def umask(self, mask: int) -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         self._trace("umask", t0, args={"mask": mask}, result=0)
         return 0
 
     def fileno(self, fd: int) -> int:
-        t0 = self._now()
+        t0 = self._clock.local_time
         ofd = self.fds.get(fd)
         self._trace("fileno", t0, path=ofd.path, fd=fd, result=fd)
         return fd

@@ -27,11 +27,11 @@ def accmode(open_flags: int) -> int:
 
 
 def readable(open_flags: int) -> bool:
-    return accmode(open_flags) in (O_RDONLY, O_RDWR)
+    return open_flags & O_ACCMODE in (O_RDONLY, O_RDWR)
 
 
 def writable(open_flags: int) -> bool:
-    return accmode(open_flags) in (O_WRONLY, O_RDWR)
+    return open_flags & O_ACCMODE in (O_WRONLY, O_RDWR)
 
 
 def describe(open_flags: int) -> str:

@@ -219,15 +219,16 @@ class VirtualFileSystem:
 
     def write_at(self, inode: _Inode, offset: int, data: bytes,
                  now: float) -> int:
+        """Write ``data`` at ``offset``, zero-filling any hole before it;
+        each byte is copied once."""
         if offset < 0:
             raise PosixError(errno.EINVAL, f"negative offset {offset}")
-        end = offset + len(data)
-        if end > inode.size:
-            hole = offset - inode.size
-            if hole > 0:
-                self._obs_hole_bytes.inc(hole)
-            inode.data.extend(b"\x00" * (end - inode.size))
-        inode.data[offset:end] = data
+        buf = inode.data
+        hole = offset - len(buf)
+        if hole > 0:
+            self._obs_hole_bytes.inc(hole)
+            buf.extend(bytes(hole))
+        buf[offset:offset + len(data)] = data
         inode.mtime = now
         self._obs_writes.inc()
         self._obs_dirty_bytes.inc(len(data))
@@ -235,12 +236,13 @@ class VirtualFileSystem:
 
     def read_at(self, inode: _Inode, offset: int, count: int,
                 now: float) -> bytes:
+        """Up to ``count`` bytes from ``offset``, copied once."""
         if offset < 0:
             raise PosixError(errno.EINVAL, f"negative offset {offset}")
         if count < 0:
             raise PosixError(errno.EINVAL, f"negative count {count}")
         inode.atime = now
-        out = bytes(inode.data[offset:offset + count])
+        out = memoryview(inode.data)[offset:offset + count].tobytes()
         self._obs_reads.inc()
         self._obs_bytes_read.inc(len(out))
         return out

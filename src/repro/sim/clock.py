@@ -26,36 +26,32 @@ class RankClock:
 
     ``advance`` moves true time forward; ``sync_to`` implements the
     "cannot observe an event before it happened" rule used by message
-    receipt and barrier exit.
+    receipt and barrier exit.  ``true_time`` (the global virtual time of
+    the rank's next action) and ``local_time`` (what the rank's own,
+    possibly skewed, clock reads: ``true_time + skew``) are plain fields,
+    read on every traced call; only those two methods write them.
     """
 
-    __slots__ = ("rank", "skew", "_true")
+    __slots__ = ("rank", "skew", "true_time", "local_time")
 
     def __init__(self, rank: int, skew: float = 0.0):
         self.rank = int(rank)
         self.skew = float(skew)
-        self._true = 0.0
-
-    @property
-    def true_time(self) -> float:
-        """Global virtual time of this rank's next action."""
-        return self._true
-
-    @property
-    def local_time(self) -> float:
-        """What this rank's own (possibly skewed) clock reads."""
-        return self._true + self.skew
+        self.true_time = 0.0
+        self.local_time = 0.0 + self.skew
 
     def advance(self, dt: float) -> float:
         """Move forward by ``dt`` (finite, >= 0) seconds of virtual time."""
         if not 0 <= dt < inf:  # also false for NaN
             raise ValueError(f"cannot advance clock by dt {dt}: it must be "
                              f"finite and >= 0")
-        self._true += dt
-        return self._true
+        t = self.true_time = self.true_time + dt
+        self.local_time = t + self.skew
+        return t
 
     def sync_to(self, true_time: float) -> float:
         """Raise true time to at least ``true_time`` (never moves backward)."""
-        if true_time > self._true:
-            self._true = true_time
-        return self._true
+        if true_time > self.true_time:
+            self.true_time = true_time
+            self.local_time = true_time + self.skew
+        return self.true_time

@@ -33,9 +33,17 @@ are re-checked at the next dispatch.  The MPI layer keys a receive by its
 mailbox ``("p2p", src, dst, tag)`` and a collective by ``("coll", index)``;
 the Ckpt-IO WAL drain parks on ``("wal", rank)``, which the
 :meth:`SimEngine.schedule` callback that queues a flush notifies.  So a
-switch costs O(log N) plus one check per notified waiter.  A checkpoint
-that would dispatch its own rank again at once (nothing notified, the
-ready heap's head later, no callback due) costs neither: the rank runs on.
+switch costs O(log N) plus one check per notified waiter.  A waiter found
+satisfied there resumes without checking its predicate again, so a
+predicate must stay true once it holds until its own rank runs: only the
+waiting rank consumes what it waits for.  A checkpoint that would
+dispatch its own rank again at once (nothing notified, the ready heap's
+head later, no callback due) costs neither: the rank runs on.
+
+The per-event path is the floor plus bookkeeping, so it is kept short:
+a checkpoint or a wait pushes, parks and awaits its permit inline, and
+the engine touches its :mod:`repro.obs` instruments only when metrics
+were on when it was built (which is when it captures them).
 
 A run deadlocks when no rank is runnable, no scheduled callback is
 pending, and some rank is still blocked; every rank is then woken and
@@ -196,9 +204,11 @@ class SimEngine:
         self._scheduled: list[
             tuple[float, int, Callable[[float], None]]] = []
         self._sched_counter = itertools.count()
-        # observability instruments, captured once (no-ops when metrics
-        # are off, so the dispatch loop pays one dead call per event)
+        # observability instruments, captured once and called only when
+        # metrics were on at construction, so a metrics-off event pays
+        # one attribute test and no call
         reg = obs.current()
+        self._metrics = obs.enabled()
         self._obs_scheduled = reg.counter("sim.events_scheduled")
         self._obs_fired = reg.counter("sim.events_fired")
         self._obs_checkpoints = reg.counter("sim.checkpoints")
@@ -207,10 +217,11 @@ class SimEngine:
         self._obs_switches = reg.counter("sim.context_switches")
         self._obs_preemptions = reg.counter("sim.preemptions")
         #: each rank thread reads its own switch counts at exit
-        self._count_switches = (obs.enabled()
+        self._count_switches = (self._metrics
                                 and RUSAGE_THREAD is not None)
-        reg.counter("sim.engines").inc()
-        reg.counter("sim.ranks").inc(config.nranks)
+        if self._metrics:
+            reg.counter("sim.engines").inc()
+            reg.counter("sim.ranks").inc(config.nranks)
 
     @staticmethod
     def _draw_skews(config: SimConfig) -> list[float]:
@@ -311,17 +322,26 @@ class SimEngine:
         the heap or its permit.
         """
         state = self._ranks[rank]
-        self._obs_checkpoints.inc()
         t = state.clock.true_time
         ready, scheduled = self._ready, self._scheduled
+        if self._metrics:
+            self._obs_checkpoints.inc()
         if (self._failure is None and not self._notified
                 and (not ready or (t, rank) < ready[0])
                 and (not scheduled or t < scheduled[0][0])):
-            self._obs_vtime.set_max(t)
+            if self._metrics:
+                self._obs_vtime.set_max(t)
             return
-        self._make_ready(state)
+        heapq.heappush(ready, (t, rank))
         self._dispatch_next()
-        self._await_permit(state)
+        # After an abort the permit is never granted again, so a rank
+        # that catches the abort and calls back into the engine must not
+        # wait; the exception is re-raised inside the rank thread to
+        # unwind it, and the original reaches the driving thread.
+        if self._failure is None:
+            state.permit.acquire()
+        if self._failure is not None:
+            raise SimulationError("simulation aborted") from self._failure
 
     def wait_until(self, rank: int, predicate: Callable[[], bool],
                    reason: str | Callable[[int], str],
@@ -331,18 +351,25 @@ class SimEngine:
         The predicate is evaluated under the engine's one-runner-at-a-time
         discipline, so it may read any shared state without extra locking.
         It is re-checked only after :meth:`notify` of ``key``, so whatever
-        changes the state it reads must notify that key.  ``reason`` says
-        what the rank waits for if the run deadlocks; it may be a function
-        of the rank, formatted only then.
+        changes the state it reads must notify that key, and the rank
+        resumes as soon as that re-check passes, so it must stay true
+        until then.  ``reason`` says what the rank waits for if the run
+        deadlocks; it may be a function of the rank, formatted only then.
         """
+        if predicate():
+            return
         state = self._ranks[rank]
-        while not predicate():
-            state.reason = reason
-            state.predicate = predicate
+        state.reason = reason
+        state.predicate = predicate
+        if self._metrics:
             self._obs_blocks.inc()
-            self._park(state, key)
-            self._dispatch_next()
-            self._await_permit(state)
+        state.key = key
+        self._parked.setdefault(key, []).append(state)
+        self._dispatch_next()
+        if self._failure is None:
+            state.permit.acquire()
+        if self._failure is not None:
+            raise SimulationError("simulation aborted") from self._failure
         state.predicate = None
         state.reason = ""
 
@@ -372,7 +399,8 @@ class SimEngine:
         """
         heapq.heappush(self._scheduled,
                        (t, next(self._sched_counter), callback))
-        self._obs_scheduled.inc()
+        if self._metrics:
+            self._obs_scheduled.inc()
 
     # -- internals -----------------------------------------------------------------
 
@@ -380,31 +408,16 @@ class SimEngine:
         heapq.heappush(self._ready,
                        (state.clock.true_time, state.clock.rank))
 
-    def _park(self, state: _RankState, key: Hashable) -> None:
-        state.key = key
-        self._parked.setdefault(key, []).append(state)
-
     def _wake_satisfied(self) -> None:
         """Move notified waits whose predicate holds to ready."""
         notified, self._notified = self._notified, []
+        ready = self._ready
         for state in notified:
             if state.predicate():
-                self._make_ready(state)
+                heapq.heappush(ready, (state.clock.true_time,
+                                       state.clock.rank))
             else:
-                self._park(state, state.key)
-
-    def _await_permit(self, state: _RankState) -> None:
-        """Wait until ``state``'s rank is dispatched, or the run aborts.
-
-        After an abort the permit is never granted again, so a rank that
-        catches the abort and calls back into the engine must not wait.
-        """
-        if self._failure is None:
-            state.permit.acquire()
-        if self._failure is not None:
-            # Re-raised inside a rank thread to unwind it; the original
-            # exception object still reaches the driving thread.
-            raise SimulationError("simulation aborted") from self._failure
+                self._parked.setdefault(state.key, []).append(state)
 
     def _dispatch_next(self) -> None:
         if self._failure is not None:
@@ -425,7 +438,8 @@ class SimEngine:
             if self._scheduled and (
                     not ready or self._scheduled[0][0] <= ready[0][0]):
                 t, _, callback = heapq.heappop(self._scheduled)
-                self._obs_fired.inc()
+                if self._metrics:
+                    self._obs_fired.inc()
                 try:
                     callback(t)
                 except BaseException as exc:
@@ -436,7 +450,8 @@ class SimEngine:
             break
         if ready:
             t, nxt = heapq.heappop(ready)
-            self._obs_vtime.set_max(t)
+            if self._metrics:
+                self._obs_vtime.set_max(t)
             self._ranks[nxt].permit.release()
             return
         self._finish_or_deadlock()

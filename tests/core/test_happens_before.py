@@ -294,16 +294,29 @@ class TestValidateRaceFreedom:
 
     def test_timestamp_disagreement_flagged(self):
         """A pair whose timestamp order contradicts the happens-before
-        order (rank 1's access precedes rank 0's via its send, but the
-        pair is presented in the opposite order, as huge clock skew
-        would)."""
+        order, as huge clock skew would make it: rank 1's clock reads 4 s
+        ahead, so its access (t=5.0, before its send at t=6.0) precedes
+        rank 0's (t=4.0, after its recv at t=3.0) but stamps later.  It
+        is flagged in either order of the pair."""
+        trace = EventBuilder().send(1, 0, 6.0).recv(0, 1, 3.0).trace()
+        first1 = access(1, 5.0)
+        then0 = access(0, 4.0)
+        for pair in ((first1, then0), (then0, first1)):
+            report = validate_race_freedom(HappensBefore(trace), [pair])
+            assert report.timestamp_disagreements == [pair]
+            assert report.race_free
+
+    def test_later_first_pair_is_checked_in_time_order(self):
+        """A synchronized pair listed later access first, as the object
+        model lists its exemplars (by session, not by time), agrees with
+        its timestamps: the earlier-starting access is checked first."""
         trace = EventBuilder().send(1, 0, 2.0).recv(0, 1, 3.0).trace()
         early1 = access(1, 1.0)         # before its send at t=2.0
         late0 = access(0, 4.0)          # after its recv at t=3.0
         report = validate_race_freedom(HappensBefore(trace),
                                        [(late0, early1)])
-        assert report.timestamp_disagreements
         assert report.race_free
+        assert report.timestamps_trustworthy
 
 
 class TestEndToEnd:
@@ -337,6 +350,24 @@ class TestEndToEnd:
         assert validation.race_free
         assert validation.timestamps_trustworthy
         assert validation.checked_pairs == len(conflicts)
+
+    def test_object_pairs_agree_with_timestamps_across_the_study(
+            self, study8):
+        """No configuration's object exemplar pairs (a PUT session's
+        first write, then a later session's first write or access, in
+        session order) show as clock-skew disagreements, though some
+        list the later access first."""
+        from repro.core.semantics import Semantics
+
+        later_first = 0
+        for run in study8:
+            pairs = run.report.conflicts(Semantics.OBJECT).access_pairs()
+            later_first += int((pairs.tstart[1] < pairs.tstart[0]).sum())
+            validation = run.report.validate(Semantics.OBJECT)
+            assert validation.checked_pairs == pairs.tstart.shape[1]
+            assert not validation.timestamp_disagreements, run.label
+        assert len(study8) == 28
+        assert later_first > 0
 
     def test_truly_racy_writes_detected(self, harness):
         """Unsynchronized overlapping writes trip the race check."""

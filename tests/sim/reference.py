@@ -15,6 +15,7 @@ import heapq
 from unittest import mock
 
 from repro.apps import base
+from repro.errors import SimulationError
 from repro.sim.engine import SimEngine
 
 
@@ -34,16 +35,16 @@ class ReferenceEngine(SimEngine):
         self._obs_checkpoints.inc()
         self._make_ready(state)
         self._dispatch_next()
-        self._await_permit(state)
+        if self._failure is None:
+            state.permit.acquire()
+        if self._failure is not None:
+            raise SimulationError("simulation aborted") from self._failure
 
     def notify(self, key) -> None:
-        pass
+        """Nothing: the wait queues ``wait_until`` parks on are never read."""
 
     def _make_ready(self, state) -> None:
         self._runnable.add(state.clock.rank)
-
-    def _park(self, state, key) -> None:
-        pass
 
     def _dispatch_next(self) -> None:
         if self._failure is not None:

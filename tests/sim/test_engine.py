@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from repro.apps.base import AppConfig, run_application
-from repro.apps.registry import all_variants
+from repro.apps.registry import all_variants, find_variant
 from repro.errors import DeadlockError, SimulationError
+from repro.mpi.comm import Communicator, MPIWorld
 from repro.obs import registry as obs
 from repro.sim.clock import RankClock
 from repro.sim.engine import RUSAGE_THREAD, SimConfig, SimEngine
@@ -301,6 +302,48 @@ class TestBatchPolicy:
         assert "sim.preemptions" in snapshot
 
 
+class TestInstruments:
+    """The engine calls its repro.obs instruments only when metrics were
+    on when it was built, and then counts exactly what it always did."""
+
+    def test_metrics_off_engine_calls_no_instrument(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a metrics-off engine called an instrument")
+
+        for name in ("inc", "set", "set_max", "observe"):
+            monkeypatch.setattr(obs._NullInstrument, name, refuse)
+        engine = SimEngine(SimConfig(nranks=4, seed=7))
+        world = MPIWorld(engine)
+        fired: list[float] = []
+
+        def program(ctx):
+            comm = ctx.comm
+            if ctx.rank == 0:
+                ctx.engine.schedule(5e-4, fired.append)
+            for _ in range(3):
+                ctx.engine.advance(ctx.rank, 1e-4 * (ctx.rank + 1))
+                ctx.engine.checkpoint(ctx.rank)
+                comm.allreduce(1.0)
+            if ctx.rank == 0:
+                comm.send(1, "baton")
+            elif ctx.rank == 1:
+                comm.recv(0)
+            comm.barrier()
+
+        engine.run(program, lambda ctx: {"comm": Communicator(world, ctx)})
+        assert fired == [5e-4]
+
+    def test_metrics_on_counts_are_unchanged(self):
+        # FLASH-HDF5 fbs at 4 ranks, seed 7, as counted before the
+        # per-event path was shortened
+        variant = find_variant("FLASH", "HDF5", "fbs")
+        with obs.collecting() as reg:
+            variant.run(nranks=4, seed=7)
+            snapshot = reg.snapshot()
+        assert snapshot["sim.checkpoints"]["value"] == 1773
+        assert snapshot["sim.blocks"]["value"] == 675
+
+
 class TestKeyedWaits:
     def test_keyed_wait_rechecked_only_after_notify(self):
         engine = SimEngine(SimConfig(nranks=2))
@@ -324,8 +367,9 @@ class TestKeyedWaits:
                 return box[0]
 
         assert engine.run(program) == [None, 1]
-        # failed check, re-check after notify, passing check on resume
-        assert checks[0] == 3
+        # the failed check and the passing re-check after the notify; the
+        # rank resumes on that re-check without a third
+        assert checks[0] == 2
 
     def test_notify_of_unsatisfied_wait_parks_it_again(self):
         engine = SimEngine(SimConfig(nranks=2))

@@ -4,10 +4,10 @@ A seeded checkpoint-style program — every rank creates its own file
 under a shared directory and issues two 512-byte writes separated by
 barriers — runs single-process at 1024 ranks.  Keyed wakeups re-check a
 blocked rank's predicate only after the state it waits on changes, so
-a block costs about three checks (the failed check, the re-check after
-the notify, the passing check on resume) at any rank count.  A polling
-dispatcher re-checks every blocked rank at every switch instead, which
-is already 131 checks per block at 256 ranks.
+a block costs about two checks (the failed check and the passing
+re-check after the notify, on which the rank resumes) at any rank
+count.  A polling dispatcher re-checks every blocked rank at every
+switch instead, which is already 131 checks per block at 256 ranks.
 
 The Ckpt-IO WAL proxy at 256 ranks is the second input: its shutdown
 drain waits on flush timers fired by ``schedule()`` callbacks, which

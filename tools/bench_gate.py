@@ -98,13 +98,13 @@ def check_absolute_timings(baseline: dict, fresh: dict,
             continue
         limit = base_value * tolerance
         verdict = "ok" if fresh_value <= limit else "REGRESSION"
-        notes.append(f"{metric}: {fresh_value:.3f}s vs baseline "
-                     f"{base_value:.3f}s (limit {limit:.3f}s) "
+        notes.append(f"{metric}: {fresh_value:.4g}s vs baseline "
+                     f"{base_value:.4g}s (limit {limit:.4g}s) "
                      f"{verdict}")
         if fresh_value > limit:
             failures.append(
-                f"{metric} regressed: {fresh_value:.3f}s > "
-                f"{tolerance}x baseline {base_value:.3f}s")
+                f"{metric} regressed: {fresh_value:.4g}s > "
+                f"{tolerance}x baseline {base_value:.4g}s")
     return failures, notes
 
 

@@ -24,7 +24,11 @@ The ratio contract is only asserted when the trace is at least
 not dominate and the ratio is noise (parity is still asserted).  The
 ``.rtrc`` save/load timings ride along as informational ``*_s``
 metrics so a format-level regression (e.g. an accidental copy on load)
-shows up in the same gate.
+shows up in the same gate, and so do the columnar pipeline's first two
+stages on their own: ``offsets_s``, the §5.1 offset solve, and
+``tables_s``, the per-file tables built from its accesses.  The
+``.txt`` lists those two beside the figures the recording host measured
+before the solve returned its accesses sorted by file.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import pytest
 from benchmarks.conftest import save_artifact
 from repro.core import offsets
 from repro.core.conflicts import count_conflicts, count_conflicts_columnar
-from repro.core.records import group_by_path
+from repro.core.records import FileTables, group_by_path
 from repro.core.semantics import Semantics
 from repro.tracer import read_rtrc
 from repro.tracer.synth import synthetic_columnar_trace
@@ -56,6 +60,12 @@ RATIO_CEILING = 0.1
 RATIO_MIN_OPS = 500_000
 #: the pytest-benchmark micro runs use a slice of the full trace size
 N_MICRO = max(N_OPS // 10, 10_000)
+#: seconds at 10^6 ops on the recording host (2 vCPUs, Python 3.11.7)
+#: before the solve returned its accesses sorted by file, when it
+#: returned them in trace order and the table build sorted them: each
+#: the best of 3 like the fresh figures, the median of 6 runs alternated
+#: with runs of the sorted solve
+BEFORE_S = {"offsets_s": 0.301, "tables_s": 0.130}
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +127,13 @@ def test_trace_core_contract(artifacts, tmp_path, ct, tr):
 
     col_counts, col_s = _best_of(lambda: _columnar_pipeline(ct),
                                  ROUNDS_COLUMNAR)
+    # the pipeline's first two stages on their own
+    trace = ct.to_trace()
+    accesses, offsets_s = _best_of(
+        lambda: offsets.reconstruct_offsets(trace), ROUNDS_COLUMNAR)
+    tables, tables_s = _best_of(lambda: FileTables(accesses),
+                                ROUNDS_COLUMNAR)
+    assert len(tables.whole) == len(accesses)
     obj_counts, obj_s = _best_of(lambda: _object_pipeline(tr),
                                  ROUNDS_OBJECT)
 
@@ -146,6 +163,8 @@ def test_trace_core_contract(artifacts, tmp_path, ct, tr):
         "python": platform.python_version(),
         "columnar_s": round(col_s, 4),
         "object_s": round(obj_s, 4),
+        "offsets_s": round(offsets_s, 4),
+        "tables_s": round(tables_s, 4),
         "rtrc_save_s": round(save_s, 4),
         "rtrc_load_s": round(load_s, 4),
         "rtrc_bytes": path.stat().st_size,
@@ -164,6 +183,10 @@ def test_trace_core_contract(artifacts, tmp_path, ct, tr):
         f"columnar pipeline {col_s:8.3f}s",
         f"object pipeline   {obj_s:8.3f}s  "
         f"(columnar/object {ratio:.4f}, {doc['speedup']:.1f}x)",
+        f"offset solve      {offsets_s:8.3f}s  "
+        f"(before {BEFORE_S['offsets_s']:.3f}s)",
+        f"table build       {tables_s:8.3f}s  "
+        f"(before {BEFORE_S['tables_s']:.3f}s)",
         f"rtrc save {save_s:.3f}s  load {load_s:.3f}s  "
         f"({doc['rtrc_bytes']} bytes)",
         f"counts {json.dumps(col_counts, sort_keys=True)}",

@@ -36,17 +36,22 @@ from repro.tracer.events import (
     WRITE_OPS,
 )
 from repro.tracer.trace import Trace
-from repro.core.records import AccessList, AccessTable
+from repro.core.records import AccessList, AccessTable, sorted_by_file
 
 
 def reconstruct_offsets(trace: Trace, *, strict: bool = True
                         ) -> AccessList:
     """Resolve every POSIX data record of ``trace`` to a byte extent.
 
-    The accesses come back in trace order as an :class:`AccessList`.
-    Only POSIX rows are consumed, in row order, so the shared size model
-    sees operations in global order.  With ``strict`` a data op or seek
-    on an untracked descriptor raises :class:`TraceError`, and so does a
+    The accesses come back as a ``by_file`` :class:`AccessList`: files
+    in path order, each file's accesses in ``(tstart, rid)`` order, the
+    order of :attr:`FileTables.whole <repro.core.records.FileTables>`,
+    so :func:`~repro.core.records.group_by_path` only finds where each
+    file's rows start.  A caller that walks the accesses in time order
+    sorts them by ``(tstart, rid)`` itself.  Only POSIX rows are
+    consumed, in row order, so the shared size model sees operations in
+    global order.  With ``strict`` a data op or seek on an untracked
+    descriptor raises :class:`TraceError`, and so does a
     ``pwrite``/``pread`` on an fd that no open of its rank returned
     when the rank has an open record; otherwise the op is skipped
     (useful for partial traces).
@@ -64,12 +69,13 @@ def reconstruct_tables_columnar(ct: ColumnarTrace, *, strict: bool = True,
 #
 # The array pass runs the state machine as whole-column passes:
 #
-# * descriptor streams: rows are grouped per (rank, fd) with a lexsort;
-#   each open starts a new generation, and the current position inside a
-#   generation is a "reset + cumulative sum" — seeks/opens/append-writes
-#   contribute absolute bases, sequential reads/writes contribute count
-#   deltas, and position(j) = base[last reset <= j] + (cumdelta[j] -
-#   cumdelta[last reset]);
+# * descriptor streams: rows are grouped per (rank, fd) with one stable
+#   sort of a composite key, 16 bits wide when it fits (numpy sorts
+#   those by radix); each open starts a new generation, and the current
+#   position inside a generation is a "reset + cumulative sum" —
+#   seeks/opens/append-writes contribute absolute bases, sequential
+#   reads/writes contribute count deltas, and position(j) =
+#   base[last reset <= j] + (cumdelta[j] - cumdelta[last reset]);
 # * O_APPEND landing offsets come from per-path size streams built the
 #   same way (O_TRUNC opens reset to zero, ``size_at_open`` seeds the
 #   first generation, append writes grow by their count);
@@ -88,6 +94,7 @@ _OTHER, _OPEN, _CLOSE, _DUP, _SEEK, _TRUNC, _FTRUNC, _RD, _WR = range(9)
 _STRUCTURAL_ARGS = {"flags": "flags", "whence": "whence",
                     "offset": "arg_offset", "length": "length",
                     "newfd": "newfd", "size_at_open": "size_at_open"}
+_STRUCTURAL_KEYS = frozenset(_STRUCTURAL_ARGS)
 
 
 class _ColumnarFallback(Exception):
@@ -98,43 +105,50 @@ class _ColumnarFallback(Exception):
 _CLASSES = ((OPEN_OPS, _OPEN), (CLOSE_OPS, _CLOSE), ({"dup"}, _DUP),
             (SEEK_OPS, _SEEK), ({"truncate"}, _TRUNC),
             ({"ftruncate"}, _FTRUNC), (READ_OPS, _RD), (WRITE_OPS, _WR))
+#: the op class of each function name (later families first, so the
+#: first match overwrites them)
+_CLASS_OF = {name: code for ops, code in reversed(_CLASSES) for name in ops}
 
 
 def _func_class_lut(funcs: list[str]) -> np.ndarray:
     """Map the (tiny) interned function table to op-class codes."""
-    return np.array([next((code for ops, code in _CLASSES if name in ops),
-                          _OTHER) for name in funcs], dtype=np.int8)
+    return np.array([_CLASS_OF.get(name, _OTHER) for name in funcs],
+                    dtype=np.int8)
 
 
 def _solve(ct: ColumnarTrace, strict: bool) -> AccessList:
-    """Both passes end here: the resolved rows, in trace order, as
-    access columns."""
+    """Both passes end here.  Each returns the resolved rows in trace
+    order; the sort by file keeps that order within each file, and each
+    access column is then gathered once from the trace's columns."""
     try:
         if not strict:
             raise _ColumnarFallback
         rows, start, path_id = _reconstruct_vectorized(ct)
     except _ColumnarFallback:
         rows, start, path_id = _replay(ct, strict)
-    order = np.argsort(rows, kind="stable")
-    rows, start, path_id = rows[order], start[order], path_id[order]
     c = ct.columns
-    count = c["count"][rows]
-    fd = c["fd"][rows]
-    func_id = c["func_id"][rows]
-    return AccessList({
-        "rid": c["rid"][rows], "rank": c["rank"][rows],
-        "path_id": path_id, "offset": start,
-        "stop": start + np.where(count == I64_NONE, 0, count),
-        "is_write": _func_class_lut(ct.funcs)[func_id] == _WR,
-        "tstart": c["tstart"][rows], "tend": c["tend"][rows],
-        "fd": np.where(fd == I64_NONE, -1, fd), "func_id": func_id,
-        "issuer_id": c["issuer_id"][rows],
-    }, ct.paths, ct.funcs, LAYER_TABLE)
+    writes = _func_class_lut(ct.funcs) == _WR
+
+    def gather(order: np.ndarray) -> dict[str, np.ndarray]:
+        row = rows[order]
+        offset = start[order]
+        fd = c["fd"][row]
+        func_id = c["func_id"][row]
+        return {
+            # a resolved access has a byte count, and it is positive
+            "rid": c["rid"][row], "rank": c["rank"][row], "offset": offset,
+            "stop": offset + c["count"][row], "is_write": writes[func_id],
+            "tstart": c["tstart"][row], "tend": c["tend"][row],
+            "fd": np.where(fd == I64_NONE, -1, fd), "func_id": func_id,
+            "issuer_id": c["issuer_id"][row]}
+
+    return sorted_by_file(ct.paths, path_id, gather, ct.funcs, LAYER_TABLE)
 
 
 def _reconstruct_vectorized(ct):
     """The array pass: ``(rows, start, path_id)`` of every resolved
-    access with a non-zero count, or :class:`_ColumnarFallback`."""
+    access with a non-zero count, in trace order, or
+    :class:`_ColumnarFallback`."""
     c = ct.columns
     mask = ct.posix_mask()
     npx = int(np.count_nonzero(mask))
@@ -142,152 +156,187 @@ def _reconstruct_vectorized(ct):
         return (np.empty(0, np.int64),) * 3
     # structurally relevant args escape-encoded into the side table are
     # invisible to the integer columns: sequential replay territory
-    # (extras is sparse — a handful of rows at most on real traces)
     for row, extra in ct.extras.items():
-        if mask[row] and any(key in extra for key in _STRUCTURAL_ARGS):
+        if not _STRUCTURAL_KEYS.isdisjoint(extra) and mask[row]:
             raise _ColumnarFallback
     idx = np.flatnonzero(mask)
-    if npx == mask.size:
-        take = lambda name: c[name]  # noqa: E731 — all-POSIX: zero-copy
-    else:
-        take = lambda name: c[name][idx]  # noqa: E731
-    cls_ = _func_class_lut(ct.funcs)[take("func_id")]
+    every = npx == mask.size
+
+    def take(name: str, at: np.ndarray | None = None) -> np.ndarray:
+        """A column over the POSIX rows (all-POSIX: zero-copy), or at
+        the POSIX rows ``at``."""
+        column = c[name]
+        if at is None:
+            return column if every else column[idx]
+        return column[at if every else idx[at]]
+
+    lut = _func_class_lut(ct.funcs)
+    kinds = set(lut.tolist())
+    cls_ = lut[take("func_id")]
     rank = take("rank")
     fd = take("fd")
     path_id = take("path_id")
     offset = take("offset")
     count = take("count")
-    raw_flags = take("flags")
-    flags = np.where(raw_flags == I64_NONE, 0, raw_flags)
-    whence = take("whence")
-    arg_off = take("arg_offset")
-    length = take("length")
-    sz_open = take("size_at_open")
+    # I64_NONE is the sign bit alone, so each flag test below reads a
+    # missing flags value as no flags at all
+    flags = take("flags")
 
     is_open = cls_ == _OPEN
-    is_close = cls_ == _CLOSE
     is_seek = cls_ == _SEEK
-    is_data = (cls_ == _RD) | (cls_ == _WR)
     is_write_op = cls_ == _WR
+    is_data = is_write_op | (cls_ == _RD)
     explicit = is_data & (offset != I64_NONE)
     implicit = is_data & ~explicit
     count_eff = np.where(count == I64_NONE, 0, count)
-    is_trunc_op = (cls_ == _TRUNC) | (cls_ == _FTRUNC)
+    opens = np.flatnonzero(is_open)
+    truncs = (np.flatnonzero((cls_ == _TRUNC) | (cls_ == _FTRUNC))
+              if {_TRUNC, _FTRUNC} & kinds else np.empty(0, np.intp))
+    negative = count_eff < 0
 
     # features that need the sequential replay (or its exact errors)
-    if (bool(np.any(cls_ == _DUP))
-            or bool(np.any(is_seek & (
-                (whence == I64_NONE) | (arg_off == I64_NONE)
-                | ((whence != F.SEEK_SET) & (whence != F.SEEK_CUR)))))
-            or bool(np.any(is_open & (path_id < 0)))
+    if ((_DUP in kinds and bool(np.any(cls_ == _DUP)))
+            or bool(np.any(path_id[opens] < 0))
             or bool(np.any(explicit & (path_id < 0)))
-            or bool(np.any((cls_ == _TRUNC) & (path_id < 0)))
-            or bool(np.any(is_trunc_op & (length == I64_NONE)))
-            or bool(np.any(is_data & (count_eff < 0)))):
+            or (truncs.size and (
+                bool(np.any((cls_[truncs] == _TRUNC)
+                            & (path_id[truncs] < 0)))
+                or bool(np.any(take("length", truncs) == I64_NONE))))
+            or (negative.any() and bool(np.any(is_data & negative)))):
         raise _ColumnarFallback
     # an explicit-offset op names an fd an open of its rank returned;
     # when one does not, the strict replay names the record
-    if not _opened_by_rank(rank, fd, is_open, explicit & (fd != I64_NONE)):
+    named = np.flatnonzero(explicit)
+    if not _opened_by_rank(rank, fd, opens,
+                           named[fd[named] != I64_NONE]):
         raise _ColumnarFallback
 
     # -- descriptor streams: group rows per (rank, fd), time-ordered --
-    s = np.flatnonzero(is_open | is_close | is_seek | implicit)
-    s_fd = fd[s]
-    # one stable argsort on a dense composite (rank, fd) key beats a
-    # three-key lexsort; fds are remapped to dense ids first
-    fd_vals, fd_dense = np.unique(s_fd, return_inverse=True)
-    so = s[np.argsort(rank[s] * fd_vals.size + fd_dense,
-                      kind="stable")]
+    s = np.flatnonzero(is_open | (cls_ == _CLOSE) | is_seek | implicit)
+    key = _stream_key(rank[s], fd[s])
+    order = np.argsort(key, kind="stable")
+    so = s[order]
     m = so.size
     pos_m = np.arange(m)
-    g_rank = rank[so]
-    g_fd = fd[so]
-    g_open = is_open[so]
-    g_close = is_close[so]
-    g_seek = is_seek[so]
-    g_impl = implicit[so]
+    g_cls = cls_[so]
+    g_open = g_cls == _OPEN
+    g_seek = g_cls == _SEEK
+    g_write = g_cls == _WR
+    g_impl = g_write | (g_cls == _RD)  # a stream's data rows: implicit
+    g_key = key[order]
     new_grp = np.ones(m, dtype=bool)
-    new_grp[1:] = ((g_rank[1:] != g_rank[:-1])
-                   | (g_fd[1:] != g_fd[:-1]))
+    new_grp[1:] = g_key[1:] != g_key[:-1]
     grp_start = np.maximum.accumulate(np.where(new_grp, pos_m, 0))
     last_open = np.maximum.accumulate(np.where(g_open, pos_m, -1))
-    last_close = np.maximum.accumulate(np.where(g_close, pos_m, -1))
+    last_close = np.maximum.accumulate(np.where(g_cls == _CLOSE, pos_m,
+                                                -1))
     open_ok = last_open >= grp_start
     if bool(np.any((g_seek | g_impl)
                    & (~open_ok | (last_close > last_open)))):
         raise _ColumnarFallback  # untracked fd: strict replay raises
+    # so each seek and data row follows an open of its own stream, with
+    # no close in between
+
+    seek_at = np.flatnonzero(g_seek)
+    whence = take("whence", so[seek_at])
+    seek_to = take("arg_offset", so[seek_at])
+    seek_set = whence == F.SEEK_SET
+    if (bool(np.any(~seek_set & (whence != F.SEEK_CUR)))
+            or bool(np.any(seek_to == I64_NONE))):
+        raise _ColumnarFallback  # SEEK_END, an unknown or missing whence
 
     open_row = so[np.maximum(last_open, 0)]  # the generation's open
     stream_path = path_id[open_row]
     stream_append = (flags[open_row] & F.O_APPEND) != 0
-    g_write = is_write_op[so]
-    g_appw = g_impl & g_write & stream_append & open_ok
+    g_appw = g_impl & g_write & stream_append
 
     # -- O_APPEND size streams (global, per path) --
-    append_paths = np.unique(path_id[is_open & ((flags & F.O_APPEND)
-                                                != 0)])
-    land = np.zeros(npx, dtype=np.int64)
-    if append_paths.size:
+    append_opens = opens[(flags[opens] & F.O_APPEND) != 0]
+    g_cnt = count_eff[so]
+    appw_land = np.empty(0, np.int64)
+    if append_opens.size:
+        append_paths = np.unique(path_id[append_opens])
         appending = np.isin(path_id, append_paths)
         entangled = (
             bool(np.any(is_write_op & explicit & appending))
             or bool(np.any(g_impl & g_write & ~stream_append
                            & np.isin(stream_path, append_paths)))
-            or bool(np.any(is_trunc_op)))
+            or bool(truncs.size))
         if entangled:
             raise _ColumnarFallback
-        _append_landings(npx, np.flatnonzero(is_open & appending),
-                         so[g_appw], path_id, stream_path[g_appw],
-                         flags, sz_open, count_eff, I64_NONE, land)
+        appw_land = _append_landings(
+            opens[appending[opens]], so[g_appw], path_id,
+            stream_path[g_appw], flags, take("size_at_open"), count_eff)
 
     # -- positions inside each descriptor generation (reset + cumsum) --
-    g_cnt = count_eff[so]
-    g_whence = whence[so]
-    g_set = g_seek & (g_whence == F.SEEK_SET)
-    g_cur = g_seek & (g_whence == F.SEEK_CUR)
-    g_arg = arg_off[so]
-    g_reset = g_open | g_set | g_appw | new_grp
+    # opens, SEEK_SET seeks and append writes reset the position, and
+    # none of them moves it by a delta
+    g_reset = g_open | g_appw
+    g_reset[seek_at[seek_set]] = True
     base = np.zeros(m, dtype=np.int64)
-    base[g_set] = g_arg[g_set]
-    base[g_appw] = land[so[g_appw]] + g_cnt[g_appw]
-    base[g_open] = 0
+    base[seek_at[seek_set]] = seek_to[seek_set]
+    base[g_appw] = appw_land + g_cnt[g_appw]
     delta = np.zeros(m, dtype=np.int64)
-    delta[g_cur] = g_arg[g_cur]
+    delta[seek_at[~seek_set]] = seek_to[~seek_set]
     seq_data = g_impl & ~g_appw
     delta[seq_data] = g_cnt[seq_data]
-    delta[g_reset] = 0
     cum = np.cumsum(delta)
     reset_idx = np.maximum.accumulate(np.where(g_reset, pos_m, 0))
-    pos_after = base[reset_idx] + cum - cum[reset_idx]
-    impl_off = np.where(g_appw, land[so], pos_after - delta)
+    impl_off = base[reset_idx] + cum - cum[reset_idx] - delta
+    impl_off[g_appw] = appw_land
 
-    # -- the resolved extents, as trace rows --
+    # -- the resolved extents, placed in trace order: an explicit row
+    # keeps its offset and path, an implicit one takes its stream's --
     im = g_impl & (g_cnt > 0)
-    ex = explicit & (count_eff > 0)
-    rows = np.concatenate([so[im], np.flatnonzero(ex)])
-    return (idx[rows], np.concatenate([impl_off[im], offset[ex]]),
-            np.concatenate([stream_path[im], path_id[ex]]))
+    im_rows = so[im]
+    keep = explicit & (count_eff > 0)
+    keep[im_rows] = True
+    start = offset.copy()
+    start[im_rows] = impl_off[im]
+    path = path_id.copy()
+    path[im_rows] = stream_path[im]
+    rows = np.flatnonzero(keep)
+    return rows if every else idx[rows], start[rows], path[rows]
+
+
+def _stream_key(rank: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """A key per row, equal exactly when the rows' ``(rank, fd)`` are.
+
+    ``rank * span + (fd - lo)`` over the fds' range ``[lo, lo + span)``,
+    as uint16 while every key fits 16 bits, so that a stable sort on it
+    is a radix sort; otherwise the fds are first remapped to dense ids
+    and the key stays int64."""
+    if not fd.size:
+        return fd
+    lo = int(fd.min())
+    span = int(fd.max()) - lo + 1
+    if int(rank.min()) >= 0 and (int(rank.max()) + 1) * span <= 1 << 16:
+        return (rank * span + (fd - lo)).astype(np.uint16)
+    values, dense = np.unique(fd, return_inverse=True)
+    return rank * values.size + dense
 
 
 #: the largest (rank, fd) table :func:`_opened_by_rank` builds
 _FD_TABLE_MAX = 1 << 22
 
 
-def _opened_by_rank(rank: np.ndarray, fd: np.ndarray, is_open: np.ndarray,
+def _opened_by_rank(rank: np.ndarray, fd: np.ndarray, opens: np.ndarray,
                     used: np.ndarray) -> bool:
-    """Does each ``used`` row name an fd that an open of its rank
+    """Does each row in ``used`` name an fd that an open of its rank
     returned, whenever its rank has an open record?
 
-    One whole-column lookup in a (rank, fd) table: a rank without an
-    open record (a partial trace) passes whatever its fd, an fd outside
-    the opened range fails unless so.  Opened fds spread too widely for
-    a table answer ``False``, which leaves the question to the replay.
+    ``opens`` are the open rows.  One lookup per used row in a (rank,
+    fd) table: a rank without an open record (a partial trace) passes
+    whatever its fd, an fd outside the opened range fails unless so.
+    Opened fds spread too widely for a table answer ``False``, which
+    leaves the question to the replay.
     """
-    if not used.any() or not is_open.any():
+    if not used.size or not opens.size:
         return True
-    nranks = int(rank[is_open].max()) + 1
-    named = is_open & (fd != I64_NONE)
-    ofd = fd[named]
+    o_rank, o_fd = rank[opens], fd[opens]
+    nranks = int(o_rank.max()) + 1
+    named = o_fd != I64_NONE
+    ofd = o_fd[named]
     lo = int(ofd.min()) if ofd.size else 0
     span = int(ofd.max()) - lo + 1 if ofd.size else 0
     if (nranks + 1) * (span + 1) > _FD_TABLE_MAX:
@@ -295,20 +344,21 @@ def _opened_by_rank(rank: np.ndarray, fd: np.ndarray, is_open: np.ndarray,
     # row nranks stands for every higher rank, column span for every
     # fd outside [lo, lo + span)
     table = np.ones((nranks + 1, span + 1), dtype=bool)
-    table[rank[is_open]] = False
-    table[rank[named], ofd - lo] = True
-    key_fd = fd - lo
-    key_fd = np.where((key_fd >= 0) & (key_fd < span), key_fd, span)
-    cell = np.minimum(rank, nranks) * (span + 1) + key_fd
-    return not bool(np.any(used & ~table.ravel()[cell]))
+    table[o_rank] = False
+    table[o_rank[named], ofd - lo] = True
+    # an fd below lo wraps past span as an unsigned number
+    cell = fd[used] - lo
+    np.minimum(cell.view(np.uint64), span, out=cell.view(np.uint64))
+    cell += np.minimum(rank[used], nranks) * (span + 1)
+    return bool(table.ravel()[cell].all())
 
 
-def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,
+def _append_landings(open_rows: np.ndarray, write_rows: np.ndarray,
                      path_id: np.ndarray, write_path: np.ndarray,
                      flags: np.ndarray, sz_open: np.ndarray,
-                     count_eff: np.ndarray, none_val: int,
-                     land: np.ndarray) -> None:
-    """Fill ``land[row]`` with the size-before for append-write rows.
+                     count_eff: np.ndarray) -> np.ndarray:
+    """Where each append write of ``write_rows`` lands: its file's size
+    before it.
 
     Each appending path's size is replayed as one reset+cumsum stream
     over its opens and append writes, matching :class:`_SizeTracker`:
@@ -323,13 +373,12 @@ def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,
     paths = paths[order]
     m = rows.size
     p = np.arange(m)
-    z_open = np.zeros(m, dtype=bool)
-    z_open[np.isin(rows, open_rows)] = True
+    z_open = order < open_rows.size
     z_flags = flags[rows]
     am = z_flags & F.O_ACCMODE
     z_trunc = (z_open & ((z_flags & F.O_TRUNC) != 0)
                & ((am == F.O_WRONLY) | (am == F.O_RDWR)))
-    z_seed = z_open & (sz_open[rows] != none_val) & ~z_trunc
+    z_seed = z_open & (sz_open[rows] != I64_NONE) & ~z_trunc
     z_cnt = np.where(z_open, 0, count_eff[rows])
     new_grp = np.ones(m, dtype=bool)
     new_grp[1:] = paths[1:] != paths[:-1]
@@ -353,7 +402,9 @@ def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,
     reset_idx = np.maximum.accumulate(np.where(z_reset, p, 0))
     size_after = base[reset_idx] + cum - cum[reset_idx]
     w = ~z_open
-    land[rows[w]] = size_after[w] - z_cnt[w]
+    land = np.empty(write_rows.size, dtype=np.int64)
+    land[order[w] - open_rows.size] = size_after[w] - z_cnt[w]
+    return land
 
 
 def _replay(ct: ColumnarTrace, strict: bool):

@@ -3,18 +3,21 @@
 After offset reconstruction every POSIX data operation is a resolved
 access — the paper's tuple ``(t, r, os, oe, type)`` plus the fields the
 conflict conditions need (path, fd, record id).  An
-:class:`AccessList` holds a trace's accesses as numpy columns.
-:class:`FileTables` sorts them by file once: one trace-wide table that
-the per-trace stages sweep whole, and one :class:`AccessTable` view per
-file.  :class:`AccessRecord` objects are built only for the rows a
-caller asks for.
+:class:`AccessList` holds a trace's accesses as numpy columns; the
+offset solve returns one already sorted by file
+(:func:`sorted_by_file`).  :class:`FileTables` shares its arrays: one
+trace-wide table that the per-trace stages sweep whole, and an
+:class:`AccessTable` view of a file, made when a caller asks for it.
+:class:`AccessRecord` objects are built only for the rows a caller asks
+for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,18 +66,22 @@ _FIELD_DTYPES = {"rid": np.int64, "rank": np.int64, "offset": np.int64,
 class AccessList(RowView):
     """Resolved accesses as parallel columns.
 
-    The offset solve returns one in trace order.  Items are
-    :class:`AccessRecord` objects built on demand and :attr:`tables`
-    sorts the rows by file.  The :data:`ACCESS_COLUMNS` are attributes;
-    ``path_id``, ``func_id`` and ``issuer_id`` index ``paths``, ``funcs``
-    and ``issuers``.
+    Items are :class:`AccessRecord` objects built on demand, and
+    :attr:`tables` groups the rows by file.  The :data:`ACCESS_COLUMNS`
+    are attributes; ``path_id``, ``func_id`` and ``issuer_id`` index
+    ``paths``, ``funcs`` and ``issuers``.  A list is ``by_file`` when
+    its rows are sorted by file, then ``(tstart, rid)``, and ``paths``
+    are its files in path order, each with at least one row.  The offset
+    solve returns such a list (:func:`sorted_by_file`), and its
+    :attr:`tables` share its arrays instead of sorting them.
     """
 
     def __init__(self, columns: dict[str, np.ndarray], paths, funcs,
-                 issuers):
+                 issuers, *, by_file: bool = False):
         for name in ACCESS_COLUMNS:
             setattr(self, name, columns[name])
         self.paths, self.funcs, self.issuers = paths, funcs, issuers
+        self.by_file = by_file
         super().__init__(len(self.rid), self.records_at)
 
     @classmethod
@@ -91,7 +98,11 @@ class AccessList(RowView):
                                                   for r in records])
         return cls(columns, paths, funcs, issuers)
 
-    def columns(self, rows=slice(None)) -> dict[str, np.ndarray]:
+    def columns(self, rows=None) -> dict[str, np.ndarray]:
+        """The columns of ``rows`` (a slice or an index array), or the
+        columns themselves."""
+        if rows is None:
+            return {name: getattr(self, name) for name in ACCESS_COLUMNS}
         return {name: getattr(self, name)[rows] for name in ACCESS_COLUMNS}
 
     def records_at(self, rows) -> list[AccessRecord]:
@@ -126,61 +137,97 @@ def run_bounds(*keys: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(change) + 1, [n]))
 
 
-def _check_extents(accesses: AccessList,
-                   first: np.ndarray | None = None) -> None:
-    """Raise on the first access with an empty extent: the first row, or
-    the first of those ``first`` ranks lowest."""
+def sorted_by_file(paths: list[str], path_id: np.ndarray,
+                   gather: Callable[[np.ndarray], dict[str, np.ndarray]],
+                   funcs, issuers) -> AccessList:
+    """Accesses sorted by file, in path order, then by ``(tstart, rid)``.
+
+    ``path_id`` indexes ``paths`` for each access, and ``gather(order)``
+    returns the other :data:`ACCESS_COLUMNS` of the accesses in
+    ``order``, so a caller gathers each column once.  One stable sort by
+    file orders the rows, a radix sort while the file index fits 16
+    bits.  Accesses that come in start order are then in ``(tstart,
+    rid)`` order within each file; when ranks interleave out of start
+    order, the rows are sorted again.  The result is ``by_file``: its
+    ``paths`` are the files with an access, and its ``path_id`` is each
+    row's index into them.
+    """
+    counts = np.bincount(path_id, minlength=len(paths))
+    files = sorted(np.flatnonzero(counts).tolist(), key=paths.__getitem__)
+    # each file's place in path order; a 16-bit key sorts by radix
+    place = np.zeros(len(paths),
+                     np.uint16 if len(files) <= 1 << 16 else np.int64)
+    place[files] = np.arange(len(files))
+    columns = gather(np.argsort(place[path_id], kind="stable"))
+    sizes = counts[files]
+    columns["path_id"] = np.repeat(np.arange(len(files)), sizes)
+    t, rid = columns["tstart"], columns["rid"]
+    later = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (rid[1:] > rid[:-1]))
+    later[np.cumsum(sizes)[:-1] - 1] = True  # each file's first row
+    if not later.all():
+        order = np.lexsort((rid, t, columns["path_id"]))
+        columns = {name: column[order] for name, column in columns.items()}
+    return AccessList(columns, [paths[p] for p in files], funcs, issuers,
+                      by_file=True)
+
+
+def _check_extents(accesses: AccessList) -> None:
+    """Raise on the first access with an empty extent."""
     bad = np.flatnonzero(accesses.stop <= accesses.offset)
     if bad.size:
-        i = int(bad[0] if first is None else bad[np.argmin(first[bad])])
+        i = int(bad[0])
         raise AnalysisError(
             f"record {int(accesses.rid[i])} has empty extent "
             f"[{int(accesses.offset[i])},{int(accesses.stop[i])})")
 
 
-class FileTables(dict):
+class FileTables(Mapping):
     """One :class:`AccessTable` per file, keyed and ordered by path.
 
     The tables are zero-copy views of :attr:`whole`: every access of the
-    trace in one :class:`AccessList`, sorted by file (in path order),
-    then ``(tstart, rid)``.  Its ``path_id`` column is the file's index
-    in path order, its ``paths`` are the files' paths, and
+    trace in one ``by_file`` :class:`AccessList`, sorted by file (in
+    path order), then ``(tstart, rid)``.  Its ``path_id`` column is the
+    file's index in path order, its ``paths`` are the files' paths, and
     ``bounds[f]:bounds[f + 1]`` are file ``f``'s rows.  The stages that
     run once per trace read :attr:`whole`; a file's rows are one slice
-    of it.
+    of it, and its view is made the first time it is asked for.  A list
+    that is not ``by_file`` is sorted first (:func:`sorted_by_file`).
     """
 
     def __init__(self, accesses: AccessList):
-        paths = accesses.paths
-        by_name = sorted(range(len(paths)), key=paths.__getitem__)
-        # each path id's place in path order; a 16-bit key sorts by radix
-        place = np.empty(len(paths),
-                         np.uint16 if len(paths) <= 1 << 16 else np.int64)
-        place[by_name] = np.arange(len(paths))
-        key = place[accesses.path_id]
-        _check_extents(accesses, key)
-        order = np.argsort(key, kind="stable")
-        t, rid, file = accesses.tstart[order], accesses.rid[order], \
-            key[order]
-        # a trace in start order leaves each file's rows in (tstart,
-        # rid) order; one whose ranks interleave out of order is sorted
-        later = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (rid[1:] > rid[:-1]))
-        if not np.all(later | (file[1:] != file[:-1])):
-            order = np.lexsort((accesses.rid, accesses.tstart, key))
-            file = key[order]
-        self.bounds = run_bounds(file)
-        columns = accesses.columns(order)
-        columns["path_id"] = np.repeat(np.arange(self.bounds.size - 1),
-                                       np.diff(self.bounds))
-        self.whole = AccessList(
-            columns,
-            [paths[by_name[k]] for k in file[self.bounds[:-1]].tolist()],
-            accesses.funcs, accesses.issuers)
-        super().__init__(
-            (path, AccessTable.view(self.whole, path, lo, hi))
-            for path, lo, hi in zip(self.whole.paths,
-                                    self.bounds[:-1].tolist(),
-                                    self.bounds[1:].tolist()))
+        if not accesses.by_file:
+            accesses = sorted_by_file(accesses.paths, accesses.path_id,
+                                      accesses.columns, accesses.funcs,
+                                      accesses.issuers)
+        _check_extents(accesses)
+        # a list of its own over the same arrays, so that the tables of
+        # a list hold no reference back to it
+        self.whole = AccessList(accesses.columns(), accesses.paths,
+                                accesses.funcs, accesses.issuers,
+                                by_file=True)
+        paths = self.whole.paths
+        self.bounds = np.searchsorted(self.whole.path_id,
+                                      np.arange(len(paths) + 1))
+        self._file = dict(zip(paths, range(len(paths))))
+        self._views: dict[str, AccessTable] = {}
+
+    def __getitem__(self, path: str) -> "AccessTable":
+        view = self._views.get(path)
+        if view is None:
+            f = self._file[path]
+            view = self._views[path] = AccessTable.view(
+                self.whole, path, int(self.bounds[f]),
+                int(self.bounds[f + 1]))
+        return view
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.whole.paths)
+
+    def __len__(self) -> int:
+        return len(self.whole.paths)
+
+    def __contains__(self, path) -> bool:
+        return path in self._file
 
     @cached_property
     def _rank_radix(self) -> tuple[np.ndarray | None, int]:
@@ -317,9 +364,10 @@ def group_by_path(records: "AccessList | Iterable[AccessRecord]"
                   ) -> FileTables:
     """Bucket resolved accesses into one :class:`AccessTable` per file.
 
-    An :class:`AccessList` sorts its columns by file once
-    (:attr:`AccessList.tables`); any other iterable of records is read
-    into columns first.
+    A ``by_file`` :class:`AccessList`, as the offset solve returns, only
+    has its file bounds found and shares its arrays; any other list is
+    sorted by file once (:attr:`AccessList.tables`), and any other
+    iterable of records is read into columns first.
     """
     if not isinstance(records, AccessList):
         records = AccessList.from_records(records)

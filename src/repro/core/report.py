@@ -93,12 +93,14 @@ class RunReport:
 
     @_stage("core.offsets_seconds")
     def accesses(self) -> AccessList:
-        """Offset-resolved POSIX data accesses (§5.1), in trace order."""
+        """Offset-resolved POSIX data accesses (§5.1), sorted by file,
+        then ``(tstart, rid)``."""
         return reconstruct_offsets(self.trace)
 
     @_stage("core.tables_seconds", "accesses")
     def tables(self, accesses: AccessList) -> dict[str, AccessTable]:
-        """Per-file access tables, rows in ``(tstart, rid)`` order.
+        """Per-file access tables, rows in ``(tstart, rid)`` order: the
+        accesses' own arrays and where each file's rows start.
 
         Every later stage reads these columns.
         """

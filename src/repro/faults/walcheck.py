@@ -24,7 +24,7 @@ silent while the audit does not.
 
 Segment coverage needs no knowledge of the proxy's batching: each
 rank's segments absorb its log front-to-back, so the running sum of a
-rank's segment sizes, in trace order, maps segment bytes to WAL
+rank's segment sizes, in time order, maps segment bytes to WAL
 offsets.  A segment is durable when its settled content matches every
 payload written to it.
 """
@@ -34,6 +34,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.offsets import reconstruct_offsets
 
@@ -135,11 +137,14 @@ def audit_wal(trace: "Trace", result: "ReplayResult",
         return data == synth_payload(acc.rid, acc.nbytes)
 
     # segment coverage: per rank, the running sum of segment sizes maps
-    # segment bytes onto WAL offsets; only durable segments cover
+    # segment bytes onto WAL offsets; only durable segments cover.  The
+    # solve returns accesses file by file, so walk them in time order.
     cursor: dict[int, int] = {}
     covered: dict[int, list[tuple[int, int]]] = {}
     wal_writes = []
-    for acc in reconstruct_offsets(trace):
+    accesses = reconstruct_offsets(trace)
+    for acc in accesses.records_at(np.lexsort((accesses.rid,
+                                               accesses.tstart))):
         if not acc.is_write or acc.nbytes <= 0:
             continue
         if acc.path.startswith(wal_prefix):

@@ -91,9 +91,10 @@ class PosixAPI:
              _stream: bool = False) -> int:
         p = self._resolve(path)
         t0 = self._clock.local_time
-        existed = self.vfs.is_file(p)
-        size_before = self.vfs.file_size(p) if existed else 0
-        inode = self.vfs.open_inode(p, open_flags, t0)
+        prior = self.vfs.file_inode(p)
+        existed = prior is not None
+        size_before = prior.size if existed else 0
+        inode = self.vfs.open_normalized(p, open_flags, t0)
         ofd = OpenFileDescription(p, inode, open_flags, stream=_stream)
         fd = self.fds.install(ofd)
         self._trace(_func, t0, path=p, fd=fd,
@@ -252,14 +253,14 @@ class PosixAPI:
     def stat(self, path: str) -> StatResult:
         p = self._resolve(path)
         t0 = self._clock.local_time
-        st = self.vfs.stat(p)
+        st = self.vfs.stat_normalized(p)
         self._trace("stat", t0, path=p, result=st.st_size)
         return st
 
     def lstat(self, path: str) -> StatResult:
         p = self._resolve(path)
         t0 = self._clock.local_time
-        st = self.vfs.stat(p)
+        st = self.vfs.stat_normalized(p)
         self._trace("lstat", t0, path=p, result=st.st_size)
         return st
 
@@ -273,21 +274,21 @@ class PosixAPI:
     def access(self, path: str) -> bool:
         p = self._resolve(path)
         t0 = self._clock.local_time
-        ok = self.vfs.exists(p)
+        ok = self.vfs.exists_normalized(p)
         self._trace("access", t0, path=p, result=ok)
         return ok
 
     def unlink(self, path: str) -> int:
         p = self._resolve(path)
         t0 = self._clock.local_time
-        self.vfs.unlink(p)
+        self.vfs.unlink_normalized(p)
         self._trace("unlink", t0, path=p, result=0)
         return 0
 
     def remove(self, path: str) -> int:
         p = self._resolve(path)
         t0 = self._clock.local_time
-        self.vfs.unlink(p)
+        self.vfs.unlink_normalized(p)
         self._trace("remove", t0, path=p, result=0)
         return 0
 

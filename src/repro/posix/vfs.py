@@ -6,6 +6,11 @@ parent directories must exist, ``O_EXCL`` fails on existing files,
 holes, and unlinked-but-open inodes stay readable until the last handle
 drops.  It knows nothing about ranks, time, or tracing — that is
 :class:`repro.posix.api.PosixAPI`'s job.
+
+Methods take raw paths and :func:`normalize` them, except the
+``*_normalized`` entry points (and :meth:`VirtualFileSystem.file_inode`),
+which take a path :func:`normalize` already returned, so that a POSIX
+call normalizes its path once.
 """
 
 from __future__ import annotations
@@ -90,7 +95,9 @@ class VirtualFileSystem:
                              path)
 
     def exists(self, path: str) -> bool:
-        p = normalize(path)
+        return self.exists_normalized(normalize(path))
+
+    def exists_normalized(self, p: str) -> bool:
         return p in self._files or p in self._dirs
 
     def is_dir(self, path: str) -> bool:
@@ -143,7 +150,9 @@ class VirtualFileSystem:
     # -- file lifecycle -------------------------------------------------------------
 
     def lookup(self, path: str) -> _Inode:
-        p = normalize(path)
+        return self._lookup(normalize(path))
+
+    def _lookup(self, p: str) -> _Inode:
         inode = self._files.get(p)
         if inode is None:
             kind = "directory" if p in self._dirs else "missing"
@@ -152,9 +161,16 @@ class VirtualFileSystem:
                              f"{p!r} is {kind}", p)
         return inode
 
+    def file_inode(self, p: str) -> _Inode | None:
+        """The inode of the regular file at ``p``, or ``None``."""
+        return self._files.get(p)
+
     def open_inode(self, path: str, open_flags: int, now: float) -> _Inode:
         """Resolve/create the inode per O_CREAT/O_EXCL/O_TRUNC rules."""
-        p = normalize(path)
+        return self.open_normalized(normalize(path), open_flags, now)
+
+    def open_normalized(self, p: str, open_flags: int,
+                        now: float) -> _Inode:
         if p in self._dirs:
             raise PosixError(errno.EISDIR, f"{p!r} is a directory", p)
         inode = self._files.get(p)
@@ -180,7 +196,9 @@ class VirtualFileSystem:
         inode.refs -= 1
 
     def unlink(self, path: str) -> None:
-        p = normalize(path)
+        self.unlink_normalized(normalize(path))
+
+    def unlink_normalized(self, p: str) -> None:
         if p in self._dirs:
             raise PosixError(errno.EISDIR, f"{p!r} is a directory", p)
         inode = self._files.pop(p, None)
@@ -290,13 +308,14 @@ class VirtualFileSystem:
     # -- metadata --------------------------------------------------------------------------
 
     def stat(self, path: str) -> StatResult:
-        p = normalize(path)
+        return self.stat_normalized(normalize(path))
+
+    def stat_normalized(self, p: str) -> StatResult:
         if p in self._dirs:
             return StatResult(st_size=0, st_mtime=0.0, st_atime=0.0,
                               st_ctime=0.0, st_mode=0o755, st_nlink=2,
                               st_ino=0, is_dir=True)
-        inode = self.lookup(p)
-        return self.stat_inode(inode)
+        return self.stat_inode(self._lookup(p))
 
     @staticmethod
     def stat_inode(inode: _Inode) -> StatResult:

@@ -105,6 +105,24 @@ class TestFileTables:
         assert FileTables.of(joined) is joined
         assert FileTables.of({}) == {}
 
+    def test_views_are_made_when_asked_for(self):
+        tables = group_by_path(self.RECORDS)
+        assert len(tables) == 2 and "/a" in tables and "/c" not in tables
+        assert not tables._views  # no file asked for yet
+        view = tables["/b"]
+        assert tables["/b"] is view and list(tables._views) == ["/b"]
+        assert tables.get("/c") is None
+        with pytest.raises(KeyError):
+            tables["/c"]
+        assert [len(t) for t in tables.values()] == [2, 2]
+
+    def test_a_by_file_list_is_shared_not_sorted(self):
+        accesses = group_by_path(self.RECORDS).whole
+        assert accesses.by_file
+        tables = FileTables(accesses)
+        assert tables.whole.rid is accesses.rid
+        assert tables.bounds.tolist() == [0, 2, 4]
+
     def test_empty_extent_names_the_first_bad_row_in_path_order(self):
         bad = [AccessRecord(rid=rid, rank=0, path=path, offset=4, stop=4,
                             is_write=True, tstart=0.0, tend=0.1)

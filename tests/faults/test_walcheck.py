@@ -46,6 +46,34 @@ def wal_no_flush(ctx, cfg):
     ctx.comm.barrier()
 
 
+def wal_interleaved(ctx, cfg):
+    """One rank absorbs its log into two open segments in turn: file
+    ``b`` takes the first record, then ``a`` the second, and a rewrite
+    of ``a``'s head leaves that first ``a`` write not durable.  The
+    WAL's head is then overwritten, so the first two records survive
+    only in segments.  Path order (``a`` before ``b``) is not the order
+    the segments absorbed the log in."""
+    px = ctx.posix
+    px.mkdir("/ckpt")
+    px.mkdir(WAL_DIR)
+    px.mkdir(SEG_DIR)
+    fd_wal = px.open(wal_path(WAL_DIR, 0),
+                     F.O_WRONLY | F.O_CREAT | F.O_TRUNC)
+    fd_a, fd_b = (px.open(f"{SEG_DIR}/{name}.seg",
+                          F.O_WRONLY | F.O_CREAT | F.O_TRUNC)
+                  for name in "ab")
+    px.write(fd_wal, 1024)      # WAL [0, 1024)
+    px.write(fd_wal, 1024)      # WAL [1024, 2048)
+    px.write(fd_b, 1024)        # log [0, 1024), durable
+    px.write(fd_a, 1024)        # log [1024, 2048), overwritten below
+    px.lseek(fd_a, 0, F.SEEK_SET)
+    px.write(fd_a, 512)         # log [2048, 2560), durable
+    px.lseek(fd_wal, 0, F.SEEK_SET)
+    px.write(fd_wal, 2048)      # the WAL's head, rewritten
+    for fd in (fd_wal, fd_a, fd_b):
+        px.close(fd)
+
+
 @pytest.fixture(scope="module")
 def noflush_trace():
     cfg = AppConfig(application="WalNoFlush", io_library="POSIX",
@@ -178,3 +206,28 @@ class TestAuditShape:
         assert doc["wal_dir"] == WAL_DIR
         assert doc["acked_bytes"] == doc["acked_records"] * 2048
         assert isinstance(WalAudit(wal_dir="w", seg_dir="s").ok, bool)
+
+
+class TestSegmentOrder:
+    def test_segments_absorb_the_log_in_time_order(self):
+        """The coverage cursor follows each rank's segment writes in
+        time order, not file by file: segment ``b`` holds the first
+        record, and the second is lost with ``a``'s rewritten head."""
+        cfg = AppConfig(application="WalInterleaved", io_library="POSIX",
+                        nranks=1, seed=7,
+                        options={"wal_dir": WAL_DIR, "seg_dir": SEG_DIR})
+        trace = run_application(cfg, wal_interleaved)
+        result = replay_trace(trace, PFSConfig(
+            semantics=Semantics.SESSION, stripe_size=STRIPE),
+            plan=FaultPlan(name="fault-free"))
+        audit = audit_wal(trace, result)
+        assert audit.to_dict() == {
+            "wal_dir": WAL_DIR, "seg_dir": SEG_DIR,
+            "acked_records": 3, "acked_bytes": 4096,
+            "flushed_segments": 3, "flushed_bytes": 1536,
+            "survived_in_wal": 1, "covered_by_segment": 1,
+            "unacked_failures": 0,
+            "lost": [{"rank": 0, "path": wal_path(WAL_DIR, 0),
+                      "offset": 1024, "nbytes": 1024,
+                      "t_acked": audit.lost[0].t_acked}],
+            "lost_bytes": 1024, "ok": False}

@@ -7,15 +7,23 @@ unknown whence, ``truncate``/``ftruncate``, sequential and explicit
 reads and writes, closes, and descriptors that were never opened or are
 already closed.  Most of these programs need the solve's sequential
 replay, not the array pass.  The solve must agree with
-``tests/core/reference.py``: the same accesses in the same order and
-the same per-file tables, or the same :class:`TraceError` text, in
-strict mode and with ``strict=False`` alike.
+``tests/core/reference.py``: the same accesses in the solve's documented
+order (by path, then ``(tstart, rid)``) and the same per-file tables, or
+the same :class:`TraceError` text, in strict mode and with
+``strict=False`` alike.
+
+A second property draws programs the array pass takes whole, with many
+ranks and descriptors spread widely or narrowly, so that the solve
+groups descriptor streams by a 16-bit ``(rank, fd)`` key on some draws
+and by the dense-id key on others, and with rank clocks skewed, so that
+rows are out of start order across ranks.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import offsets
 from repro.core.offsets import reconstruct_offsets
 from repro.core.records import group_by_path
 from repro.errors import TraceError
@@ -83,7 +91,9 @@ def programs(draw):
     return prologue + body
 
 
-def to_record(rid: int, rank: int, op: tuple) -> TraceRecord:
+def to_record(rid: int, rank: int, op: tuple,
+              t: float | None = None) -> TraceRecord:
+    """The record of ``op``, starting at ``t`` (by default, ``rid``)."""
     func = op[0]
     fields: dict = {}
     if func == "open":
@@ -107,9 +117,15 @@ def to_record(rid: int, rank: int, op: tuple) -> TraceRecord:
     else:
         _, path, fd, offset, count = op
         fields = dict(path=path, fd=fd, offset=offset, count=count)
+    t = float(rid if t is None else t)
     return TraceRecord(rid=rid, rank=rank, layer=Layer.POSIX,
-                       issuer=Layer.APP, func=func, tstart=float(rid),
-                       tend=rid + 0.5, **fields)
+                       issuer=Layer.APP, func=func, tstart=t,
+                       tend=t + 0.5, **fields)
+
+
+def in_file_order(access) -> tuple:
+    """The solve's documented access order: by path, then time."""
+    return access.path, access.tstart, access.rid
 
 
 def outcome(solve):
@@ -119,12 +135,10 @@ def outcome(solve):
         return None, str(exc)
 
 
-@given(programs())
-@settings(max_examples=500, deadline=None)
-def test_solve_matches_the_record_replay(program):
-    records = [to_record(rid, rank, op)
-               for rid, (rank, op) in enumerate(program)]
-    trace = Trace(nranks=2, records=records)
+def assert_solve_matches(records: list[TraceRecord], nranks: int) -> None:
+    """The solve and the oracle agree on ``records``: the same error, or
+    the same accesses in the documented order and the same tables."""
+    trace = Trace(nranks=nranks, records=records)
     for strict in (True, False):
         want, want_error = outcome(lambda: reference.reconstruct_offsets(
             records, strict=strict))
@@ -133,7 +147,7 @@ def test_solve_matches_the_record_replay(program):
         assert got_error == want_error
         if want_error is not None:
             continue
-        assert list(got) == want
+        assert list(got) == sorted(want, key=in_file_order)
         tables, expected = group_by_path(got), group_by_path(want)
         assert list(tables) == list(expected)
         for path, table in tables.items():
@@ -142,3 +156,83 @@ def test_solve_matches_the_record_replay(program):
                 assert np.array_equal(getattr(table, column),
                                       getattr(expected[path], column))
             assert table.records == expected[path].records
+
+
+@given(programs())
+@settings(max_examples=500, deadline=None)
+def test_solve_matches_the_record_replay(program):
+    assert_solve_matches([to_record(rid, rank, op)
+                          for rid, (rank, op) in enumerate(program)], 2)
+
+
+#: rank counts and fd spans around the 16-bit stream key: 16 ranks x
+#: 4096 fds and 1 rank x 65,536 fds fill it exactly, one more of either
+#: does not fit
+WIDE_NRANKS = (1, 2, 3, 16, 17, 48)
+FD_SPANS = (1, 2, 4096, 40_000, 65_536, 65_537)
+FD_BASES = (0, 3, 1 << 20, 1 << 40)
+#: the open flags of the wide programs: none of them needs the replay
+WIDE_FLAGS = (F.O_RDONLY, F.O_WRONLY | F.O_CREAT,
+              F.O_RDWR | F.O_CREAT | F.O_TRUNC)
+
+
+@st.composite
+def wide_programs(draw):
+    """``(nranks, records, damaged)``: a few active ranks, always
+    including the last, each with descriptors at both ends of an fd
+    range and one inside it.  Every call is on a descriptor its rank
+    has open, unless ``damaged``: then one rank reads an fd it never
+    opened, or writes at an offset through one."""
+    nranks = draw(st.sampled_from(WIDE_NRANKS))
+    base = draw(st.sampled_from(FD_BASES))
+    span = draw(st.sampled_from(FD_SPANS))
+    fds = sorted({base, base + span - 1,
+                  base + draw(st.integers(0, span - 1))})
+    active = sorted({0, nranks - 1, draw(st.integers(0, nranks - 1))})
+    # each rank's clock: equal, behind or ahead of the others
+    skew = {rank: draw(st.sampled_from((0.0, -40.0, 25.0)))
+            for rank in active}
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(active), st.sampled_from(fds),
+        st.sampled_from(("open", "write", "write", "read", "lseek",
+                         "lseek", "pwrite", "pread", "close")),
+        paths, st.integers(0, 48), st.sampled_from(WIDE_FLAGS)),
+        min_size=1, max_size=40))
+    is_open: set[tuple[int, int]] = set()
+    program = []
+    for rank, fd, kind, path, n, flags in steps:
+        # a call on a closed descriptor opens it first
+        if kind == "open" or (rank, fd) not in is_open:
+            program.append((rank, ("open", path, fd, flags, None)))
+            is_open.add((rank, fd))
+            if kind == "open":
+                continue
+        if kind == "close":
+            program.append((rank, ("close", fd)))
+            is_open.discard((rank, fd))
+        elif kind in ("write", "read"):
+            program.append((rank, (kind, fd, n)))
+        elif kind == "lseek":
+            program.append((rank, ("lseek", fd, n, F.SEEK_SET if n % 2
+                                   else F.SEEK_CUR)))
+        else:
+            program.append((rank, (kind, path, fd, 8 * n, n)))
+    damaged = draw(st.booleans())
+    if damaged:
+        bad = (("read", base + span, 8) if draw(st.booleans())
+               else ("pwrite", "/a", base + span, 0, 8))
+        program.insert(draw(st.integers(0, len(program))),
+                       (draw(st.sampled_from(active)), bad))
+    records = [to_record(rid, rank, op, t=rid + skew[rank])
+               for rid, (rank, op) in enumerate(program)]
+    return nranks, records, damaged
+
+
+@given(wide_programs())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_the_replay_across_the_stream_key(drawn):
+    nranks, records, damaged = drawn
+    assert_solve_matches(records, nranks)
+    if not damaged:  # the array pass takes the whole program
+        offsets._reconstruct_vectorized(Trace(nranks=nranks,
+                                              records=records).columnar)
